@@ -7,12 +7,12 @@ verification suite, closed-form parameter solvers with exact surds, and
 the mod-quadric polynomial test for planar conformal fields.
 """
 
-from .ambient import EUCLIDEAN, LORENTZIAN, Signature, dual_covector_restriction, inner, lorentz_pairing
+from .ambient import EUCLIDEAN, LORENTZIAN, Signature, lorentz_pairing
 from .fields import (
+    AffineField,
     Conformal2DField,
     ConformalGradientField,
     DipoleDeformationField,
-    FieldPointData,
     GeneralizedHopfField,
     KillingField,
     LoxodromicField,
@@ -21,7 +21,6 @@ from .fields import (
     build_field,
     circle_action,
     elementary_killing,
-    hopf_field_operator,
     hyperbolic_translation,
     killing_from_twists,
     quadratic_two_eigenvalue,

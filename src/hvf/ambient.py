@@ -81,16 +81,6 @@ EUCLIDEAN = Signature(+1)
 LORENTZIAN = Signature(-1)
 
 
-def inner(x, y, sig: Signature) -> float:
-    """Signature inner product of two ambient vectors."""
-    return sig.inner(x, y)
-
-
-def dual_covector_restriction(a, x, sig: Signature) -> float:
-    """Value at x of the linear form metrically dual to a: alpha(x) = <a, x>."""
-    return sig.inner(a, x)
-
-
 def lorentz_pairing(A1, A2, sig: Signature) -> float:
     """tr(A1 ∘ A2†) for skew operators; frame-independent.
 

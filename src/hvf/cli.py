@@ -303,7 +303,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, ArithmeticError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

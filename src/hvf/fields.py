@@ -1,17 +1,24 @@
-"""The vector-field families on S^n and H^n and their closed-form analysis.
+"""Vector fields on S^n and H^n as tangential projections of affine maps.
 
-Each family evaluates, at any point x, the field value sigma(x) together
-with everything the harmonic-section operator needs:
+Every field here has the form
 
-    F        = |sigma|^2 / 2
-    nabla    = the covariant derivative X -> nabla_X sigma
-    grad_F   = gradient of F
-    lap_F    = Laplacian of F  (Delta F = -div grad F)
-    rough    = rough Laplacian nabla* nabla sigma
-    zeta     = the spinnaker, when the field is preharmonic
-               (nabla_{grad F} sigma = zeta * sigma)
+    sigma(x) = P_x(L x + c),   P_x u = u - eps <u, x> x,
 
-Six constructions are provided:
+for an ambient (n+1)x(n+1) matrix L and a vector c.  The eta-skew part of
+L gives the Killing fields, c the conformal gradient, and the
+eta-self-adjoint part the quadratic gradients.  AffineField carries the
+single closed-form analysis of this shape.  With alpha = <L x + c, x> and
+L† = eta L^T eta:
+
+    nabla_X sigma      = P_x(L X) - eps alpha X
+    grad F             = P_x(L† sigma) - eps alpha sigma,   F = |sigma|^2 / 2
+    Delta F            = -div grad F, from the ambient Jacobian of grad F
+    nabla* nabla sigma = eps P_x((n+1) L x + 2 L† x + c)
+
+The six classified families are subclasses.  Each one only builds its
+(L, c), validates its own parameters and keeps its metadata: params(),
+twists and kind, the circle action on the hyperbolic plane, and the
+spinnaker zeta of a preharmonic field (nabla_{grad F} sigma = zeta sigma).
 
 * conformal gradient fields  sigma = grad <a, .>  with pole a;
 * Killing fields  sigma(x) = A(x)  for a skew operator A, including the
@@ -24,174 +31,203 @@ Six constructions are provided:
 * general conformal fields on the 2-dimensional space forms, K + C;
 * quadratic gradient fields  sigma = (1/2) grad <Q x, x>  on spheres.
 
-All fields are immutable after construction and analyses are pure.
+scale_field and transform keep the family and its parameters and replace
+(L, c) by (k L, k c) and (g L g^-1, g c).  Each spinnaker is written in
+terms of the field's own (L, c), so it follows both.  Fields are immutable
+after construction.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import Signature, as_vector, check_symmetric, lorentz_pairing
+from .ambient import Signature, as_vector, check_symmetric
 from .spaceform import SpaceForm, hyperbolic
 
 TANGENT_TOL = 1e-10
 CLUSTER_TOL = 1e-8  # eigenvalue clustering tolerance (decides "balanced")
 PREHARMONIC_OP_TOL = 1e-10
+PART_TOL = 1e-12  # relative size below which a part of (L, c) counts as zero
 
 
-@dataclass
-class FieldPointData:
-    """Pointwise analysis of a field: value, energy density data, spinnaker."""
-
-    sigma: np.ndarray
-    F: float
-    grad_F: np.ndarray
-    lap_F: float
-    rough_lap: np.ndarray
-    spinnaker: float | None
-    nabla_sigma: np.ndarray  # ambient matrix acting as X -> nabla_X sigma on T_x M
+def _finite(value, name: str):
+    """value as a float (or a float array), rejecting NaN and infinities."""
+    arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite, got {value}")
+    return arr if arr.ndim else float(arr)
 
 
-class VectorField:
-    """Base class: a tangent vector field with closed-form derivatives."""
+def _pair_operator(a, b, space: SpaceForm) -> np.ndarray:
+    """The skew operator x -> <a, x> b - <b, x> a of the pair (a, b)."""
+    eta = space.sig.eta(space.ambient_dim)
+    return np.outer(b, eta @ a) - np.outer(a, eta @ b)
 
-    family = "abstract"
 
-    def __init__(self, space: SpaceForm):
-        self.space = space
+def _block_rotation(twists, space: SpaceForm) -> np.ndarray:
+    """Rotation of the coordinate planes (1,2), (3,4), ... with the given speeds."""
+    A = np.zeros((space.ambient_dim,) * 2)
+    for i, w in enumerate(twists):
+        A[2 * i + 1, 2 * i] = w
+        A[2 * i, 2 * i + 1] = -w
+    return A
 
-    # subclasses implement sigma, nabla, grad_F, lap_F, rough_laplacian,
-    # spinnaker, nu, sigma_sq (closed form), transform, params
+
+class AffineField:
+    """sigma(x) = P_x(L x + c) on S^n or H^n, for any finite L and c."""
+
+    family = "affine"
+    scale_factor = None  # set by scale_field
+    sup_norm = None  # sup |sigma| over M, where a family knows it in closed form
+    _vectors: tuple[str, ...] = ()  # metadata vectors (points, frames, poles) moved by transform
+    _operators: tuple[str, ...] = ()  # metadata operators conjugated by transform
+
+    def __init__(self, L, c, space: SpaceForm):
+        m = space.ambient_dim
+        L, c = np.array(L, dtype=float), np.array(c, dtype=float)
+        if L.shape != (m, m) or c.shape != (m,):
+            raise ValueError(f"need a {m}x{m} operator and a vector of length {m}")
+        if not (np.isfinite(L).all() and np.isfinite(c).all()):
+            raise ValueError("operator and vector entries must be finite")
+        self.space, self.L, self.c = space, L, c
+        self._eps = space.eps
+        self._eta = np.diag(space.sig.eta(m))
+        self._eye = np.eye(m)
+        self._Ldag = space.sig.adjoint(L)
+        self._rough = m * L + 2.0 * self._Ldag
+        self._derive()
+
+    def _derive(self):
+        """Cache family quantities of (L, c); runs again whenever (L, c) change."""
+
+    # -- pointwise closed forms ---------------------------------------------
+
+    def _ip(self, u, v) -> float:
+        return float(u @ (self._eta * v))
+
+    def _project(self, x, v) -> np.ndarray:
+        return v - (self._eps * self._ip(v, x)) * x
+
+    def _parts(self, x):
+        """(x, alpha, sigma(x)) with alpha = <L x + c, x>."""
+        x = as_vector(x)
+        u = self.L @ x + self.c
+        alpha = self._ip(u, x)
+        return x, alpha, u - (self._eps * alpha) * x
 
     def sigma(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def nabla(self, x, X) -> np.ndarray:
-        raise NotImplementedError
+        return self._parts(x)[2]
 
     def sigma_sq(self, x) -> float:
         s = self.sigma(x)
-        return self.space.sig.norm_sq(s)
+        return self._ip(s, s)
 
     def F(self, x) -> float:
-        return 0.5 * self.space.sig.norm_sq(self.sigma(x))
+        return 0.5 * self.sigma_sq(x)
+
+    def nabla(self, x, X) -> np.ndarray:
+        x, alpha, _ = self._parts(x)
+        X = as_vector(X)
+        return self._project(x, self.L @ X) - (self._eps * alpha) * X
+
+    def nabla_matrix(self, x) -> np.ndarray:
+        """B = (P_x L - eps alpha I) P_x, so B X = nabla_X sigma for tangent X and B x = 0."""
+        x, alpha, _ = self._parts(x)
+        P = self._eye - self._eps * (x[:, None] * (self._eta * x))
+        return (P @ self.L - (self._eps * alpha) * self._eye) @ P
+
+    def nabla_norm_sq(self, x) -> float:
+        """|nabla sigma|^2 = sum_ij eta_i eta_j B_ij^2 for B = nabla_matrix(x)."""
+        B = self.nabla_matrix(x)
+        return float(self._eta @ (B * B) @ self._eta)
 
     def grad_F(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def lap_F(self, x) -> float:
-        raise NotImplementedError
-
-    def rough_laplacian(self, x) -> np.ndarray:
-        raise NotImplementedError
+        x, alpha, s = self._parts(x)
+        return self._project(x, self._Ldag @ s) - (self._eps * alpha) * s
 
     def nabla_gradF_sigma(self, x) -> np.ndarray:
         return self.nabla(x, self.grad_F(x))
+
+    def lap_F(self, x) -> float:
+        """Delta F = -div grad F = -(tr J - eps <J x, x>) for the ambient Jacobian J.
+
+        grad F = v - eps beta x - eps alpha sigma with v = L† sigma and
+        beta = <v, x>; J follows from d alpha = <L† x + L x + c, .> and the
+        Jacobian S of sigma.  Computed independently of the rough Laplacian,
+        so the Weitzenboeck identity stays a check.
+        """
+        eps, eta, eye, L, Ld = self._eps, self._eta, self._eye, self.L, self._Ldag
+        x, alpha, s = self._parts(x)
+        Lx = L @ x
+        dalpha = eta * (Ld @ x + Lx + self.c)
+        S = L - eps * (x[:, None] * dalpha) - (eps * alpha) * eye
+        v = Ld @ s
+        beta = self._ip(v, x)
+        dbeta = (eta * Lx) @ S + eta * v
+        J = Ld @ S - eps * (x[:, None] * dbeta + beta * eye + s[:, None] * dalpha + alpha * S)
+        return -(float(np.trace(J)) - eps * float((eta * x) @ J @ x))
+
+    def rough_laplacian(self, x) -> np.ndarray:
+        x = as_vector(x)
+        return self._eps * self._project(x, self._rough @ x + self.c)
 
     def spinnaker(self, x) -> float | None:
         return None
 
     @property
     def nu(self) -> float | None:
-        """Rough-Laplacian eigenvalue, when the field is an eigenfunction."""
-        return None
+        """Rough-Laplacian eigenvalue, when sigma is an eigenfield.
 
-    @property
-    def sup_norm(self) -> float | None:
-        """sup |sigma| over M, when finite and known in closed form."""
-        return None
+        nabla* nabla sigma = eps P_x((n-1) K x + (n+3) S x + c) for the
+        eta-skew part K and the trace-free eta-self-adjoint part S of L, so
+        sigma is an eigenfield when its non-zero parts share one coefficient.
+        The zero field reports 0.
+        """
+        n, eps, L = self.space.n, self._eps, self.L
+        K = 0.5 * (L - self._Ldag)
+        S = 0.5 * (L + self._Ldag)
+        S = S - np.trace(S) / (n + 1) * np.eye(n + 1)
+        tol = PART_TOL * max(1.0, np.abs(L).max(), np.abs(self.c).max())
+        coeffs = {k for part, k in ((K, n - 1), (S, n + 3), (self.c, 1)) if np.abs(part).max() > tol}
+        if len(coeffs) > 1:
+            return None
+        return float(eps * coeffs.pop()) if coeffs else 0.0
 
-    def nabla_matrix(self, x) -> np.ndarray:
-        """Ambient matrix N with N X = nabla_X sigma for tangent X."""
-        m = self.space.ambient_dim
-        eta = self.space.sig.eta(m)
-        N = np.zeros((m, m))
-        for E in self.space.frame(x):
-            N += np.outer(self.nabla(x, E), eta @ E)
-        return N
+    # -- congruence, scaling and metadata -------------------------------------
 
-    def nabla_norm_sq(self, x) -> float:
-        """|nabla sigma|^2 = sum_i |nabla_{E_i} sigma|^2 over a tangent frame."""
-        return sum(self.space.sig.norm_sq(self.nabla(x, E)) for E in self.space.frame(x))
+    def _with(self, L, c, **metadata) -> "AffineField":
+        """A copy of this field with (L, c) replaced and the given metadata updated."""
+        new = copy.copy(self)
+        new.__dict__.update(metadata)
+        AffineField.__init__(new, L, c, self.space)
+        return new
 
-    def analysis(self, x) -> FieldPointData:
-        x = self.space.check_point(x)
-        s = self.sigma(x)
-        return FieldPointData(
-            sigma=s,
-            F=0.5 * self.space.sig.norm_sq(s),
-            grad_F=self.grad_F(x),
-            lap_F=self.lap_F(x),
-            rough_lap=self.rough_laplacian(x),
-            spinnaker=self.spinnaker(x),
-            nabla_sigma=self.nabla_matrix(x),
-        )
-
-    def transform(self, g) -> "VectorField":
-        """The congruent field g.sigma(g^{-1} x) for an isometry g."""
-        raise NotImplementedError
+    def transform(self, g) -> "AffineField":
+        """The congruent field g.sigma(g^{-1} x) for an isometry g: (g L g^-1, g c)."""
+        g = np.asarray(g, dtype=float)
+        g_inv = self.space.sig.adjoint(g)  # isometries satisfy g^{-1} = eta g^T eta
+        moved = {name: getattr(self, name) @ g.T for name in self._vectors}
+        moved.update({name: g @ getattr(self, name) @ g_inv for name in self._operators})
+        return self._with(g @ self.L @ g_inv, g @ self.c, **moved)
 
     def params(self) -> dict:
-        raise NotImplementedError
+        out = self._params()
+        if self.scale_factor is not None:
+            out["scale_factor"] = self.scale_factor
+        return out
+
+    def _params(self) -> dict:
+        return {"L": self.L.tolist(), "c": self.c.tolist()}
 
 
-class ScaledField(VectorField):
-    """c * sigma for a constant c; keeps every closed form exact."""
-
-    def __init__(self, base: VectorField, factor: float):
-        super().__init__(base.space)
-        self.base = base
-        self.factor = float(factor)
-        self.family = base.family
-
-    def sigma(self, x):
-        return self.factor * self.base.sigma(x)
-
-    def nabla(self, x, X):
-        return self.factor * self.base.nabla(x, X)
-
-    def sigma_sq(self, x):
-        return self.factor**2 * self.base.sigma_sq(x)
-
-    def grad_F(self, x):
-        return self.factor**2 * self.base.grad_F(x)
-
-    def lap_F(self, x):
-        return self.factor**2 * self.base.lap_F(x)
-
-    def rough_laplacian(self, x):
-        return self.factor * self.base.rough_laplacian(x)
-
-    def nabla_gradF_sigma(self, x):
-        return self.factor**3 * self.base.nabla_gradF_sigma(x)
-
-    def spinnaker(self, x):
-        z = self.base.spinnaker(x)
-        return None if z is None else self.factor**2 * z
-
-    @property
-    def nu(self):
-        return self.base.nu
-
-    @property
-    def sup_norm(self):
-        s = self.base.sup_norm
-        return None if s is None else abs(self.factor) * s
-
-    def transform(self, g):
-        return ScaledField(self.base.transform(g), self.factor)
-
-    def params(self):
-        return {**self.base.params(), "scale_factor": self.factor}
-
-
-def scale_field(field: VectorField, factor: float) -> VectorField:
-    if isinstance(field, ScaledField):
-        return ScaledField(field.base, field.factor * factor)
-    return ScaledField(field, factor)
+def scale_field(field: AffineField, factor: float) -> AffineField:
+    """factor * sigma: the same family and parameters, with (L, c) scaled."""
+    factor = _finite(factor, "scale")
+    total = factor * (1.0 if field.scale_factor is None else field.scale_factor)
+    return field._with(factor * field.L, factor * field.c, scale_factor=total)
 
 
 # ---------------------------------------------------------------------------
@@ -199,68 +235,38 @@ def scale_field(field: VectorField, factor: float) -> VectorField:
 # ---------------------------------------------------------------------------
 
 
-class ConformalGradientField(VectorField):
+class ConformalGradientField(AffineField):
     """sigma = grad alpha for alpha(x) = <a, x>; pole a, mu = <a, a>.
 
-    Pointwise: sigma(x) = a - eps*alpha*x, |sigma|^2 = mu - eps*alpha^2,
+    (L, c) = (0, a): sigma(x) = a - eps*alpha*x, |sigma|^2 = mu - eps*alpha^2,
     nabla_X sigma = -eps*alpha X, and sigma is a rough-Laplacian
     eigenfunction with eigenvalue eps.  Always preharmonic, with
-    zeta = eps*(mu - 2F) = alpha^2.
+    zeta = eps*(<c, c> - |sigma|^2) = alpha^2.
     """
 
     family = "confgrad"
+    _vectors = ("a",)
 
     def __init__(self, a, space: SpaceForm):
-        super().__init__(space)
-        self.a = as_vector(a)
-        if self.a.shape != (space.ambient_dim,):
+        self.a = _finite(a, "pole")
+        if np.shape(self.a) != (space.ambient_dim,):
             raise ValueError("pole has wrong dimension")
         self.mu = space.inner(self.a, self.a)
         if space.eps == -1 and self.mu < 0 and self.a[-1] <= 0:
             raise ValueError("timelike pole must be future-oriented")
+        super().__init__(np.zeros((space.ambient_dim,) * 2), self.a, space)
 
     def alpha(self, x) -> float:
-        return self.space.inner(self.a, x)
-
-    def sigma(self, x):
-        return self.a - self.space.eps * self.alpha(x) * as_vector(x)
-
-    def sigma_sq(self, x):
-        return self.mu - self.space.eps * self.alpha(x) ** 2
-
-    def nabla(self, x, X):
-        return -self.space.eps * self.alpha(x) * as_vector(X)
-
-    def grad_F(self, x):
-        return -self.space.eps * self.alpha(x) * self.sigma(x)
-
-    def lap_F(self, x):
-        n, eps = self.space.n, self.space.eps
-        return eps * ((n + 1) * self.sigma_sq(x) - n * self.mu)
-
-    def rough_laplacian(self, x):
-        return self.space.eps * self.sigma(x)
-
-    def nabla_gradF_sigma(self, x):
-        return self.alpha(x) ** 2 * self.sigma(x)
+        return self.space.inner(self.c, x)
 
     def spinnaker(self, x):
-        return self.space.eps * (self.mu - self.sigma_sq(x))
-
-    @property
-    def nu(self):
-        return float(self.space.eps)
+        return self._eps * (self._ip(self.c, self.c) - self.sigma_sq(x))
 
     @property
     def sup_norm(self):
-        if self.space.eps == 1:
-            return math.sqrt(self.mu)
-        return None  # unbounded length on H^n
+        return math.sqrt(self._ip(self.c, self.c)) if self._eps == 1 else None
 
-    def transform(self, g):
-        return ConformalGradientField(np.asarray(g) @ self.a, self.space)
-
-    def params(self):
+    def _params(self):
         return {"pole": self.a.tolist(), "mu": self.mu}
 
 
@@ -280,8 +286,8 @@ def _cluster(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
     return [(float(np.mean(c)), len(c)) for c in out]
 
 
-class KillingField(VectorField):
-    """sigma(x) = A(x) for a skew-symmetric ambient operator A.
+class KillingField(AffineField):
+    """sigma(x) = A(x) for a skew-symmetric ambient operator A: (L, c) = (A, 0).
 
     On the sphere the normal form of A is a direct sum of r rotation blocks
     with angular frequencies (twists) omega_1 >= ... >= omega_r > 0.  On
@@ -291,54 +297,58 @@ class KillingField(VectorField):
     infinitesimal rotation, translation, or parabolic type.
 
     The field is a rough-Laplacian eigenfunction with eigenvalue eps*(n-1);
-    it is preharmonic exactly when A^3 = lambda*A for a constant lambda, and
-    then zeta = -(lambda + eps*|sigma|^2).
+    it is preharmonic exactly when L^3 = lambda*L for a constant lambda, and
+    then zeta = -(lambda + eps*|sigma|^2).  The normal form and lambda are
+    derived from L, so they describe scaled and moved fields too.
     """
 
     family = "killing"
+    _vectors = ("base",)
+    _operators = ("A",)
 
     def __init__(self, A, space: SpaceForm, base=None):
-        super().__init__(space)
-        self.A = space.sig.check_skew(np.asarray(A, dtype=float))
+        self.A = space.sig.check_skew(_finite(A, "operator"))
         if self.A.shape != (space.ambient_dim,) * 2:
             raise ValueError("operator has wrong dimension")
-        self._A2 = self.A @ self.A
-        self._A3 = self._A2 @ self.A
-        self.operator_sq = lorentz_pairing(self.A, self.A, space.sig)
-        self._derive_normal_form(base)
-        self._derive_preharmonicity()
+        self.base = space.base_point() if base is None else space.check_point(base)
+        super().__init__(self.A, np.zeros(space.ambient_dim), space)
 
-    def _derive_normal_form(self, base):
-        space = self.space
-        op_scale = max(np.abs(self.A).max(), 1.0)
+    def _derive(self):
+        space, L = self.space, self.L
+        L2 = L @ L
+        self.operator_sq = float(np.trace(L @ self._Ldag))
+        op_scale = max(np.abs(L).max(), 1.0)
         if space.eps == 1:
-            self.base = None
             self.tau = 0.0
-            sq = np.linalg.eigvalsh(-self._A2)
-            rot = self._twists_from_squares(sq, op_scale)
+            rot = self._twists_from_squares(np.linalg.eigvalsh(-L2), op_scale)
         else:
-            w = space.base_point() if base is None else space.check_point(base)
-            self.base = w
+            w = self.base
             eta = space.sig.eta(space.ambient_dim)
-            v = self.A @ w
+            v = L @ w
             self.tau = space.norm(v)
             T = np.outer(w, eta @ v) - np.outer(v, eta @ w)
-            R = self.A - T
             E = np.array(space.frame(w))  # rows
-            Rt = E @ eta @ R @ E.T  # <R E_j, E_i> in the (Euclidean) tangent space
+            Rt = E @ eta @ (L - T) @ E.T  # <R E_j, E_i> in the (Euclidean) tangent space
             rot = self._twists_from_squares(np.linalg.eigvalsh(Rt.T @ Rt), op_scale)  # = -Rt^2
-            self.translation_part = T
-            self.rotation_part = R
         self.twists = rot
         self.rank = len(rot)
         self.balanced = not rot or rot[0] - rot[-1] <= CLUSTER_TOL * max(rot[0], 1.0)
-        inv = sum(t * t for t in rot) - self.tau**2
+        inv = sum(t * t for t in rot) - self.tau * self.tau
         if space.eps == 1:
             self.kind = "rotation"
         elif abs(inv) <= 1e-9 * max(op_scale**2, 1.0):
             self.kind = "parabolic"
         else:
             self.kind = "rotation" if inv > 0 else "translation"
+        fro = float((L * L).sum())
+        if fro < 1e-300:
+            self.preharmonic_lambda = 0.0
+            return
+        L3 = L2 @ L
+        lam = float((L3 * L).sum()) / fro
+        scale = max(1.0, np.linalg.norm(L, 2) ** 3)
+        ok = np.linalg.norm(L3 - lam * L, 2) <= PREHARMONIC_OP_TOL * scale
+        self.preharmonic_lambda = lam if ok else None
 
     def _twists_from_squares(self, sq, op_scale) -> tuple[float, ...]:
         tol = CLUSTER_TOL * max(op_scale**2, 1.0)
@@ -348,66 +358,18 @@ class KillingField(VectorField):
                 twists.extend([math.sqrt(mean)] * (count // 2))
         return tuple(sorted(twists, reverse=True))
 
-    def _derive_preharmonicity(self):
-        fro = float((self.A * self.A).sum())
-        if fro < 1e-300:
-            self.preharmonic_lambda = 0.0
-            return
-        lam = float((self._A3 * self.A).sum()) / fro
-        scale = max(1.0, np.linalg.norm(self.A, 2) ** 3)
-        if np.linalg.norm(self._A3 - lam * self.A, 2) <= PREHARMONIC_OP_TOL * scale:
-            self.preharmonic_lambda = lam
-        else:
-            self.preharmonic_lambda = None
-
-    def sigma(self, x):
-        return self.A @ as_vector(x)
-
-    def nabla(self, x, X):
-        AX = self.A @ as_vector(X)
-        return AX - self.space.eps * self.space.inner(AX, x) * as_vector(x)
-
-    def grad_F(self, x):
-        x = as_vector(x)
-        return -self._A2 @ x - self.space.eps * self.sigma_sq(x) * x
-
-    def lap_F(self, x):
-        eps, n = self.space.eps, self.space.n
-        return eps * (n + 1) * self.sigma_sq(x) - self.operator_sq
-
-    def rough_laplacian(self, x):
-        return self.space.eps * (self.space.n - 1) * self.sigma(x)
-
-    def nabla_gradF_sigma(self, x):
-        x = as_vector(x)
-        return -self._A3 @ x - self.space.eps * self.sigma_sq(x) * self.sigma(x)
-
     def spinnaker(self, x):
         if self.preharmonic_lambda is None:
             return None
-        return -(self.preharmonic_lambda + self.space.eps * self.sigma_sq(x))
-
-    @property
-    def nu(self):
-        return float(self.space.eps * (self.space.n - 1))
+        return -(self.preharmonic_lambda + self._eps * self.sigma_sq(x))
 
     @property
     def sup_norm(self):
         if not self.twists and self.tau == 0.0:
             return 0.0
-        if self.space.eps == 1:
-            return self.twists[0]
-        return None
+        return self.twists[0] if self._eps == 1 else None
 
-    def transform(self, g):
-        g = np.asarray(g, dtype=float)
-        g_inv = self.space.sig.adjoint(g)  # isometries satisfy g^{-1} = eta g^T eta
-        base = None
-        if self.base is not None:
-            base = self.space.normalize_point(g @ self.base)
-        return KillingField(g @ self.A @ g_inv, self.space, base=base)
-
-    def params(self):
+    def _params(self):
         return {"operator": self.A.tolist()}
 
 
@@ -428,29 +390,17 @@ class GeneralizedHopfField(KillingField):
             raise ValueError(f"need 2r <= n+1 on S^n, got r={r}, n={space.n}")
         if space.eps == -1 and 2 * r >= space.n + 1:
             raise ValueError(f"need 2r < n+1 on H^n, got r={r}, n={space.n}")
-        A = np.zeros((space.ambient_dim,) * 2)
-        for i in range(r):
-            A[2 * i + 1, 2 * i] = scale
-            A[2 * i, 2 * i + 1] = -scale
-        super().__init__(A, space)
         self.block_rank = r
-        self.scale = float(scale)
+        self.scale = _finite(scale, "scale")
+        super().__init__(_block_rotation([self.scale] * r, space), space)
 
-    def params(self):
+    def _params(self):
         return {"r": self.block_rank, "scale": self.scale}
-
-
-def hopf_field_operator(r: int, scale: float, space: SpaceForm) -> KillingField:
-    """Block-rotation Killing field scale * Sigma_r (see GeneralizedHopfField)."""
-    return GeneralizedHopfField(r, scale, space)
 
 
 def elementary_killing(a, b, space: SpaceForm) -> KillingField:
     """The Killing field K(x) = <a,x> b - <b,x> a determined by the pair (a, b)."""
-    a, b = as_vector(a), as_vector(b)
-    eta = space.sig.eta(space.ambient_dim)
-    A = np.outer(b, eta @ a) - np.outer(a, eta @ b)
-    return KillingField(A, space)
+    return KillingField(_pair_operator(as_vector(a), as_vector(b), space), space)
 
 
 def hyperbolic_translation(tau: float, space: SpaceForm, direction=None) -> KillingField:
@@ -461,20 +411,16 @@ def hyperbolic_translation(tau: float, space: SpaceForm, direction=None) -> Kill
     if direction is None:
         direction = np.zeros(space.ambient_dim)
         direction[0] = 1.0
-    v = tau * space.check_tangent(w, direction)
+    v = _finite(tau, "tau") * space.check_tangent(w, direction)
     return elementary_killing(v, w, space)
 
 
 def killing_from_twists(twists, space: SpaceForm) -> KillingField:
     """Block-diagonal Killing field with the given rotation frequencies."""
-    twists = list(twists)
+    twists = _finite(list(twists), "twists")
     if 2 * len(twists) > space.n + (1 if space.eps == 1 else 0):
         raise ValueError("too many rotation blocks for this dimension")
-    A = np.zeros((space.ambient_dim,) * 2)
-    for i, w in enumerate(twists):
-        A[2 * i + 1, 2 * i] = w
-        A[2 * i, 2 * i + 1] = -w
-    return KillingField(A, space)
+    return KillingField(_block_rotation(twists, space), space)
 
 
 # ---------------------------------------------------------------------------
@@ -482,114 +428,56 @@ def killing_from_twists(twists, space: SpaceForm) -> KillingField:
 # ---------------------------------------------------------------------------
 
 
-class LoxodromicField(VectorField):
+class LoxodromicField(AffineField):
     """R + C: a rank-r rotation plus a conformal gradient with orthogonal pole.
 
-    R = sum_i omega_i K_i where K_i is the elementary Killing field of the
-    orthonormal pair (a_i, b_i), and C has pole c orthogonal to every a_i,
+    L = sum_i omega_i K_i where K_i is the elementary Killing operator of the
+    orthonormal pair (a_i, b_i), and c is a pole orthogonal to every a_i,
     b_i.  Properly loxodromic means R balanced and n = 2r; only then (and
     only for n = 2) is the field preharmonic, with
-    zeta = eps*(mu + eps*omega^2 - |sigma|^2).
+    zeta = eps*(mu + eps*omega^2 - |sigma|^2), where mu = <c, c> and
+    omega^2 = -tr(L^2)/2.
     """
 
     family = "loxodromic"
+    _vectors = ("pairs", "pole")
 
     def __init__(self, pairs, omegas, c, space: SpaceForm, tol: float = TANGENT_TOL):
-        super().__init__(space)
-        self.pairs = [(as_vector(a), as_vector(b)) for a, b in pairs]
-        self.omegas = [float(w) for w in omegas]
-        self.c = as_vector(c)
-        if len(self.pairs) != len(self.omegas) or not self.pairs:
+        self.pairs = _finite([list(p) for p in pairs], "rotation planes")
+        self.omegas = [_finite(w, "omega") for w in omegas]
+        self.pole = _finite(c, "pole")
+        if len(self.pairs) != len(self.omegas) or not len(self.pairs):
             raise ValueError("need one twist per rotation plane, and at least one plane")
         if any(w <= 0 for w in self.omegas):
             raise ValueError("twists must be positive (drop trivial planes)")
-        vecs = [v for p in self.pairs for v in p]
-        for i, u in enumerate(vecs):
-            for j, v in enumerate(vecs):
-                want = 1.0 if i == j else 0.0
-                if abs(space.inner(u, v) - want) > tol:
-                    raise ValueError("rotation-plane vectors must be spacelike orthonormal")
-            if abs(space.inner(u, self.c)) > tol * (1.0 + abs(self.c).max()):
-                raise ValueError("conformal pole must be orthogonal to the rotation planes")
-        self.mu = space.inner(self.c, self.c)
-        if not np.abs(self.c).max() > 0:
+        vecs = self.pairs.reshape(2 * len(self.pairs), -1)
+        eta = space.sig.eta(space.ambient_dim)
+        if np.abs(vecs @ eta @ vecs.T - np.eye(len(vecs))).max() > tol:
+            raise ValueError("rotation-plane vectors must be spacelike orthonormal")
+        if np.abs(vecs @ eta @ self.pole).max() > tol * (1.0 + abs(self.pole).max()):
+            raise ValueError("conformal pole must be orthogonal to the rotation planes")
+        self.mu = space.inner(self.pole, self.pole)
+        if not np.abs(self.pole).max() > 0:
             raise ValueError("conformal part must be non-trivial")
         mx = max(self.omegas)
         self.balanced = mx - min(self.omegas) <= CLUSTER_TOL * mx
         self.rank = len(self.pairs)
         self.properly = self.balanced and space.n == 2 * self.rank
+        L = sum(w * _pair_operator(a, b, space) for w, (a, b) in zip(self.omegas, self.pairs))
+        super().__init__(L, self.pole, space)
 
-    # scalar coordinates
     def gamma(self, x) -> float:
         return self.space.inner(self.c, x)
 
-    def _coords(self, x):
-        return [(self.space.inner(a, x), self.space.inner(b, x)) for a, b in self.pairs]
-
-    def rotation_value(self, x) -> np.ndarray:
-        out = np.zeros(self.space.ambient_dim)
-        for w, (a, b), (al, be) in zip(self.omegas, self.pairs, self._coords(x)):
-            out += w * (al * b - be * a)
-        return out
-
     def conformal_value(self, x) -> np.ndarray:
-        return self.c - self.space.eps * self.gamma(x) * as_vector(x)
-
-    def sigma(self, x):
-        return self.rotation_value(x) + self.conformal_value(x)
-
-    def sigma_sq(self, x):
-        eps = self.space.eps
-        s = sum(w * w * (al * al + be * be) for w, (al, be) in zip(self.omegas, self._coords(x)))
-        return s + self.mu - eps * self.gamma(x) ** 2
-
-    def nabla(self, x, X):
-        x, X = as_vector(x), as_vector(X)
-        eps = self.space.eps
-        out = -eps * self.gamma(x) * X
-        for w, (a, b), (al, be) in zip(self.omegas, self.pairs, self._coords(x)):
-            Af = a - eps * al * x
-            Bf = b - eps * be * x
-            out += w * (self.space.inner(Af, X) * Bf - self.space.inner(Bf, X) * Af)
-        return out
-
-    def grad_F(self, x):
-        x = as_vector(x)
-        eps = self.space.eps
-        out = -eps * self.gamma(x) * self.conformal_value(x)
-        for w, (a, b), (al, be) in zip(self.omegas, self.pairs, self._coords(x)):
-            Af = a - eps * al * x
-            Bf = b - eps * be * x
-            out += w * w * (al * Af + be * Bf)
-        return out
-
-    def lap_F(self, x):
-        eps, n = self.space.eps, self.space.n
-        g = self.gamma(x)
-        total = eps * self.mu - (n + 1) * g * g
-        for w, (al, be) in zip(self.omegas, self._coords(x)):
-            total += w * w * (eps * (n + 1) * (al * al + be * be) - 2.0)
-        return total
-
-    def rough_laplacian(self, x):
-        eps, n = self.space.eps, self.space.n
-        return eps * (n - 1) * self.rotation_value(x) + eps * self.conformal_value(x)
+        """The conformal-gradient part P_x(c) of sigma."""
+        return self.c - self._eps * self.gamma(x) * as_vector(x)
 
     def spinnaker(self, x):
         if not (self.properly and self.space.n == 2):
             return None
-        eps = self.space.eps
-        w = self.omegas[0]
-        return eps * (self.mu + eps * w * w - self.sigma_sq(x))
-
-    @property
-    def nu(self):
-        return float(self.space.eps) if self.space.n == 2 else None
-
-    def transform(self, g):
-        g = np.asarray(g, dtype=float)
-        pairs = [(g @ a, g @ b) for a, b in self.pairs]
-        return LoxodromicField(pairs, self.omegas, g @ self.c, self.space)
+        mu = self._ip(self.c, self.c)
+        return self._eps * (mu - self.sigma_sq(x)) - 0.5 * float(np.sum(self.L * self.L.T))
 
     def circle_action(self, t: float) -> "LoxodromicField":
         """Associate-family member cos(t) sigma + sin(t) J sigma on H^2."""
@@ -601,7 +489,7 @@ class LoxodromicField(VectorField):
         w = self.space.normalize_point(w if w[-1] > 0 else -w)
         orient = 1.0 if np.linalg.det(np.column_stack([a, b, w])) > 0 else -1.0
         h = -self.space.inner(self.c, w)  # c = h * w
-        om = self.omegas[0]
+        om = self.space.inner(self.L @ a, b)  # L a = omega b
         om2 = math.cos(t) * om - math.sin(t) * orient * h
         h2 = math.cos(t) * h + math.sin(t) * orient * om
         if abs(om2) < 1e-12 or abs(h2) < 1e-12:
@@ -610,11 +498,11 @@ class LoxodromicField(VectorField):
             b, om2 = -b, -om2
         return LoxodromicField([(a, b)], [om2], h2 * w, self.space)
 
-    def params(self):
+    def _params(self):
         return {
-            "pairs": [[a.tolist(), b.tolist()] for a, b in self.pairs],
+            "pairs": self.pairs.tolist(),
             "omegas": list(self.omegas),
-            "pole": self.c.tolist(),
+            "pole": self.pole.tolist(),
             "mu": self.mu,
         }
 
@@ -640,27 +528,29 @@ def associate_family_member(t: float, space: SpaceForm | None = None) -> Loxodro
 # ---------------------------------------------------------------------------
 
 
-class DipoleDeformationField(VectorField):
+class DipoleDeformationField(AffineField):
     """tau*T + r*A for a point w and unit tangent a at w.
 
     A is the conformal gradient with pole a and T the elementary Killing
-    field of the pair (a, w); |tau| = |r| (with the sign fixed by eps)
-    gives the dipole field with a single zero at w.  Preharmonic only in
-    dimension two (or at the conformal/Killing endpoints), with
-    zeta = eps*(r^2 + tau^2 - 2 r tau psi - |sigma|^2).
+    field of the pair (a, w), so (L, c) = (tau T, r a); |tau| = |r| (with
+    the sign fixed by eps) gives the dipole field with a single zero at w.
+    Preharmonic only in dimension two (or at the conformal/Killing
+    endpoints), with zeta = eps*(r^2 + tau^2 - 2 r tau psi - |sigma|^2),
+    where r^2 = <c, c>, eps tau^2 = -tr(L^2)/2 and r tau psi = <L c, x>.
     """
 
     family = "dipole"
+    _vectors = ("w", "a")
 
     def __init__(self, w, a, tau: float, r: float, space: SpaceForm):
-        super().__init__(space)
         self.w = space.check_point(w)
         a = space.check_tangent(self.w, a, tol=1e-12)
         if abs(space.sig.norm_sq(a) - 1.0) > 1e-12:
             raise ValueError("dipole direction must be a unit tangent vector")
         self.a = a
-        self.tau = float(tau)
-        self.r = float(r)
+        self.tau = _finite(tau, "tau")
+        self.r = _finite(r, "r")
+        super().__init__(self.tau * _pair_operator(self.a, self.w, space), self.r * self.a, space)
 
     def alpha(self, x) -> float:
         return self.space.inner(self.a, x)
@@ -668,73 +558,14 @@ class DipoleDeformationField(VectorField):
     def psi(self, x) -> float:
         return self.space.inner(self.w, x)
 
-    def _parts(self, x):
-        x = as_vector(x)
-        al, ps = self.alpha(x), self.psi(x)
-        T = al * self.w - ps * self.a
-        A = self.a - self.space.eps * al * x
-        W = self.w - self.space.eps * ps * x
-        return al, ps, T, A, W
-
-    def sigma(self, x):
-        _, _, T, A, _ = self._parts(x)
-        return self.tau * T + self.r * A
-
-    def sigma_sq(self, x):
-        eps = self.space.eps
-        al, ps = self.alpha(x), self.psi(x)
-        return (self.tau * ps - self.r) ** 2 + eps * (self.tau**2 - self.r**2) * al * al
-
-    def nabla(self, x, X):
-        X = as_vector(X)
-        al, _, _, A, W = self._parts(x)
-        inner = self.space.inner
-        return self.tau * (inner(A, X) * W - inner(W, X) * A) - self.space.eps * self.r * al * X
-
-    def grad_F(self, x):
-        eps = self.space.eps
-        al, ps, _, A, W = self._parts(x)
-        return self.tau * (self.tau * ps - self.r) * W + eps * (self.tau**2 - self.r**2) * al * A
-
-    def lap_F(self, x):
-        eps, n = self.space.eps, self.space.n
-        t, r = self.tau, self.r
-        al, ps = self.alpha(x), self.psi(x)
-        d = t * t - r * r
-        return (
-            eps * n * t * ps * (t * ps - r)
-            - eps * t * t * (1.0 - ps * ps)
-            + (n + 1) * d * al * al
-            - eps * d
-        )
-
-    def rough_laplacian(self, x):
-        _, _, T, A, _ = self._parts(x)
-        eps, n = self.space.eps, self.space.n
-        return eps * ((n - 1) * self.tau * T + self.r * A)
-
     def spinnaker(self, x):
         if not (self.space.n == 2 or self.tau == 0.0 or self.r == 0.0):
             return None
-        eps = self.space.eps
-        ps = self.psi(x)
-        return eps * (self.r**2 + self.tau**2 - 2.0 * self.r * self.tau * ps - self.sigma_sq(x))
+        L, c = self.L, self.c
+        twisted = self._ip(c, c) - 2.0 * self._ip(L @ c, as_vector(x)) - self.sigma_sq(x)
+        return self._eps * twisted - 0.5 * float(np.sum(L * L.T))
 
-    @property
-    def nu(self):
-        eps, n = self.space.eps, self.space.n
-        if n == 2 or self.tau == 0.0:
-            return float(eps)
-        if self.r == 0.0:
-            return float(eps * (n - 1))
-        return None
-
-    def transform(self, g):
-        g = np.asarray(g, dtype=float)
-        w = self.space.normalize_point(g @ self.w)
-        return DipoleDeformationField(w, g @ self.a, self.tau, self.r, self.space)
-
-    def params(self):
+    def _params(self):
         return {"w": self.w.tolist(), "a": self.a.tolist(), "tau": self.tau, "r": self.r}
 
 
@@ -743,17 +574,20 @@ class DipoleDeformationField(VectorField):
 # ---------------------------------------------------------------------------
 
 
-class Conformal2DField(VectorField):
+class Conformal2DField(AffineField):
     """K + C on a 2-dimensional space form: every conformal field.
 
     K = omega*R + tau*T with R the rotation about w and T the translation
     through w along a; C is the conformal gradient with pole located
     cylindrically as c = rr*s*a + rr*t*b + h*w.  On the sphere w can be
     taken on the axis of K, so tau = 0 there.  Every such field is
-    preharmonic, with zeta = (omega*psi - eps*tau*beta)^2 + gamma^2.
+    preharmonic: nabla sigma = a I + b J pointwise, with a = -eps <c, x>
+    and the twist b = <m, eta x> for the axial vector m of the
+    antisymmetric matrix eta L, so zeta = a^2 + b^2.
     """
 
     family = "conformal2d"
+    _vectors = ("w", "a", "b")
 
     def __init__(
         self,
@@ -768,7 +602,6 @@ class Conformal2DField(VectorField):
         a=None,
         b=None,
     ):
-        super().__init__(space)
         if space.n != 2:
             raise ValueError("Conformal2DField requires a 2-dimensional space form")
         self.w = space.base_point() if w is None else space.check_point(w)
@@ -783,17 +616,20 @@ class Conformal2DField(VectorField):
             or abs(space.inner(self.a, self.b)) > 1e-12
         ):
             raise ValueError("(a, b) must be an orthonormal tangent frame at w")
+        names = ("omega", "tau", "rr", "s", "t", "h")
+        omega, tau, rr, s, t, h = (_finite(v, k) for v, k in zip((omega, tau, rr, s, t, h), names))
         if abs(s * s + t * t - 1.0) > 1e-12:
             raise ValueError("pole direction must satisfy s^2 + t^2 = 1")
         if omega < 0 or tau < 0:
             raise ValueError("Killing coefficients omega, tau must be >= 0")
         if space.eps == 1 and tau != 0.0:
             raise ValueError("on the sphere take w on the axis of K, so tau = 0")
-        self.omega, self.tau = float(omega), float(tau)
-        self.rr, self.s, self.t, self.h = float(rr), float(s), float(t), float(h)
-        self.c = self.rr * self.s * self.a + self.rr * self.t * self.b + self.h * self.w
+        self.omega, self.tau, self.rr, self.s, self.t, self.h = omega, tau, rr, s, t, h
+        L = omega * _pair_operator(self.a, self.b, space) + tau * _pair_operator(self.a, self.w, space)
+        c = rr * s * self.a + rr * t * self.b + h * self.w
+        super().__init__(L, c, space)
 
-    # coordinates alpha, beta, psi and the pole covector gamma
+    # coordinates alpha, beta, psi
     def alpha(self, x) -> float:
         return self.space.inner(self.a, x)
 
@@ -803,91 +639,23 @@ class Conformal2DField(VectorField):
     def psi(self, x) -> float:
         return self.space.inner(self.w, x)
 
-    def gamma(self, x) -> float:
-        return self.space.inner(self.c, x)
-
-    def sigma(self, x):
-        x = as_vector(x)
-        al, be, ps = self.alpha(x), self.beta(x), self.psi(x)
-        K = self.omega * (al * self.b - be * self.a) + self.tau * (al * self.w - ps * self.a)
-        return K + self.c - self.space.eps * self.gamma(x) * x
-
-    def sigma_sq(self, x):
-        eps = self.space.eps
-        om, ta, r, s, t, h = self.omega, self.tau, self.rr, self.s, self.t, self.h
-        al, be, ps, g = self.alpha(x), self.beta(x), self.psi(x), self.gamma(x)
-        return (
-            ta * ta
-            + r * r
-            + eps * (om * om + h * h)
-            + 2.0 * (om * r * t + eps * ta * h) * al
-            - 2.0 * r * s * (om * be + ta * ps)
-            - eps * (om * ps - eps * ta * be) ** 2
-            - eps * g * g
-        )
-
-    def _gradient_fields(self, x):
-        x = as_vector(x)
-        eps = self.space.eps
-        Af = self.a - eps * self.alpha(x) * x
-        Bf = self.b - eps * self.beta(x) * x
-        Wf = self.w - eps * self.psi(x) * x
-        Cf = self.c - eps * self.gamma(x) * x
-        return Af, Bf, Wf, Cf
-
-    def nabla(self, x, X):
-        X = as_vector(X)
-        eps = self.space.eps
-        Af, Bf, Wf, _ = self._gradient_fields(x)
-        inner = self.space.inner
-        out = self.omega * (inner(Af, X) * Bf - inner(Bf, X) * Af)
-        out += self.tau * (inner(Af, X) * Wf - inner(Wf, X) * Af)
-        return out - eps * self.gamma(x) * X
-
-    def grad_F(self, x):
-        eps = self.space.eps
-        om, ta, r, s, t, h = self.omega, self.tau, self.rr, self.s, self.t, self.h
-        be, ps, g = self.beta(x), self.psi(x), self.gamma(x)
-        Af, Bf, Wf, Cf = self._gradient_fields(x)
-        out = (om * r * t + eps * ta * h) * Af - r * s * (om * Bf + ta * Wf)
-        out -= eps * (om * ps - eps * ta * be) * (om * Wf - eps * ta * Bf)
-        return out - eps * g * Cf
-
     def spinnaker(self, x):
-        eps = self.space.eps
-        twist = self.omega * self.psi(x) - eps * self.tau * self.beta(x)
-        return twist * twist + self.gamma(x) ** 2
-
-    def lap_F(self, x):
-        eps = self.space.eps
-        return eps * self.sigma_sq(x) - 2.0 * self.spinnaker(x)
-
-    def rough_laplacian(self, x):
-        return self.space.eps * self.sigma(x)
-
-    @property
-    def nu(self):
-        return float(self.space.eps)
-
-    def transform(self, g):
-        g = np.asarray(g, dtype=float)
-        return Conformal2DField(
-            self.space,
-            self.omega,
-            self.tau,
-            self.rr,
-            self.s,
-            self.t,
-            self.h,
-            w=self.space.normalize_point(g @ self.w),
-            a=g @ self.a,
-            b=g @ self.b,
-        )
+        x = as_vector(x)
+        M = self._eta[:, None] * self.L  # antisymmetric: M v = m x v
+        twist = float(np.array([M[2, 1], M[0, 2], M[1, 0]]) @ (self._eta * x))
+        gamma = self._ip(self.c, x)
+        return twist * twist + gamma * gamma
 
     def components(self) -> np.ndarray:
-        """Coefficients (k_R, k_a, k_b, c_a, c_b, c_w) in the frame (a, b, w)."""
+        """Coefficients (k_R, k_a, k_b, c_a, c_b, c_w) of (L, c) in the frame (a, b, w).
+
+        L = k_R R + k_a T_a + k_b T_b with the pair operators R of (a, b) and
+        T_u of (u, w); c = c_a a + c_b b + c_w w.
+        """
+        ip, eps, L, c = self.space.inner, self._eps, self.L, self.c
+        a, b, w = self.a, self.b, self.w
         return np.array(
-            [self.omega, self.tau, 0.0, self.rr * self.s, self.rr * self.t, self.h]
+            [ip(L @ a, b), eps * ip(L @ a, w), eps * ip(L @ b, w), ip(c, a), ip(c, b), eps * ip(c, w)]
         )
 
     @classmethod
@@ -929,7 +697,7 @@ class Conformal2DField(VectorField):
         comps = math.cos(t) * self.components() + math.sin(t) * j
         return Conformal2DField.from_components(self.space, self.w, self.a, self.b, comps)
 
-    def params(self):
+    def _params(self):
         return {
             "omega": self.omega,
             "tau": self.tau,
@@ -945,71 +713,40 @@ class Conformal2DField(VectorField):
 # ---------------------------------------------------------------------------
 
 
-class QuadraticGradientField(VectorField):
+class QuadraticGradientField(AffineField):
     """sigma = (1/2) grad xi for the quadratic form xi(x) = <Q x, x> on S^n.
 
-    Pointwise sigma(x) = Q(x) - xi(x) x, so the zeros are exactly the unit
-    eigenvectors of Q.  The field is a rough-Laplacian eigenfunction with
-    eigenvalue n+3, and is preharmonic precisely when Q has two distinct
-    eigenvalues, with zeta = (lambda - 2 xi)^2 for the shifted two-value
-    form (lambda the eigenvalue gap).
+    (L, c) = (Q, 0): sigma(x) = Q(x) - xi(x) x, so the zeros are exactly the
+    unit eigenvectors of Q.  The field is a rough-Laplacian eigenfunction
+    with eigenvalue n+3, and is preharmonic precisely when Q has two
+    distinct eigenvalues lo < hi, with zeta = (hi + lo - 2 xi)^2.
     """
 
     family = "quadratic"
 
     def __init__(self, Q, space: SpaceForm):
-        super().__init__(space)
         if space.eps != 1:
             raise ValueError("quadratic gradient fields are defined on spheres only")
-        self.Q = check_symmetric(np.asarray(Q, dtype=float))
-        if self.Q.shape != (space.ambient_dim,) * 2:
+        Q = check_symmetric(_finite(Q, "operator"))
+        if Q.shape != (space.ambient_dim,) * 2:
             raise ValueError("operator has wrong dimension")
-        self._Q2 = self.Q @ self.Q
-        self._Q3 = self._Q2 @ self.Q
-        self._trQ = float(np.trace(self.Q))
-        self._trQ2 = float(np.trace(self._Q2))
-        self.eigenvalues = np.linalg.eigvalsh(self.Q)
-        scale = max(1.0, np.abs(self.eigenvalues).max())
-        self._clusters = _cluster(self.eigenvalues, CLUSTER_TOL * scale)
+        super().__init__(Q, np.zeros(space.ambient_dim), space)
+        self.eigenvalues = self._spectrum
+
+    def _derive(self):
+        self._spectrum = np.linalg.eigvalsh(self.L)
+        scale = max(1.0, np.abs(self._spectrum).max())
+        self._clusters = _cluster(self._spectrum, CLUSTER_TOL * scale)
 
     def xi(self, x, m: int = 1) -> float:
+        """xi_m(x) = <Q^m x, x>."""
         x = as_vector(x)
-        Qm = (self.Q, self._Q2, self._Q3)[m - 1]
-        return float(x @ Qm @ x)
+        return float(x @ np.linalg.matrix_power(self.L, m) @ x)
 
     def sigma_m(self, x, m: int = 1) -> np.ndarray:
+        """Q^m x - xi_m(x) x; sigma_1 = sigma."""
         x = as_vector(x)
-        Qm = (self.Q, self._Q2, self._Q3)[m - 1]
-        return Qm @ x - self.xi(x, m) * x
-
-    def sigma(self, x):
-        return self.sigma_m(x, 1)
-
-    def sigma_sq(self, x):
-        return self.xi(x, 2) - self.xi(x) ** 2
-
-    def nabla(self, x, X):
-        x, X = as_vector(x), as_vector(X)
-        return self.Q @ X - self.xi(x) * X - float(self.sigma(x) @ X) * x
-
-    def grad_F(self, x):
-        return self.sigma_m(x, 2) - 2.0 * self.xi(x) * self.sigma(x)
-
-    def lap_F(self, x):
-        n = self.space.n
-        xi1, xi2 = self.xi(x), self.xi(x, 2)
-        return (n + 5) * xi2 - (2 * n + 6) * xi1 * xi1 - self._trQ2 + 2.0 * xi1 * self._trQ
-
-    def rough_laplacian(self, x):
-        return (self.space.n + 3) * self.sigma(x)
-
-    def nabla_gradF_sigma(self, x):
-        xi1, xi2 = self.xi(x), self.xi(x, 2)
-        return (
-            self.sigma_m(x, 3)
-            - 3.0 * xi1 * self.sigma_m(x, 2)
-            + (4.0 * xi1 * xi1 - xi2) * self.sigma(x)
-        )
+        return np.linalg.matrix_power(self.L, m) @ x - self.xi(x, m) * x
 
     def spinnaker(self, x):
         if len(self._clusters) == 1:
@@ -1017,21 +754,14 @@ class QuadraticGradientField(VectorField):
         if len(self._clusters) != 2:
             return None
         (lo, _), (hi, _) = self._clusters
-        return (hi + lo - 2.0 * self.xi(x)) ** 2
-
-    @property
-    def nu(self):
-        return float(self.space.n + 3)
+        d = hi + lo - 2.0 * self.xi(x)
+        return d * d
 
     @property
     def sup_norm(self):
-        return 0.5 * float(self.eigenvalues[-1] - self.eigenvalues[0])
+        return 0.5 * float(self._spectrum[-1] - self._spectrum[0])
 
-    def transform(self, g):
-        g = np.asarray(g, dtype=float)
-        return QuadraticGradientField(g @ self.Q @ g.T, self.space)
-
-    def params(self):
+    def _params(self):
         return {"eigenvalues": self.eigenvalues.tolist()}
 
 
@@ -1040,7 +770,7 @@ def quadratic_two_eigenvalue(r: int, lam: float, space: SpaceForm) -> QuadraticG
     if not 1 <= r <= space.n:
         raise ValueError("need 1 <= r <= n for a non-trivial two-eigenvalue field")
     d = np.zeros(space.ambient_dim)
-    d[:r] = lam
+    d[:r] = _finite(lam, "lam")
     return QuadraticGradientField(np.diag(d), space)
 
 
@@ -1049,7 +779,7 @@ def quadratic_two_eigenvalue(r: int, lam: float, space: SpaceForm) -> QuadraticG
 # ---------------------------------------------------------------------------
 
 
-def circle_action(field: VectorField, t: float) -> VectorField:
+def circle_action(field: AffineField, t: float) -> AffineField:
     """e^{it}.sigma = cos(t) sigma + sin(t) J sigma on the hyperbolic plane."""
     if field.space.n != 2:
         raise ValueError("circle action requires n = 2")
@@ -1059,11 +789,11 @@ def circle_action(field: VectorField, t: float) -> VectorField:
     return action(t)
 
 
-def build_field(doc: dict) -> VectorField:
+def build_field(doc: dict) -> AffineField:
     """Build a field from a declarative description (family tag + numbers).
 
     This is the construction surface used by the CLI.  Raises ValueError on
-    unknown families, missing parameters, or leftover keys.
+    unknown families, missing or non-finite parameters, or leftover keys.
     """
     d = dict(doc)
     try:
@@ -1073,19 +803,18 @@ def build_field(doc: dict) -> VectorField:
     except KeyError as exc:
         raise ValueError(f"missing required key {exc}") from exc
     space = SpaceForm(n, Signature(eps))
-    factor = float(d.pop("scale", 1.0))
 
-    def take(key, default=None, required=False):
-        if required and key not in d:
+    def num(key, default=None):
+        if default is None and key not in d:
             raise ValueError(f"family {family!r} needs parameter {key!r}")
-        return d.pop(key, default)
+        return _finite(d.pop(key, default), key)
 
+    factor = num("scale", 1.0)
     if family == "confgrad":
-        pole = take("pole")
-        if pole is not None:
-            a = as_vector([float(v) for v in pole])
+        if "pole" in d:
+            a = num("pole")
         else:
-            mu = float(take("mu", required=True))
+            mu = num("mu")
             a = np.zeros(space.ambient_dim)
             if mu > 0:
                 a[0] = math.sqrt(mu)
@@ -1100,17 +829,15 @@ def build_field(doc: dict) -> VectorField:
         field = ConformalGradientField(a, space)
     elif family in ("killing", "hopf"):
         if "twists" in d:
-            field = killing_from_twists([float(v) for v in take("twists")], space)
+            field = killing_from_twists(num("twists"), space)
         elif "tau" in d:
-            field = hyperbolic_translation(float(take("tau")), space)
+            field = hyperbolic_translation(num("tau"), space)
         else:
-            r = int(take("r", required=True))
-            omega = float(take("omega", required=True))
-            field = GeneralizedHopfField(r, omega, space)
+            field = GeneralizedHopfField(int(num("r")), num("omega"), space)
     elif family == "loxodromic":
-        r = int(take("r", 1))
-        omega = float(take("omega", required=True))
-        mu = float(take("mu", required=True))
+        r = int(num("r", 1))
+        omega = num("omega")
+        mu = num("mu")
         e = np.eye(space.ambient_dim)
         pairs = [(e[2 * i], e[2 * i + 1]) for i in range(r)]
         if mu < 0:
@@ -1126,28 +853,22 @@ def build_field(doc: dict) -> VectorField:
         field = LoxodromicField(pairs, [omega] * r, c, space)
     elif family == "dipole":
         e = np.eye(space.ambient_dim)
-        field = DipoleDeformationField(
-            e[-1], e[0], float(take("tau", required=True)), float(take("r", required=True)), space
-        )
+        field = DipoleDeformationField(e[-1], e[0], num("tau"), num("r"), space)
     elif family == "conformal2d":
         field = Conformal2DField(
             space,
-            float(take("omega", 0.0)),
-            float(take("tau", 0.0)),
-            float(take("rr", 0.0)),
-            float(take("s", 0.0)),
-            float(take("t", 1.0)),
-            float(take("h", 0.0)),
+            num("omega", 0.0),
+            num("tau", 0.0),
+            num("rr", 0.0),
+            num("s", 0.0),
+            num("t", 1.0),
+            num("h", 0.0),
         )
     elif family == "quadratic":
         if "eigenvalues" in d:
-            field = QuadraticGradientField(
-                np.diag([float(v) for v in take("eigenvalues")]), space
-            )
+            field = QuadraticGradientField(np.diag(num("eigenvalues")), space)
         else:
-            r = int(take("r", required=True))
-            lam = float(take("lam", required=True))
-            field = quadratic_two_eigenvalue(r, lam, space)
+            field = quadratic_two_eigenvalue(int(num("r")), num("lam"), space)
     else:
         raise ValueError(f"unknown field family {family!r}")
 

@@ -386,7 +386,7 @@ def _compactness_sanity(cl: Classification, sup_sq: float | None) -> list[BoundC
 # ---------------------------------------------------------------------------
 
 
-def build_classified_field(cl: Classification, t: float = math.pi / 4) -> fld.VectorField:
+def build_classified_field(cl: Classification, t: float = math.pi / 4) -> fld.AffineField:
     """Instantiate a concrete field realising a classification.
 
     For the loxodromic loop, t picks the member.  Raises for no-solution
@@ -415,12 +415,12 @@ def build_classified_field(cl: Classification, t: float = math.pi / 4) -> fld.Ve
 @dataclass
 class CatalogueEntry:
     label: str
-    field: fld.VectorField
+    field: fld.AffineField
     mp: MetricParams
     classification: Classification
     constant_length: bool = False
 
-    def rescaled(self, factor: float) -> fld.VectorField:
+    def rescaled(self, factor: float) -> fld.AffineField:
         return fld.scale_field(self.field, factor)
 
 

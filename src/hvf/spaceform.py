@@ -15,10 +15,10 @@ closed-form field analyses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .ambient import EUCLIDEAN, LORENTZIAN, Signature, as_vector
 
@@ -26,6 +26,19 @@ POINT_TOL = 1e-10
 H_MAX_GEODESIC = 20.0  # cosh overflow guard on H^n
 DEFAULT_H_FIRST = 1e-4
 DEFAULT_H_SECOND = 1e-3
+
+
+def _expm(S: np.ndarray) -> np.ndarray:
+    """exp(S) for a small matrix: Taylor series of S / 2^k, then k squarings."""
+    k = max(0, math.frexp(float(np.abs(S).sum(axis=0).max()))[1] + 1)  # |S / 2^k|_1 < 1/2
+    A = S / 2.0**k
+    out = term = np.eye(len(S))
+    for j in range(1, 18):
+        term = term @ A / j
+        out = out + term
+    for _ in range(k):
+        out = out @ out
+    return out
 
 
 def _field_fn(field):
@@ -191,7 +204,7 @@ class SpaceForm:
         B = rng.standard_normal((m, m))
         S = 0.5 * (B - self.sig.adjoint(B))
         S *= rng.uniform(0.3, 1.2) / max(np.abs(S).max(), 1e-12)
-        return expm(S)
+        return _expm(S)
 
     def is_isometry(self, g, tol: float = 1e-9) -> bool:
         g = np.asarray(g, dtype=float)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import VectorField
+from .fields import AffineField, circle_action
 
 HARMONIC_TOL = 1e-7  # an order above the observed oracle noise floor (~1e-9)
 ZERO_LENGTH = 1e-6  # samples below this |sigma| are excluded from spinnaker division
@@ -58,7 +58,7 @@ class Ingredients:
     source: str  # "closed-form" or "finite-difference"
 
 
-def ingredients(field: VectorField, x, fd: bool = False, h: float | None = None) -> Ingredients:
+def ingredients(field: AffineField, x, fd: bool = False, h: float | None = None) -> Ingredients:
     """Collect the operator inputs, from closed forms or the FD oracle."""
     M = field.space
     s = field.sigma(x)
@@ -116,19 +116,19 @@ def residual_scale(ing: Ingredients, mp: MetricParams, norm) -> float:
     )
 
 
-def tension(field: VectorField, x, mp: MetricParams, fd: bool = False) -> np.ndarray:
+def tension(field: AffineField, x, mp: MetricParams, fd: bool = False) -> np.ndarray:
     """The tension tau_{p,q}(sigma) at x; zero exactly for harmonic fields."""
     return tension_from_ingredients(ingredients(field, x, fd=fd), mp)
 
 
-def tension_residual(field: VectorField, x, mp: MetricParams, fd: bool = False) -> tuple[float, float]:
+def tension_residual(field: AffineField, x, mp: MetricParams, fd: bool = False) -> tuple[float, float]:
     """(residual norm, scale) of the tension at x."""
     ing = ingredients(field, x, fd=fd)
     t = tension_from_ingredients(ing, mp)
     return field.space.norm(t), residual_scale(ing, mp, field.space.norm)
 
 
-def reduced_pde_residual(field: VectorField, x, mp: MetricParams) -> float:
+def reduced_pde_residual(field: AffineField, x, mp: MetricParams) -> float:
     """Scalar residual of the reduced harmonicity equation for preharmonic eigenfields."""
     nu = field.nu
     zeta = field.spinnaker(x)
@@ -142,7 +142,7 @@ def reduced_pde_residual(field: VectorField, x, mp: MetricParams) -> float:
     )
 
 
-def preharmonic_check(field: VectorField, samples) -> tuple[bool, float]:
+def preharmonic_check(field: AffineField, samples) -> tuple[bool, float]:
     """Is nabla_{grad F} sigma = zeta sigma at the samples, for the family zeta?
 
     Falls back to zeta = |grad F|^2 / |sigma|^2 (the only candidate) when the
@@ -165,7 +165,7 @@ def preharmonic_check(field: VectorField, samples) -> tuple[bool, float]:
     return worst < PREHARMONIC_TOL, worst
 
 
-def spinnaker_identity_error(field: VectorField, x) -> float | None:
+def spinnaker_identity_error(field: AffineField, x) -> float | None:
     """Relative error in |sigma|^2 zeta = |grad F|^2, None when zeta is absent."""
     zeta = field.spinnaker(x)
     if zeta is None:
@@ -176,7 +176,7 @@ def spinnaker_identity_error(field: VectorField, x) -> float | None:
     return abs(s_sq * zeta - g_sq) / (1.0 + abs(s_sq * zeta) + g_sq)
 
 
-def weitzenbock_error(field: VectorField, x) -> float:
+def weitzenbock_error(field: AffineField, x) -> float:
     """Relative error in <nabla*nabla sigma, sigma> = |nabla sigma|^2 + Delta F."""
     M = field.space
     lhs = M.inner(field.rough_laplacian(x), field.sigma(x))
@@ -185,7 +185,7 @@ def weitzenbock_error(field: VectorField, x) -> float:
     return abs(lhs - rhs) / (1.0 + abs(lhs) + n_sq)
 
 
-def q_riemannian_check(field: VectorField, q: float, samples) -> bool:
+def q_riemannian_check(field: AffineField, q: float, samples) -> bool:
     """q |sigma(x)|^2 >= -1 at every sample; constant-length fields pass outright."""
     vals = [field.sigma_sq(x) for x in samples]
     hi, lo = max(vals), min(vals)
@@ -242,7 +242,7 @@ class TensionReport:
 
 
 def verify(
-    field: VectorField,
+    field: AffineField,
     mp: MetricParams,
     count: int = 200,
     seed: int = 42,
@@ -260,10 +260,14 @@ def verify(
     wb = 0.0
     sp_err = None
     for i, x in enumerate(samples):
-        ing = ingredients(field, x, fd=fd, h=h)
-        t = tension_from_ingredients(ing, mp)
-        scale = residual_scale(ing, mp, M.norm)
-        res = M.norm(t)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+            ing = ingredients(field, x, fd=fd, h=h)
+            t = tension_from_ingredients(ing, mp)
+            scale = residual_scale(ing, mp, M.norm)
+            res = M.norm(t)
+        # a non-finite ingredient makes the tension t non-finite too
+        if not (np.isfinite(t).all() and math.isfinite(res) and math.isfinite(scale)):
+            raise ValueError(f"non-finite tension residual or ingredient at sample {i}")
         max_rel = max(max_rel, res / scale)
         per_point.append({"index": i, "point": list(x), "residual": res, "scale": scale})
         wb = max(wb, weitzenbock_error(field, x))
@@ -292,7 +296,7 @@ def verify(
     )
 
 
-def metric_grid_scan(field: VectorField, ps, qs, samples) -> np.ndarray:
+def metric_grid_scan(field: AffineField, ps, qs, samples) -> np.ndarray:
     """Max relative tension residual over samples, for every (p, q) on the grid.
 
     Vectorised over the grid: the per-sample ingredients are computed once
@@ -329,7 +333,7 @@ def metric_grid_scan(field: VectorField, ps, qs, samples) -> np.ndarray:
     return out
 
 
-def isometry_equivariance_check(field: VectorField, g, mp: MetricParams, samples) -> float:
+def isometry_equivariance_check(field: AffineField, g, mp: MetricParams, samples) -> float:
     """max over samples of |g tau(sigma)(x) - tau(g.sigma)(g x)| / scale."""
     M = field.space
     g = np.asarray(g, dtype=float)
@@ -346,10 +350,8 @@ def isometry_equivariance_check(field: VectorField, g, mp: MetricParams, samples
     return worst
 
 
-def circle_equivariance_check(field: VectorField, t: float, mp: MetricParams, samples) -> float:
+def circle_equivariance_check(field: AffineField, t: float, mp: MetricParams, samples) -> float:
     """max over samples of |e^{it}.tau(sigma)(x) - tau(e^{it}.sigma)(x)| / scale."""
-    from .fields import circle_action
-
     M = field.space
     moved = circle_action(field, t)
     worst = 0.0

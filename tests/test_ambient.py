@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hvf.ambient import EUCLIDEAN, LORENTZIAN, dual_covector_restriction, inner, lorentz_pairing
+from hvf.ambient import EUCLIDEAN, LORENTZIAN, lorentz_pairing
 from hvf.fields import GeneralizedHopfField, elementary_killing, hyperbolic_translation
 from hvf.spaceform import hyperbolic, sphere
 
@@ -11,14 +11,14 @@ from hvf.spaceform import hyperbolic, sphere
 def test_inner_basis_examples():
     e1 = np.array([1.0, 0.0, 0.0])
     e3 = np.array([0.0, 0.0, 1.0])
-    assert inner(e1, e1, EUCLIDEAN) == 1.0
-    assert inner(e3, e3, LORENTZIAN) == -1.0
-    assert inner([1, 2, 3], [4, 5, 6], LORENTZIAN) == pytest.approx(-4.0, abs=0)
+    assert EUCLIDEAN.inner(e1, e1) == 1.0
+    assert LORENTZIAN.inner(e3, e3) == -1.0
+    assert LORENTZIAN.inner([1, 2, 3], [4, 5, 6]) == pytest.approx(-4.0, abs=0)
 
 
 def test_inner_dimension_mismatch():
     with pytest.raises(ValueError):
-        inner([1, 2, 3], [1, 2], EUCLIDEAN)
+        EUCLIDEAN.inner([1, 2, 3], [1, 2])
 
 
 def test_inner_bilinear_symmetric():
@@ -34,10 +34,11 @@ def test_inner_bilinear_symmetric():
 
 
 def test_dual_covector_restriction():
-    assert dual_covector_restriction([0, 0, 1.0], [0, 0, 1.0], EUCLIDEAN) == 1.0
-    assert dual_covector_restriction([0, 0, 1.0], [1, 0, 0.0], EUCLIDEAN) == 0.0
+    # the linear form metrically dual to a, alpha(x) = <a, x>
+    assert EUCLIDEAN.inner([0, 0, 1.0], [0, 0, 1.0]) == 1.0
+    assert EUCLIDEAN.inner([0, 0, 1.0], [1, 0, 0.0]) == 0.0
     x = [math.sinh(1.0), 0.0, math.cosh(1.0)]
-    val = dual_covector_restriction([0, 0, 1.0], x, LORENTZIAN)
+    val = LORENTZIAN.inner([0, 0, 1.0], x)
     assert val == pytest.approx(-1.5430806348, abs=1e-9)
 
 

@@ -142,3 +142,21 @@ def test_verify_fd_override(capsys):
     )
     assert code == 0
     assert "derivatives=finite-difference" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_verify_non_finite_scale_is_an_input_error(value, capsys):
+    argv = "verify --family confgrad --n 3 --epsilon 1 --mu 1 --p 4 --q -1 --points 50".split()
+    assert main(argv + ["--scale", value]) == 2
+    assert f"scale must be finite, got {value}" in capsys.readouterr().err
+
+
+def test_verify_overflow_is_an_input_error(capsys):
+    argv = "verify --family quadratic --n 5 --epsilon 1 --r 3 --lam 1e200 --p 4 --q -0.4 --points 50"
+    assert main(argv.split()) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_verify_nan_mu_names_the_bad_value(capsys):
+    assert main("verify --family confgrad --n 3 --epsilon 1 --mu nan --p 4 --q -1".split()) == 2
+    assert "mu must be finite, got nan" in capsys.readouterr().err

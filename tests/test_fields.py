@@ -15,7 +15,6 @@ from hvf.fields import (
     build_field,
     circle_action,
     elementary_killing,
-    hopf_field_operator,
     hyperbolic_translation,
     killing_from_twists,
     quadratic_two_eigenvalue,
@@ -57,12 +56,12 @@ def sample_fields():
 def test_conformal_sphere_point_values():
     M = sphere(2)
     f = ConformalGradientField([0.0, 0.0, 1.0], M)
-    d = f.analysis([1.0, 0.0, 0.0])
-    assert np.allclose(d.sigma, [0.0, 0.0, 1.0])
-    assert d.F == pytest.approx(0.5, abs=1e-15)
-    assert np.allclose(d.grad_F, 0.0)
-    assert d.lap_F == pytest.approx(1.0, abs=1e-15)
-    assert d.spinnaker == pytest.approx(0.0, abs=1e-15)
+    x = [1.0, 0.0, 0.0]
+    assert np.allclose(f.sigma(x), [0.0, 0.0, 1.0])
+    assert f.F(x) == pytest.approx(0.5, abs=1e-15)
+    assert np.allclose(f.grad_F(x), 0.0)
+    assert f.lap_F(x) == pytest.approx(1.0, abs=1e-15)
+    assert f.spinnaker(x) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_conformal_zero_at_pole():
@@ -70,11 +69,10 @@ def test_conformal_zero_at_pole():
     mu = 1.69
     f = ConformalGradientField([0.0, 0.0, 0.0, math.sqrt(mu)], M)
     x = np.array([0.0, 0.0, 0.0, 1.0])  # = a / sqrt(mu)
-    d = f.analysis(x)
-    assert np.allclose(d.sigma, 0.0, atol=1e-14)
-    assert d.F == pytest.approx(0.0, abs=1e-14)
-    assert d.lap_F == pytest.approx(-M.n * mu, rel=1e-12)
-    assert d.spinnaker == pytest.approx(mu, rel=1e-12)
+    assert np.allclose(f.sigma(x), 0.0, atol=1e-14)
+    assert f.F(x) == pytest.approx(0.0, abs=1e-14)
+    assert f.lap_F(x) == pytest.approx(-M.n * mu, rel=1e-12)
+    assert f.spinnaker(x) == pytest.approx(mu, rel=1e-12)
 
 
 def test_conformal_hyperbolic_length():
@@ -95,7 +93,7 @@ def test_conformal_past_pole_rejected():
 
 
 def test_hopf_field_on_s3():
-    f = hopf_field_operator(2, 1.0, sphere(3))
+    f = GeneralizedHopfField(2, 1.0, sphere(3))
     M = f.space
     for x in M.sample_points(20, 0):
         # the standard Hopf field: (x1, x2, x3, x4) -> (-x2, x1, -x4, x3)
@@ -109,24 +107,24 @@ def test_hopf_field_on_s3():
 
 def test_hopf_operator_examples():
     # r=1 on H^2 gives sigma_0(x) = (-x2, x1, 0)
-    f = hopf_field_operator(1, 1.0, hyperbolic(2))
+    f = GeneralizedHopfField(1, 1.0, hyperbolic(2))
     x = np.array([math.sinh(0.7), 0.3, 0.0])
     x = f.space.normalize_point(np.array([0.4, 0.3, 1.2]))
     assert np.allclose(f.sigma(x), [-x[1], x[0], 0.0])
-    assert np.allclose(hopf_field_operator(2, 0.0, sphere(4)).A, 0.0)
+    assert np.allclose(GeneralizedHopfField(2, 0.0, sphere(4)).A, 0.0)
     with pytest.raises(ValueError):
-        hopf_field_operator(3, 1.0, sphere(4))  # 2r > n+1
+        GeneralizedHopfField(3, 1.0, sphere(4))  # 2r > n+1
     with pytest.raises(ValueError):
-        hopf_field_operator(2, 1.0, hyperbolic(3))  # needs 2r < n+1
+        GeneralizedHopfField(2, 1.0, hyperbolic(3))  # needs 2r < n+1
 
 
 def test_zero_operator_field():
     M = sphere(3)
     f = KillingField(np.zeros((4, 4)), M)
-    d = f.analysis(M.sample_points(1, 1)[0])
-    assert np.allclose(d.sigma, 0.0) and d.F == 0.0
-    assert np.allclose(d.rough_lap, 0.0)
-    assert d.spinnaker == 0.0
+    x = M.sample_points(1, 1)[0]
+    assert np.allclose(f.sigma(x), 0.0) and f.F(x) == 0.0
+    assert np.allclose(f.rough_laplacian(x), 0.0)
+    assert f.spinnaker(x) == 0.0
 
 
 def test_balanced_killing_spinnaker():
@@ -565,15 +563,14 @@ def test_closed_form_length_and_gradient():
         for x in M.sample_points(25, 22):
             s_sq = M.sig.norm_sq(f.sigma(x))
             assert f.sigma_sq(x) == pytest.approx(s_sq, abs=1e-12 * (1 + s_sq))
-            d = f.analysis(x)
-            assert d.F == pytest.approx(0.5 * s_sq, abs=1e-12 * (1 + s_sq))
+            assert f.F(x) == pytest.approx(0.5 * s_sq, abs=1e-12 * (1 + s_sq))
             # grad F is the metric dual of dF: <grad F, X> = <nabla_X sigma, sigma>
             X = M.random_tangent(x, rng)
-            assert M.inner(d.grad_F, X) == pytest.approx(
+            assert M.inner(f.grad_F(x), X) == pytest.approx(
                 M.inner(f.nabla(x, X), f.sigma(x)), abs=1e-10 * (1 + s_sq)
             )
-            # tangency of the analysis vectors
-            for v in (d.sigma, d.grad_F, d.rough_lap):
+            # tangency of sigma, grad F and the rough Laplacian
+            for v in (f.sigma(x), f.grad_F(x), f.rough_laplacian(x)):
                 assert abs(M.inner(v, x)) <= TANGENT_TOL * (1.0 + M.norm(v))
 
 
@@ -596,7 +593,7 @@ def test_scale_field_consistency():
         assert np.allclose(f.sigma(x), -2.0 * base.sigma(x))
         assert f.sigma_sq(x) == pytest.approx(4.0 * base.sigma_sq(x), rel=1e-14)
         assert f.spinnaker(x) == pytest.approx(4.0 * base.spinnaker(x), rel=1e-14)
-    assert scale_field(f, -0.5).factor == 1.0
+    assert scale_field(f, -0.5).scale_factor == 1.0
 
 
 def test_transform_moves_field_correctly():

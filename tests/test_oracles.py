@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from test_fields import sample_fields
+from hvf.fields import AffineField
+from hvf.spaceform import hyperbolic, sphere
+from hvf.tension import weitzenbock_error
+from test_fields import TANGENT_TOL, sample_fields
 
 COV_TOL = 1e-5
 GRADF_TOL = 1e-5
@@ -79,3 +82,34 @@ def test_second_order_convergence_rate():
     assert 3.5 < rough_err(2e-3) / rough_err(1e-3) < 4.5
     # error decreases with h until the roundoff floor
     assert rough_err(1e-3) < rough_err(4e-3)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [sphere(2), sphere(4), hyperbolic(2), hyperbolic(3), hyperbolic(5)],
+    ids=lambda M: ("S" if M.eps == 1 else "H") + str(M.n),
+)
+def test_general_affine_field_against_oracle(space):
+    """Random (L, c) with every part present: the closed forms agree with the oracle."""
+    M = space
+    m = M.ambient_dim
+    rng = np.random.default_rng(100 + m)
+    field = AffineField(rng.standard_normal((m, m)), rng.standard_normal(m), M)
+    h = 1e-4
+    for x in M.sample_points(10, 5):
+        s = field.sigma(x)
+        assert abs(M.inner(s, x)) <= TANGENT_TOL * (1.0 + M.norm(s))
+        X = M.random_tangent(x, rng)
+        exact = field.nabla(x, X)
+        fd = M.covariant_derivative_fd(field, x, X, h)
+        assert _rel(M.norm(fd - exact), M.norm(exact)) < COV_TOL
+        gF = field.grad_F(x)
+        for E in M.frame(x):
+            fd = (field.F(M.geodesic(x, E, h)) - field.F(M.geodesic(x, E, -h))) / (2 * h)
+            assert _rel(abs(M.inner(gF, E) - fd), abs(fd)) < GRADF_TOL
+        fd = M.laplacian_fd(field.F, x, 1e-3)
+        assert _rel(abs(fd - field.lap_F(x)), abs(fd)) < LAPF_TOL
+        exact = field.rough_laplacian(x)
+        fd = M.rough_laplacian_fd(field, x, 1e-3)
+        assert _rel(M.norm(fd - exact), M.norm(exact)) < ROUGH_TOL
+        assert weitzenbock_error(field, x) < 1e-10

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hvf
 from hvf.fields import ConformalGradientField, GeneralizedHopfField, QuadraticGradientField
 from hvf.spaceform import hyperbolic, sphere
 
@@ -161,3 +165,18 @@ def test_rough_laplacian_fd_eigenvalues():
             fd = M.rough_laplacian_fd(fld, x, 1e-3)
             exact = ev * fld.sigma(x)
             assert M.norm(fd - exact) <= 1e-4 * (1 + M.norm(exact))
+
+
+def test_random_isometry_preserves_the_form():
+    rng = np.random.default_rng(0)
+    for n in range(2, 10):
+        for M in (sphere(n), hyperbolic(n)):
+            for _ in range(5):
+                assert M.is_isometry(M.random_isometry(rng), tol=1e-12)
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(hvf.__file__))
+    code = "import sys, hvf; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0
