@@ -39,13 +39,14 @@ class Signature:
         g[-1, -1] = self.epsilon
         return g
 
-    def inner(self, x, y) -> float:
+    def inner(self, x, y):
+        """<x, y> over the last axis; leading axes broadcast, so (N, m) rows give N values."""
         x, y = as_vector(x), as_vector(y)
-        if x.shape != y.shape:
+        if x.shape[-1:] != y.shape[-1:]:
             raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-        return float(x[:-1] @ y[:-1]) + self.epsilon * float(x[-1] * y[-1])
+        return np.vecdot(x[..., :-1], y[..., :-1]) + self.epsilon * (x[..., -1] * y[..., -1])
 
-    def norm_sq(self, x) -> float:
+    def norm_sq(self, x):
         return self.inner(x, x)
 
     def adjoint(self, A) -> np.ndarray:

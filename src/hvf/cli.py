@@ -20,6 +20,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -177,14 +178,20 @@ def cmd_table(args) -> int:
 
 
 def cmd_scan2d(args) -> int:
-    conv = (lambda v: Fraction(str(v))) if args.exact else float
+    def value(name, text):
+        try:
+            v = Fraction(text.strip()) if args.exact else float(text)
+            if math.isfinite(float(v)):
+                return v
+        except (ValueError, ArithmeticError):
+            pass
+        raise ValueError(f"--{name}: {text.strip()!r} is not a finite number")
 
-    def grid(text):
-        return [conv(v) for v in str(text).split(",") if v.strip() != ""]
+    def grid(name):
+        return [value(name, v) for v in str(getattr(args, name)).split(",") if v.strip() != ""]
 
-    omegas, taus, rrs, hs = grid(args.omega), grid(args.tau), grid(args.rr), grid(args.h)
-    s, t = conv(args.s), conv(args.t)
-    ps, qs = grid(args.p), grid(args.q)
+    omegas, taus, rrs, hs, ps, qs = (grid(k) for k in ("omega", "tau", "rr", "h", "p", "q"))
+    s, t = value("s", str(args.s)), value("t", str(args.t))
     tol = None if args.exact else polyreduce.NUMERIC_ZERO_TOL
     rows = []
     hits = 0

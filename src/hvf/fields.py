@@ -15,6 +15,12 @@ L† = eta L^T eta:
     Delta F            = -div grad F, from the ambient Jacobian of grad F
     nabla* nabla sigma = eps P_x((n+1) L x + 2 L† x + c)
 
+Every closed form, spinnaker and coordinate function takes one point of
+shape (m,) or a batch of shape (N, m), m = n+1, and keeps the leading
+axes: vectors come back as (m,) or (N, m), scalars as a number or (N,).
+The scalars |nabla sigma|^2 and Delta F are per-point traces, so a batch
+costs O(N m) memory.
+
 The six classified families are subclasses.  Each one only builds its
 (L, c), validates its own parameters and keeps its metadata: params(),
 twists and kind, the circle action on the hyperbolic plane, and the
@@ -95,84 +101,97 @@ class AffineField:
         self.space, self.L, self.c = space, L, c
         self._eps = space.eps
         self._eta = np.diag(space.sig.eta(m))
-        self._eye = np.eye(m)
         self._Ldag = space.sig.adjoint(L)
         self._rough = m * L + 2.0 * self._Ldag
+        with np.errstate(over="ignore"):  # the tension is cubic in L, the Killing test <L^3, L> quartic
+            size4 = (m * np.abs(L).max()) ** 4
+        if not np.isfinite(size4):
+            raise ValueError(f"operator too large to analyse: its size to the fourth is non-finite (largest entry {np.abs(L).max():.3g})")
+        self._trL, self._trLLd = float(np.trace(L)), float(np.trace(L @ self._Ldag))
         self._derive()
 
     def _derive(self):
         """Cache family quantities of (L, c); runs again whenever (L, c) change."""
 
-    # -- pointwise closed forms ---------------------------------------------
-
-    def _ip(self, u, v) -> float:
-        return float(u @ (self._eta * v))
-
-    def _project(self, x, v) -> np.ndarray:
-        return v - (self._eps * self._ip(v, x)) * x
+    # -- closed forms, broadcasting over leading axes -----------------------
 
     def _parts(self, x):
-        """(x, alpha, sigma(x)) with alpha = <L x + c, x>."""
+        """(x, L x, alpha, sigma(x)) with alpha = <L x + c, x>."""
         x = as_vector(x)
-        u = self.L @ x + self.c
-        alpha = self._ip(u, x)
-        return x, alpha, u - (self._eps * alpha) * x
+        Lx = x @ self.L.T
+        u = Lx + self.c
+        alpha = self.space.inner(u, x)
+        return x, Lx, alpha, u - (self._eps * alpha)[..., None] * x
 
     def sigma(self, x) -> np.ndarray:
-        return self._parts(x)[2]
+        return self._parts(x)[3]
 
-    def sigma_sq(self, x) -> float:
+    def sigma_sq(self, x):
         s = self.sigma(x)
-        return self._ip(s, s)
+        return self.space.inner(s, s)
 
-    def F(self, x) -> float:
+    def F(self, x):
         return 0.5 * self.sigma_sq(x)
 
     def nabla(self, x, X) -> np.ndarray:
-        x, alpha, _ = self._parts(x)
+        x, _, alpha, _ = self._parts(x)
         X = as_vector(X)
-        return self._project(x, self.L @ X) - (self._eps * alpha) * X
+        return self.space.tangent_project(x, X @ self.L.T) - (self._eps * alpha)[..., None] * X
 
     def nabla_matrix(self, x) -> np.ndarray:
         """B = (P_x L - eps alpha I) P_x, so B X = nabla_X sigma for tangent X and B x = 0."""
-        x, alpha, _ = self._parts(x)
-        P = self._eye - self._eps * (x[:, None] * (self._eta * x))
-        return (P @ self.L - (self._eps * alpha) * self._eye) @ P
+        x, _, alpha, _ = self._parts(x)
+        eye = np.eye(len(self.c))
+        P = eye - self._eps * (x[..., :, None] * (self._eta * x)[..., None, :])
+        return (P @ self.L - (self._eps * alpha)[..., None, None] * eye) @ P
 
-    def nabla_norm_sq(self, x) -> float:
-        """|nabla sigma|^2 = sum_ij eta_i eta_j B_ij^2 for B = nabla_matrix(x)."""
-        B = self.nabla_matrix(x)
-        return float(self._eta @ (B * B) @ self._eta)
+    def nabla_norm_sq(self, x):
+        """|nabla sigma|^2 = tr_T(A† A) - 2 eps alpha tr_T A + n alpha^2 for A = P_x L on T_x M:
+
+        tr(L L†) - eps|Lx|^2 - eps|L†x|^2 + <Lx, x>^2 - 2 eps alpha (tr L - eps <Lx, x>) + n alpha^2.
+        """
+        eps, ip = self._eps, self.space.inner
+        x, Lx, alpha, _ = self._parts(x)
+        Ldx = x @ self._Ldag.T
+        lxx = ip(Lx, x)
+        return (
+            self._trLLd - eps * ip(Lx, Lx) - eps * ip(Ldx, Ldx) + lxx * lxx
+            - 2.0 * eps * alpha * (self._trL - eps * lxx) + self.space.n * alpha * alpha
+        )
 
     def grad_F(self, x) -> np.ndarray:
-        x, alpha, s = self._parts(x)
-        return self._project(x, self._Ldag @ s) - (self._eps * alpha) * s
+        x, _, alpha, s = self._parts(x)
+        return self.space.tangent_project(x, s @ self._Ldag.T) - (self._eps * alpha)[..., None] * s
 
     def nabla_gradF_sigma(self, x) -> np.ndarray:
         return self.nabla(x, self.grad_F(x))
 
-    def lap_F(self, x) -> float:
+    def lap_F(self, x):
         """Delta F = -div grad F = -(tr J - eps <J x, x>) for the ambient Jacobian J.
 
         grad F = v - eps beta x - eps alpha sigma with v = L† sigma and
-        beta = <v, x>; J follows from d alpha = <L† x + L x + c, .> and the
-        Jacobian S of sigma.  Computed independently of the rough Laplacian,
-        so the Weitzenboeck identity stays a check.
+        beta = <v, x> = <sigma, L x>; J follows from d alpha = <L† x + L x + c, .>
+        and the Jacobian S = L - eps x d alpha - eps alpha I of sigma.  Both
+        traces are expanded into per-point vector products; with <x, x> = eps
+        (as P_x assumes) the d beta terms cancel.  J is computed independently
+        of the rough Laplacian, so the Weitzenboeck identity stays a check.
         """
-        eps, eta, eye, L, Ld = self._eps, self._eta, self._eye, self.L, self._Ldag
-        x, alpha, s = self._parts(x)
-        Lx = L @ x
-        dalpha = eta * (Ld @ x + Lx + self.c)
-        S = L - eps * (x[:, None] * dalpha) - (eps * alpha) * eye
-        v = Ld @ s
-        beta = self._ip(v, x)
-        dbeta = (eta * Lx) @ S + eta * v
-        J = Ld @ S - eps * (x[:, None] * dbeta + beta * eye + s[:, None] * dalpha + alpha * S)
-        return -(float(np.trace(J)) - eps * float((eta * x) @ J @ x))
+        eps, ip, m = self._eps, self.space.inner, len(self.c)
+        x, Lx, alpha, s = self._parts(x)
+        Ldx = x @ self._Ldag.T
+        w = Ldx + Lx + self.c  # d alpha = <w, .>
+        dax = ip(w, x)
+        Sx = Lx - (eps * (dax + alpha))[..., None] * x
+        beta = ip(s, Lx)
+        tr_S = self._trL - eps * dax - eps * m * alpha
+        tr_LdS = self._trLLd - eps * ip(w, Ldx) - eps * alpha * self._trL
+        tr_J = tr_LdS - eps * (m * beta + ip(w, s) + alpha * tr_S)
+        xJx = ip(Sx, Lx) - eps * (eps * beta + dax * ip(s, x) + alpha * ip(Sx, x))
+        return -(tr_J - eps * xJx)
 
     def rough_laplacian(self, x) -> np.ndarray:
         x = as_vector(x)
-        return self._eps * self._project(x, self._rough @ x + self.c)
+        return self._eps * self.space.tangent_project(x, x @ self._rough.T + self.c)
 
     def spinnaker(self, x) -> float | None:
         return None
@@ -260,11 +279,11 @@ class ConformalGradientField(AffineField):
         return self.space.inner(self.c, x)
 
     def spinnaker(self, x):
-        return self._eps * (self._ip(self.c, self.c) - self.sigma_sq(x))
+        return self._eps * (self.space.inner(self.c, self.c) - self.sigma_sq(x))
 
     @property
     def sup_norm(self):
-        return math.sqrt(self._ip(self.c, self.c)) if self._eps == 1 else None
+        return math.sqrt(self.space.inner(self.c, self.c)) if self._eps == 1 else None
 
     def _params(self):
         return {"pole": self.a.tolist(), "mu": self.mu}
@@ -471,12 +490,12 @@ class LoxodromicField(AffineField):
 
     def conformal_value(self, x) -> np.ndarray:
         """The conformal-gradient part P_x(c) of sigma."""
-        return self.c - self._eps * self.gamma(x) * as_vector(x)
+        return self.space.tangent_project(x, self.c)
 
     def spinnaker(self, x):
         if not (self.properly and self.space.n == 2):
             return None
-        mu = self._ip(self.c, self.c)
+        mu = self.space.inner(self.c, self.c)
         return self._eps * (mu - self.sigma_sq(x)) - 0.5 * float(np.sum(self.L * self.L.T))
 
     def circle_action(self, t: float) -> "LoxodromicField":
@@ -562,7 +581,7 @@ class DipoleDeformationField(AffineField):
         if not (self.space.n == 2 or self.tau == 0.0 or self.r == 0.0):
             return None
         L, c = self.L, self.c
-        twisted = self._ip(c, c) - 2.0 * self._ip(L @ c, as_vector(x)) - self.sigma_sq(x)
+        twisted = self.space.inner(c, c) - 2.0 * self.space.inner(L @ c, as_vector(x)) - self.sigma_sq(x)
         return self._eps * twisted - 0.5 * float(np.sum(L * L.T))
 
     def _params(self):
@@ -642,8 +661,8 @@ class Conformal2DField(AffineField):
     def spinnaker(self, x):
         x = as_vector(x)
         M = self._eta[:, None] * self.L  # antisymmetric: M v = m x v
-        twist = float(np.array([M[2, 1], M[0, 2], M[1, 0]]) @ (self._eta * x))
-        gamma = self._ip(self.c, x)
+        twist = (self._eta * x) @ np.array([M[2, 1], M[0, 2], M[1, 0]])
+        gamma = self.space.inner(self.c, x)
         return twist * twist + gamma * gamma
 
     def components(self) -> np.ndarray:
@@ -738,19 +757,19 @@ class QuadraticGradientField(AffineField):
         scale = max(1.0, np.abs(self._spectrum).max())
         self._clusters = _cluster(self._spectrum, CLUSTER_TOL * scale)
 
-    def xi(self, x, m: int = 1) -> float:
+    def xi(self, x, m: int = 1):
         """xi_m(x) = <Q^m x, x>."""
         x = as_vector(x)
-        return float(x @ np.linalg.matrix_power(self.L, m) @ x)
+        return ((x @ np.linalg.matrix_power(self.L, m)) * x).sum(axis=-1)
 
     def sigma_m(self, x, m: int = 1) -> np.ndarray:
         """Q^m x - xi_m(x) x; sigma_1 = sigma."""
         x = as_vector(x)
-        return np.linalg.matrix_power(self.L, m) @ x - self.xi(x, m) * x
+        return x @ np.linalg.matrix_power(self.L, m) - self.xi(x, m)[..., None] * x
 
     def spinnaker(self, x):
         if len(self._clusters) == 1:
-            return 0.0  # sigma is identically zero
+            return np.zeros(np.shape(x)[:-1])  # sigma is identically zero
         if len(self._clusters) != 2:
             return None
         (lo, _), (hi, _) = self._clusters
@@ -809,6 +828,12 @@ def build_field(doc: dict) -> AffineField:
             raise ValueError(f"family {family!r} needs parameter {key!r}")
         return _finite(d.pop(key, default), key)
 
+    def count(key, default=None) -> int:
+        value = num(key, default)
+        if np.ndim(value) or value != int(value):
+            raise ValueError(f"{key} must be an integer, got {value}")
+        return int(value)
+
     factor = num("scale", 1.0)
     if family == "confgrad":
         if "pole" in d:
@@ -829,15 +854,17 @@ def build_field(doc: dict) -> AffineField:
         field = ConformalGradientField(a, space)
     elif family in ("killing", "hopf"):
         if "twists" in d:
-            field = killing_from_twists(num("twists"), space)
+            field = killing_from_twists(np.atleast_1d(num("twists")), space)
         elif "tau" in d:
             field = hyperbolic_translation(num("tau"), space)
         else:
-            field = GeneralizedHopfField(int(num("r")), num("omega"), space)
+            field = GeneralizedHopfField(count("r"), num("omega"), space)
     elif family == "loxodromic":
-        r = int(num("r", 1))
+        r = count("r", 1)
         omega = num("omega")
         mu = num("mu")
+        if not 1 <= r <= space.n // 2:
+            raise ValueError(f"loxodromic rank r must satisfy 1 <= 2r <= n, got r={r}")
         e = np.eye(space.ambient_dim)
         pairs = [(e[2 * i], e[2 * i + 1]) for i in range(r)]
         if mu < 0:
@@ -845,8 +872,6 @@ def build_field(doc: dict) -> AffineField:
                 raise ValueError("mu < 0 needs hyperbolic space")
             c = math.sqrt(-mu) * e[-1]
         elif mu > 0:
-            if 2 * r >= space.ambient_dim:
-                raise ValueError("no room for a spacelike pole orthogonal to the planes")
             c = math.sqrt(mu) * e[2 * r]
         else:
             raise ValueError("give the pole explicitly for mu = 0")
@@ -868,7 +893,7 @@ def build_field(doc: dict) -> AffineField:
         if "eigenvalues" in d:
             field = QuadraticGradientField(np.diag(num("eigenvalues")), space)
         else:
-            field = quadratic_two_eigenvalue(int(num("r")), num("lam"), space)
+            field = quadratic_two_eigenvalue(count("r"), num("lam"), space)
     else:
         raise ValueError(f"unknown field family {family!r}")
 

@@ -8,9 +8,16 @@ Both spaces are realised as quadrics in R^{n+1}:
 The covariant derivative of the induced metric is the Gauss formula
 nabla_X Y = D_X Y + eps <X, Y> x, with x the unit normal.  On top of the
 exact geodesics this module provides central-difference approximations of
-nabla_X sigma and of the rough Laplacian -tr nabla^2 sigma for an arbitrary
-tangent vector field sigma, used as an independent oracle against the
-closed-form field analyses.
+nabla_X sigma and of the rough Laplacian -tr nabla^2 sigma for a field
+sigma, used as an independent oracle against the closed-form field
+analyses.
+
+Points are arrays whose last axis has length m = n+1: inner, norm,
+tangent_project, normalize_point and complex_rotation accept one point of
+shape (m,) or a batch of shape (N, m) and keep the leading axes, and
+sample_points returns one (N, m) array.  Frames and the finite-difference
+oracles work one point at a time; each oracle evaluates the field on its
+whole stencil of geodesic neighbours at once.
 """
 
 from __future__ import annotations
@@ -41,9 +48,9 @@ def _expm(S: np.ndarray) -> np.ndarray:
     return out
 
 
-def _field_fn(field):
-    """Accept either a callable x -> sigma(x) or an object with .sigma()."""
-    return field if callable(field) else field.sigma
+def _check_step(h) -> None:
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step h must be finite and positive, got {h}")
 
 
 @dataclass(frozen=True)
@@ -65,13 +72,12 @@ class SpaceForm:
     def ambient_dim(self) -> int:
         return self.n + 1
 
-    def inner(self, x, y) -> float:
+    def inner(self, x, y):
         return self.sig.inner(x, y)
 
-    def norm(self, v) -> float:
+    def norm(self, v):
         """Length of a tangent vector (tangent spaces are spacelike)."""
-        s = self.sig.norm_sq(v)
-        return float(np.sqrt(max(s, 0.0)))
+        return np.sqrt(np.maximum(self.sig.norm_sq(v), 0.0))
 
     # -- points and tangents ---------------------------------------------
 
@@ -105,24 +111,27 @@ class SpaceForm:
 
     def tangent_project(self, x, u) -> np.ndarray:
         """Orthogonal projection u - eps <u, x> x onto T_x M; idempotent."""
-        u = as_vector(u)
-        return u - self.eps * self.inner(u, x) * x
+        u, x = as_vector(u), as_vector(x)
+        return u - (self.eps * self.inner(u, x))[..., None] * x
 
     def normalize_point(self, x) -> np.ndarray:
         """Rescale onto the quadric (suppresses floating-point drift)."""
         x = as_vector(x)
         s = self.eps * self.sig.norm_sq(x)
-        if s <= 0:
+        if (s <= 0).any():
             raise ValueError("cannot normalize: wrong causal type")
-        return x / np.sqrt(s)
+        return x / np.sqrt(s)[..., None]
 
     # -- geodesics ----------------------------------------------------------
 
     def geodesic(self, x, X, t: float) -> np.ndarray:
-        """Unit-speed geodesic from x with initial velocity X at parameter t."""
+        """Unit-speed geodesic from x with initial velocity X at parameter t.
+
+        X may be a stack of directions (..., m); the result has one point per direction.
+        """
         x = as_vector(x)
         X = as_vector(X)
-        if abs(self.norm(X) - 1.0) > POINT_TOL:
+        if (np.abs(self.norm(X) - 1.0) > POINT_TOL).any():
             raise ValueError("geodesic direction must be a unit tangent vector")
         if self.eps == 1:
             p = np.cos(t) * x + np.sin(t) * X
@@ -171,30 +180,34 @@ class SpaceForm:
 
     # -- sampling ----------------------------------------------------------
 
-    def sample_points(self, count: int, seed: int) -> list[np.ndarray]:
-        """Deterministic sample of points; Gaussian on S^n, geodesic shots on H^n.
+    def sample_points(self, count: int, seed: int) -> np.ndarray:
+        """Deterministic (count, n+1) sample; Gaussian on S^n, geodesic shots on H^n.
 
         Hyperbolic points are geodesic(base, random unit tangent, t) with t
         uniform on [0, 3], keeping cosh well conditioned while exercising
-        the unbounded growth of the fields.
+        the unbounded growth of the fields.  Each point draws n+1 normals
+        (then, on H^n, one uniform) from the seeded stream, so a smaller
+        count gives a prefix of a larger one.
         """
         if count < 1:
             raise ValueError("count must be >= 1")
         rng = np.random.default_rng(seed)
-        pts = []
+        m = self.ambient_dim
         if self.eps == 1:
-            while len(pts) < count:
-                g = rng.standard_normal(self.ambient_dim)
-                s = g @ g
-                if s > 1e-12:
-                    pts.append(g / np.sqrt(s))
-        else:
-            base = self.base_point()
-            while len(pts) < count:
-                u = self.random_tangent(base, rng)
-                t = rng.uniform(0.0, 3.0)
-                pts.append(self.geodesic(base, u, t))
-        return pts
+            pts = np.empty((0, m))
+            while len(pts) < count:  # redraw the (measure-zero) near-zero Gaussians
+                g = rng.standard_normal((count - len(pts), m))
+                s = self.sig.norm_sq(g)
+                pts = np.concatenate([pts, g[s > 1e-12] / np.sqrt(s[s > 1e-12])[:, None]])
+            return pts
+        # normals and uniforms alternate in the stream, so they are drawn point by point;
+        # 3 * random() is the draw of uniform(0, 3), with less call overhead
+        draws = [(rng.standard_normal(m), 3.0 * rng.random()) for _ in range(count)]
+        base = self.base_point()
+        u = self.tangent_project(base, np.array([g for g, _ in draws]))
+        u /= self.norm(u)[:, None]
+        t = np.array([t for _, t in draws])[:, None]
+        return self.normalize_point(np.cosh(t) * base + np.sinh(t) * u)
 
     # -- isometries ----------------------------------------------------------
 
@@ -224,7 +237,7 @@ class SpaceForm:
             raise ValueError("complex rotation requires n = 2")
         w = np.cross(as_vector(x), as_vector(v))
         if self.eps == -1:
-            w[-1] = -w[-1]
+            w[..., -1] = -w[..., -1]
         return w
 
     # -- finite-difference oracles ------------------------------------------
@@ -236,17 +249,15 @@ class SpaceForm:
         geodesic through x in direction X/|X|, then Gauss-corrected by
         + eps <X, sigma(x)> x.
         """
-        if h <= 0:
-            raise ValueError("step h must be positive")
-        fn = _field_fn(field)
+        _check_step(h)
         x = as_vector(x)
         X = as_vector(X)
         nrm = self.norm(X)
         if nrm < 1e-14:
             return np.zeros(self.ambient_dim)
         u = X / nrm
-        d = nrm * (fn(self.geodesic(x, u, h)) - fn(self.geodesic(x, u, -h))) / (2.0 * h)
-        return d + self.eps * self.inner(X, fn(x)) * x
+        sp, sm = field.sigma(self.geodesic(x, np.array([u, -u]), h))  # the points at +h and -h
+        return nrm * (sp - sm) / (2.0 * h) + self.eps * self.inner(X, field.sigma(x)) * x
 
     def rough_laplacian_fd(self, field, x, h: float = DEFAULT_H_SECOND) -> np.ndarray:
         """-sum_i nabla^2_{E_i, E_i} sigma by second central differences.
@@ -259,32 +270,24 @@ class SpaceForm:
         where s(t) = sigma(gamma(t)); the curvature term <gamma'', sigma> x
         drops out because sigma(x) is tangent.
         """
-        if h <= 0:
-            raise ValueError("step h must be positive")
-        fn = _field_fn(field)
+        _check_step(h)
         x = as_vector(x)
-        s0 = fn(x)
-        out = np.zeros(self.ambient_dim)
-        for E in self.frame(x):
-            sp = fn(self.geodesic(x, E, h))
-            sm = fn(self.geodesic(x, E, -h))
-            d1 = (sp - sm) / (2.0 * h)
-            d2 = (sp - 2.0 * s0 + sm) / (h * h)
-            out -= d2 + 2.0 * self.eps * self.inner(E, d1) * x + self.eps * self.inner(E, s0) * E
-        return self.tangent_project(x, out)
+        E = np.array(self.frame(x))
+        s0 = field.sigma(x)
+        sp, sm = field.sigma(self.geodesic(x, np.array([E, -E]), h))  # (n, m) each
+        d1 = (sp - sm) / (2.0 * h)
+        d2 = (sp - 2.0 * s0 + sm) / (h * h)
+        eps = self.eps
+        out = d2 + 2.0 * eps * self.inner(E, d1)[:, None] * x + eps * self.inner(E, s0)[:, None] * E
+        return self.tangent_project(x, -out.sum(axis=0))
 
     def laplacian_fd(self, field_F, x, h: float = DEFAULT_H_SECOND) -> float:
-        """Laplacian Delta f = -tr Hess f of a scalar function, by differences."""
-        if h <= 0:
-            raise ValueError("step h must be positive")
+        """Laplacian Delta f = -tr Hess f by differences, for an f that takes a stack of points."""
+        _check_step(h)
         x = as_vector(x)
-        f0 = field_F(x)
-        total = 0.0
-        for E in self.frame(x):
-            fp = field_F(self.geodesic(x, E, h))
-            fm = field_F(self.geodesic(x, E, -h))
-            total -= (fp - 2.0 * f0 + fm) / (h * h)
-        return total
+        E = np.array(self.frame(x))
+        fp, fm = field_F(self.geodesic(x, np.array([E, -E]), h))
+        return -((fp - 2.0 * field_F(x) + fm) / (h * h)).sum()
 
 
 def sphere(n: int) -> SpaceForm:

@@ -15,17 +15,23 @@ scalar reduction
     (p + q + 2qF) Delta F + 2p (1 + qF) zeta + nu (1 + 2(1 - p)F) = 0
 
 is available as an independent residual.
+
+There is one evaluation path.  ingredients() evaluates the closed forms (or
+the finite-difference oracle, point by point) at a point of shape (m,) or a
+batch of shape (N, m), m = n+1, and every tension, residual, check and
+grid scan is assembled from those arrays; results keep the leading axes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .fields import AffineField, circle_action
+from .spaceform import DEFAULT_H_FIRST, DEFAULT_H_SECOND
 
 HARMONIC_TOL = 1e-7  # an order above the observed oracle noise floor (~1e-9)
 ZERO_LENGTH = 1e-6  # samples below this |sigma| are excluded from spinnaker division
@@ -46,89 +52,98 @@ class MetricParams:
 
 @dataclass
 class Ingredients:
-    """Everything the operator needs at one point."""
+    """Everything the operator needs, at one point or at a batch of points.
+
+    Vectors have shape (..., m) and scalars shape (...), with the leading
+    axes of the points they were evaluated at.
+    """
 
     sigma: np.ndarray
-    sigma_sq: float
+    sigma_sq: np.ndarray
     rough: np.ndarray
     nabla_gradF_sigma: np.ndarray
-    nabla_sq: float
-    gradF_sq: float
-    lap_F: float
+    nabla_sq: np.ndarray
+    gradF_sq: np.ndarray
+    lap_F: np.ndarray
     source: str  # "closed-form" or "finite-difference"
 
+    def __getitem__(self, index) -> "Ingredients":
+        """The ingredients at the selected points (an index, slice or mask)."""
+        arrays = {k: v[index] for k, v in vars(self).items() if k != "source"}
+        return replace(self, **arrays)
 
-def ingredients(field: AffineField, x, fd: bool = False, h: float | None = None) -> Ingredients:
-    """Collect the operator inputs, from closed forms or the FD oracle."""
+
+def _fd_row(field: AffineField, x: np.ndarray, h: float | None) -> tuple:
     M = field.space
+    h1, h2 = (h, h) if h is not None else (DEFAULT_H_FIRST, DEFAULT_H_SECOND)
     s = field.sigma(x)
-    s_sq = M.sig.norm_sq(s)
-    if not fd:
-        gF = field.grad_F(x)
-        return Ingredients(
-            sigma=s,
-            sigma_sq=s_sq,
-            rough=field.rough_laplacian(x),
-            nabla_gradF_sigma=field.nabla_gradF_sigma(x),
-            nabla_sq=field.nabla_norm_sq(x),
-            gradF_sq=M.sig.norm_sq(gF),
-            lap_F=field.lap_F(x),
-            source="closed-form",
-        )
-    h1 = h if h is not None else 1e-4
-    h2 = h if h is not None else 1e-3
     frame = M.frame(x)
     derivs = [M.covariant_derivative_fd(field, x, E, h1) for E in frame]
     gF = sum(M.inner(d, s) * E for d, E in zip(derivs, frame))
+    return (
+        s,
+        M.sig.norm_sq(s),
+        M.rough_laplacian_fd(field, x, h2),
+        M.covariant_derivative_fd(field, x, gF, h1),
+        sum(M.sig.norm_sq(d) for d in derivs),
+        M.sig.norm_sq(gF),
+        M.laplacian_fd(field.F, x, h2),
+    )
+
+
+def ingredients(field: AffineField, x, fd: bool = False, h: float | None = None) -> Ingredients:
+    """The operator inputs at x, of shape (m,) or (N, m), from closed forms or the FD oracle.
+
+    The oracle differences sigma along geodesics one point at a time and
+    stacks the rows.
+    """
+    x = np.asarray(x, dtype=float)
+    if fd:
+        rows = [_fd_row(field, y, h) for y in x.reshape(-1, x.shape[-1])]
+        cols = (np.array(col).reshape(x.shape[:-1] + np.shape(col[0])) for col in zip(*rows))
+        return Ingredients(*cols, source="finite-difference")
+    s, gF = field.sigma(x), field.grad_F(x)
+    sig = field.space.sig
     return Ingredients(
         sigma=s,
-        sigma_sq=s_sq,
-        rough=M.rough_laplacian_fd(field, x, h2),
-        nabla_gradF_sigma=M.covariant_derivative_fd(field, x, gF, h1),
-        nabla_sq=sum(M.sig.norm_sq(d) for d in derivs),
-        gradF_sq=M.sig.norm_sq(gF),
-        lap_F=M.laplacian_fd(lambda y: 0.5 * M.sig.norm_sq(field.sigma(y)), x, h2),
-        source="finite-difference",
+        sigma_sq=sig.norm_sq(s),
+        rough=field.rough_laplacian(x),
+        nabla_gradF_sigma=field.nabla(x, gF),
+        nabla_sq=field.nabla_norm_sq(x),
+        gradF_sq=sig.norm_sq(gF),
+        lap_F=field.lap_F(x),
+        source="closed-form",
     )
 
 
-def _phi(ing: Ingredients, p: float, q: float) -> float:
-    return p * ing.nabla_sq - p * q * ing.gradF_sq - q * (1.0 + ing.sigma_sq) * ing.lap_F
+def _assemble(ing: Ingredients, p, q, M) -> tuple[np.ndarray, np.ndarray]:
+    """(tension, residual scale), broadcasting over the points of ing and over p and q.
 
-
-def tension_from_ingredients(ing: Ingredients, mp: MetricParams) -> np.ndarray:
-    Tp = (1.0 + ing.sigma_sq) * ing.rough + 2.0 * mp.p * ing.nabla_gradF_sigma
-    return Tp - _phi(ing, mp.p, mp.q) * ing.sigma
-
-
-def residual_scale(ing: Ingredients, mp: MetricParams, norm) -> float:
-    """(1 + |s|^2)(1 + |rough| + |nabla_gradF s| + |phi||s|): keeps the relative
-    residual dimensionally sane for fields of unbounded length."""
-    phi = _phi(ing, mp.p, mp.q)
-    return float(
-        (1.0 + ing.sigma_sq)
-        * (
-            1.0
-            + norm(ing.rough)
-            + norm(ing.nabla_gradF_sigma)
-            + abs(phi) * math.sqrt(max(ing.sigma_sq, 0.0))
-        )
-    )
+    The scale (1 + |s|^2)(1 + |rough| + |nabla_gradF s| + |phi||s|) keeps
+    the relative residual dimensionally sane for fields of unbounded length.
+    """
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    one = 1.0 + ing.sigma_sq
+    phi = p * ing.nabla_sq - p * q * ing.gradF_sq - q * one * ing.lap_F
+    Tp = one[..., None] * ing.rough + 2.0 * p[..., None] * ing.nabla_gradF_sigma
+    t = Tp - phi[..., None] * ing.sigma
+    s_norm = np.sqrt(np.maximum(ing.sigma_sq, 0.0))
+    scale = one * (1.0 + M.norm(ing.rough) + M.norm(ing.nabla_gradF_sigma) + np.abs(phi) * s_norm)
+    return t, scale
 
 
 def tension(field: AffineField, x, mp: MetricParams, fd: bool = False) -> np.ndarray:
     """The tension tau_{p,q}(sigma) at x; zero exactly for harmonic fields."""
-    return tension_from_ingredients(ingredients(field, x, fd=fd), mp)
+    return _assemble(ingredients(field, x, fd=fd), mp.p, mp.q, field.space)[0]
 
 
-def tension_residual(field: AffineField, x, mp: MetricParams, fd: bool = False) -> tuple[float, float]:
+def tension_residual(field: AffineField, x, mp: MetricParams, fd: bool = False):
     """(residual norm, scale) of the tension at x."""
-    ing = ingredients(field, x, fd=fd)
-    t = tension_from_ingredients(ing, mp)
-    return field.space.norm(t), residual_scale(ing, mp, field.space.norm)
+    t, scale = _assemble(ingredients(field, x, fd=fd), mp.p, mp.q, field.space)
+    return field.space.norm(t), scale
 
 
-def reduced_pde_residual(field: AffineField, x, mp: MetricParams) -> float:
+def reduced_pde_residual(field: AffineField, x, mp: MetricParams):
     """Scalar residual of the reduced harmonicity equation for preharmonic eigenfields."""
     nu = field.nu
     zeta = field.spinnaker(x)
@@ -142,6 +157,16 @@ def reduced_pde_residual(field: AffineField, x, mp: MetricParams) -> float:
     )
 
 
+def _preharmonic(ing: Ingredients, zeta, M) -> tuple[bool, float]:
+    keep = ing.sigma_sq > ZERO_LENGTH**2
+    ing = ing[keep]
+    zeta = ing.gradF_sq / ing.sigma_sq if zeta is None else zeta[keep]
+    scale = 1.0 + M.norm(ing.nabla_gradF_sigma) + np.abs(zeta) * np.sqrt(ing.sigma_sq)
+    err = M.norm(ing.nabla_gradF_sigma - zeta[..., None] * ing.sigma) / scale
+    worst = float(err.max(initial=0.0))
+    return worst < PREHARMONIC_TOL, worst
+
+
 def preharmonic_check(field: AffineField, samples) -> tuple[bool, float]:
     """Is nabla_{grad F} sigma = zeta sigma at the samples, for the family zeta?
 
@@ -149,49 +174,41 @@ def preharmonic_check(field: AffineField, samples) -> tuple[bool, float]:
     family does not provide a spinnaker.  Returns (verdict, max relative
     error); points with |sigma| <= 1e-6 are skipped.
     """
-    M = field.space
-    worst = 0.0
-    for x in samples:
-        s = field.sigma(x)
-        s_sq = M.sig.norm_sq(s)
-        if s_sq <= ZERO_LENGTH**2:
-            continue
-        ngfs = field.nabla_gradF_sigma(x)
-        zeta = field.spinnaker(x)
-        if zeta is None:
-            zeta = M.sig.norm_sq(field.grad_F(x)) / s_sq
-        scale = 1.0 + M.norm(ngfs) + abs(zeta) * np.sqrt(s_sq)
-        worst = max(worst, M.norm(ngfs - zeta * s) / scale)
-    return worst < PREHARMONIC_TOL, worst
+    return _preharmonic(ingredients(field, samples), field.spinnaker(samples), field.space)
 
 
-def spinnaker_identity_error(field: AffineField, x) -> float | None:
-    """Relative error in |sigma|^2 zeta = |grad F|^2, None when zeta is absent."""
-    zeta = field.spinnaker(x)
+def _spinnaker_error(ing: Ingredients, zeta):
     if zeta is None:
         return None
-    M = field.space
-    s_sq = M.sig.norm_sq(field.sigma(x))
-    g_sq = M.sig.norm_sq(field.grad_F(x))
-    return abs(s_sq * zeta - g_sq) / (1.0 + abs(s_sq * zeta) + g_sq)
+    s_zeta = ing.sigma_sq * zeta
+    return np.abs(s_zeta - ing.gradF_sq) / (1.0 + np.abs(s_zeta) + ing.gradF_sq)
 
 
-def weitzenbock_error(field: AffineField, x) -> float:
+def spinnaker_identity_error(field: AffineField, x):
+    """Relative error in |sigma|^2 zeta = |grad F|^2, None when zeta is absent."""
+    return _spinnaker_error(ingredients(field, x), field.spinnaker(x))
+
+
+def _weitzenbock(ing: Ingredients, M):
+    lhs = M.inner(ing.rough, ing.sigma)
+    return np.abs(lhs - (ing.nabla_sq + ing.lap_F)) / (1.0 + np.abs(lhs) + ing.nabla_sq)
+
+
+def weitzenbock_error(field: AffineField, x):
     """Relative error in <nabla*nabla sigma, sigma> = |nabla sigma|^2 + Delta F."""
-    M = field.space
-    lhs = M.inner(field.rough_laplacian(x), field.sigma(x))
-    n_sq = field.nabla_norm_sq(x)
-    rhs = n_sq + field.lap_F(x)
-    return abs(lhs - rhs) / (1.0 + abs(lhs) + n_sq)
+    return _weitzenbock(ingredients(field, x), field.space)
+
+
+def _q_riemannian(sigma_sq, q: float) -> bool:
+    hi, lo = sigma_sq.max(), sigma_sq.min()
+    if hi - lo <= 1e-9 * (1.0 + abs(hi)):
+        return True
+    return bool((q * sigma_sq >= -1.0 - 1e-12).all())
 
 
 def q_riemannian_check(field: AffineField, q: float, samples) -> bool:
     """q |sigma(x)|^2 >= -1 at every sample; constant-length fields pass outright."""
-    vals = [field.sigma_sq(x) for x in samples]
-    hi, lo = max(vals), min(vals)
-    if hi - lo <= 1e-9 * (1.0 + abs(hi)):
-        return True
-    return all(q * v >= -1.0 - 1e-12 for v in vals)
+    return _q_riemannian(field.sigma_sq(samples), q)
 
 
 @dataclass
@@ -216,26 +233,9 @@ class TensionReport:
     per_point: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "params": self.params,
-            "p": self.p,
-            "q": self.q,
-            "n": self.n,
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "count": self.count,
-            "max_rel_residual": self.max_rel_residual,
-            "verdicts": {
-                "harmonic": self.harmonic,
-                "preharmonic": self.preharmonic,
-                "q_riemannian": self.q_riemannian,
-            },
-            "weitzenbock_max_err": self.weitzenbock_max_err,
-            "spinnaker_max_err": self.spinnaker_max_err,
-            "derivative_source": self.derivative_source,
-            "per_point": self.per_point,
-        }
+        out = dict(vars(self))
+        out["verdicts"] = {k: out.pop(k) for k in ("harmonic", "preharmonic", "q_riemannian")}
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -250,32 +250,33 @@ def verify(
     fd: bool = False,
     h: float | None = None,
 ) -> TensionReport:
-    """Run the full identity/residual suite on `count` seeded sample points."""
+    """Run the full identity/residual suite on `count` seeded sample points.
+
+    The checks use the closed-form ingredients; with fd=True only the
+    tension residual comes from the finite-difference oracle.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     M = field.space
     samples = M.sample_points(count, seed)
-    per_point = []
-    max_rel = 0.0
-    wb = 0.0
-    sp_err = None
-    for i, x in enumerate(samples):
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-            ing = ingredients(field, x, fd=fd, h=h)
-            t = tension_from_ingredients(ing, mp)
-            scale = residual_scale(ing, mp, M.norm)
-            res = M.norm(t)
-        # a non-finite ingredient makes the tension t non-finite too
-        if not (np.isfinite(t).all() and math.isfinite(res) and math.isfinite(scale)):
-            raise ValueError(f"non-finite tension residual or ingredient at sample {i}")
-        max_rel = max(max_rel, res / scale)
-        per_point.append({"index": i, "point": list(x), "residual": res, "scale": scale})
-        wb = max(wb, weitzenbock_error(field, x))
-        if ing.sigma_sq > ZERO_LENGTH**2:
-            e = spinnaker_identity_error(field, x)
-            if e is not None:
-                sp_err = e if sp_err is None else max(sp_err, e)
-    pre, _ = preharmonic_check(field, samples)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        ing = ingredients(field, samples)
+        t, scale = _assemble(ingredients(field, samples, fd=True, h=h) if fd else ing, mp.p, mp.q, M)
+        res = M.norm(t)
+    # a non-finite ingredient makes the tension t non-finite too
+    finite = np.isfinite(t).all(axis=-1) & np.isfinite(res) & np.isfinite(scale)
+    if not finite.all():
+        raise ValueError(f"non-finite tension residual or ingredient at sample {np.argmin(finite)}")
+    rel = res / scale
+    per_point = [
+        {"index": i, "point": x, "residual": r, "scale": sc}
+        for i, (x, r, sc) in enumerate(zip(samples.tolist(), res.tolist(), scale.tolist()))
+    ]
+    zeta = field.spinnaker(samples)
+    sp_err = _spinnaker_error(ing, zeta)
+    keep = ing.sigma_sq > ZERO_LENGTH**2
     return TensionReport(
         family=field.family,
         params=field.params(),
@@ -285,12 +286,12 @@ def verify(
         epsilon=M.eps,
         seed=seed,
         count=count,
-        max_rel_residual=float(max_rel),
-        harmonic=bool(max_rel < tol),
-        preharmonic=bool(pre),
-        q_riemannian=bool(q_riemannian_check(field, mp.q, samples)),
-        weitzenbock_max_err=wb,
-        spinnaker_max_err=sp_err,
+        max_rel_residual=float(rel.max()),
+        harmonic=bool(rel.max() < tol),
+        preharmonic=_preharmonic(ing, zeta, M)[0],
+        q_riemannian=_q_riemannian(ing.sigma_sq, mp.q),
+        weitzenbock_max_err=float(_weitzenbock(ing, M).max()),
+        spinnaker_max_err=float(sp_err[keep].max()) if sp_err is not None and keep.any() else None,
         derivative_source="finite-difference" if fd else "closed-form",
         per_point=per_point,
     )
@@ -299,37 +300,18 @@ def verify(
 def metric_grid_scan(field: AffineField, ps, qs, samples) -> np.ndarray:
     """Max relative tension residual over samples, for every (p, q) on the grid.
 
-    Vectorised over the grid: the per-sample ingredients are computed once
-    and the residual is assembled by broadcasting.  Returns an array of
-    shape (len(ps), len(qs)).
+    The ingredients are computed once for all samples; each sample's
+    residual is then broadcast over the (len(ps), len(qs)) grid, so the
+    working set stays at one grid of vectors.
     """
-    ps = np.asarray(ps, dtype=float)
-    qs = np.asarray(qs, dtype=float)
     M = field.space
-    out = np.zeros((ps.size, qs.size))
-    P = ps[:, None]
-    Q = qs[None, :]
-    for x in samples:
-        ing = ingredients(field, x)
-        phi = P * ing.nabla_sq - P * Q * ing.gradF_sq - Q * (1.0 + ing.sigma_sq) * ing.lap_F
-        base = (1.0 + ing.sigma_sq) * ing.rough
-        # residual vector over the grid: base + 2p*ngfs - phi*sigma
-        vec = (
-            base[None, None, :]
-            + 2.0 * P[:, :, None] * ing.nabla_gradF_sigma[None, None, :]
-            - phi[:, :, None] * ing.sigma[None, None, :]
-        )
-        eta_diag = np.ones(M.ambient_dim)
-        eta_diag[-1] = M.eps
-        res = np.sqrt(np.clip((vec * vec * eta_diag).sum(axis=-1), 0.0, None))
-        s_norm = np.sqrt(max(ing.sigma_sq, 0.0))
-        scale = (1.0 + ing.sigma_sq) * (
-            1.0
-            + M.norm(ing.rough)
-            + M.norm(ing.nabla_gradF_sigma)
-            + np.abs(phi) * s_norm
-        )
-        out = np.maximum(out, res / scale)
+    P = np.asarray(ps, dtype=float)[:, None]
+    Q = np.asarray(qs, dtype=float)[None, :]
+    ing = ingredients(field, samples)
+    out = np.zeros((P.size, Q.size))
+    for i in range(len(ing.sigma_sq)):
+        t, scale = _assemble(ing[i], P, Q, M)
+        out = np.maximum(out, M.norm(t) / scale)
     return out
 
 
@@ -339,26 +321,15 @@ def isometry_equivariance_check(field: AffineField, g, mp: MetricParams, samples
     g = np.asarray(g, dtype=float)
     if not M.is_isometry(g):
         raise ValueError("g does not preserve the signature form (and sheet)")
-    moved = field.transform(g)
-    worst = 0.0
-    for x in samples:
-        ing = ingredients(field, x)
-        gx = M.normalize_point(g @ x)
-        lhs = g @ tension_from_ingredients(ing, mp)
-        rhs = tension(moved, gx, mp)
-        worst = max(worst, M.norm(lhs - rhs) / residual_scale(ing, mp, M.norm))
-    return worst
+    t, scale = _assemble(ingredients(field, samples), mp.p, mp.q, M)
+    moved = tension(field.transform(g), M.normalize_point(samples @ g.T), mp)
+    return float((M.norm(t @ g.T - moved) / scale).max())
 
 
 def circle_equivariance_check(field: AffineField, t: float, mp: MetricParams, samples) -> float:
     """max over samples of |e^{it}.tau(sigma)(x) - tau(e^{it}.sigma)(x)| / scale."""
     M = field.space
-    moved = circle_action(field, t)
-    worst = 0.0
-    for x in samples:
-        ing = ingredients(field, x)
-        v = tension_from_ingredients(ing, mp)
-        lhs = np.cos(t) * v + np.sin(t) * M.complex_rotation(x, v)
-        rhs = tension(moved, x, mp)
-        worst = max(worst, M.norm(lhs - rhs) / residual_scale(ing, mp, M.norm))
-    return worst
+    v, scale = _assemble(ingredients(field, samples), mp.p, mp.q, M)
+    lhs = np.cos(t) * v + np.sin(t) * M.complex_rotation(samples, v)
+    rhs = tension(circle_action(field, t), samples, mp)
+    return float((M.norm(lhs - rhs) / scale).max())

@@ -160,3 +160,52 @@ def test_verify_overflow_is_an_input_error(capsys):
 def test_verify_nan_mu_names_the_bad_value(capsys):
     assert main("verify --family confgrad --n 3 --epsilon 1 --mu nan --p 4 --q -1".split()) == 2
     assert "mu must be finite, got nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-1", "0"])
+def test_verify_rejects_bad_tolerance(value, capsys):
+    argv = "verify --family confgrad --n 3 --epsilon 1 --mu 1 --p 4 --q 5 --points 20 --tol".split()
+    assert main(argv + [value]) == 2
+    assert "tol must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_verify_rejects_bad_fd_step(value, capsys):
+    argv = "verify --family confgrad --n 3 --epsilon 1 --mu 1 --p 4 --q -1 --points 5 --fd --h-fd".split()
+    assert main(argv + [value]) == 2
+    assert f"step h must be finite and positive, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "--family hopf --n 3 --epsilon 1 --r 2.5 --omega 1 --p 2 --q 0.7",
+        "--family killing --n 4 --epsilon 1 --r 1.5 --omega 1 --p 2 --q 0.7",
+        "--family loxodromic --n 2 --epsilon -1 --r 1.5 --omega 1 --mu -1 --p 3 --q -0.5",
+        "--family quadratic --n 5 --epsilon 1 --r 2.5 --lam 1 --p 4 --q -0.4",
+    ],
+)
+def test_verify_rejects_non_integer_rank(spec, capsys):
+    assert main(["verify", *spec.split()]) == 2
+    assert "r must be an integer" in capsys.readouterr().err
+
+
+def test_verify_overflowing_killing_operator_names_it(capsys):
+    argv = "verify --family killing --n 4 --epsilon 1 --twists 1e200,1 --p 2 --q 1".split()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "operator too large to analyse" in err and "Eigenvalues" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("scan2d --epsilon 1 --omega nan --numeric", "--omega: 'nan' is not a finite number"),
+        ("scan2d --epsilon 1 --rr inf --numeric", "--rr: 'inf' is not a finite number"),
+        ("scan2d --epsilon 1 --omega 1/0", "--omega: '1/0' is not a finite number"),
+    ],
+)
+def test_scan2d_rejects_bad_grid_values(argv, message, capsys):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""

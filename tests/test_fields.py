@@ -638,3 +638,54 @@ def test_build_field_errors():
         build_field({"family": "confgrad", "n": 3, "epsilon": 1, "mu": 1.0, "bogus": 2})
     with pytest.raises(ValueError):
         build_field({"family": "confgrad", "n": 3, "epsilon": 1, "mu": -1.0})  # mu<0 on S^n
+
+
+# ---------------------------------------------------------------------------
+# batches of points
+# ---------------------------------------------------------------------------
+
+
+def _batch_fields():
+    from hvf.solvers import harmonic_catalogue
+
+    return sample_fields() + [entry.field for entry in harmonic_catalogue()]
+
+
+def assert_batch_equals_rows(fn, batch, rel=1e-12):
+    """fn on an (N, m) batch equals the stack of fn on its rows, to rel relative."""
+    got = np.asarray(fn(batch))
+    rows = np.array([fn(x) for x in batch])
+    assert got.shape == rows.shape
+    assert np.all(np.abs(got - rows) <= rel * (1.0 + np.abs(rows)))
+
+
+@pytest.mark.parametrize("size", ["m", 7])
+def test_closed_forms_batch_equals_rows(size):
+    rng = np.random.default_rng(40)
+    for f in _batch_fields():
+        M = f.space
+        pts = M.sample_points(M.ambient_dim if size == "m" else size, 41)
+        tangents = M.tangent_project(pts, rng.standard_normal(pts.shape))
+        names = ["sigma", "sigma_sq", "F", "grad_F", "nabla_gradF_sigma", "nabla_norm_sq", "lap_F", "rough_laplacian"]
+        for name in names:
+            assert_batch_equals_rows(getattr(f, name), pts)
+        assert_batch_equals_rows(lambda y: f.nabla_matrix(y), pts)
+        got = f.nabla(pts, tangents)
+        rows = np.array([f.nabla(x, X) for x, X in zip(pts, tangents)])
+        assert np.all(np.abs(got - rows) <= 1e-12 * (1.0 + np.abs(rows)))
+        if f.spinnaker(pts[0]) is None:
+            assert f.spinnaker(pts) is None
+        else:
+            assert_batch_equals_rows(f.spinnaker, pts)
+        if isinstance(f, QuadraticGradientField):
+            for k in (1, 2):
+                assert_batch_equals_rows(lambda y: f.xi(y, k), pts)
+                assert_batch_equals_rows(lambda y: f.sigma_m(y, k), pts)
+
+
+@pytest.mark.parametrize("M", [sphere(2), sphere(5), hyperbolic(2), hyperbolic(6)], ids=str)
+def test_sample_points_prefix(M):
+    full = M.sample_points(40, 3)
+    assert full.shape == (40, M.ambient_dim)
+    for k in (1, 7, 39):
+        assert np.array_equal(M.sample_points(k, 3), full[:k])

@@ -246,3 +246,14 @@ def test_circle_equivariance():
     pts = loop.space.sample_points(10, 19)
     for t in np.linspace(0.2, 5.8, 4):
         assert circle_equivariance_check(loop, t, MetricParams(3.0, -0.5), pts) < 1e-9
+
+
+@pytest.mark.parametrize("size", ["m", 6])
+def test_tension_and_weitzenbock_batch_equals_rows(size):
+    from test_fields import _batch_fields, assert_batch_equals_rows
+
+    mp = MetricParams(3.0, -0.7)
+    for f in _batch_fields():
+        pts = f.space.sample_points(f.space.ambient_dim if size == "m" else size, 50)
+        assert_batch_equals_rows(lambda y: tension(f, y, mp), pts)
+        assert_batch_equals_rows(lambda y: weitzenbock_error(f, y), pts)
