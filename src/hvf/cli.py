@@ -265,7 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--seed", type=int, default=42)
     pv.add_argument("--tol", type=float, default=HARMONIC_TOL, help="harmonic verdict threshold")
     pv.add_argument("--h-fd", dest="h_fd", type=float, help="finite-difference step override")
-    pv.add_argument("--fd", action="store_true", help="use the finite-difference oracle instead of closed forms")
+    pv.add_argument(
+        "--fd", action="store_true", help="take the tension residual from the finite-difference oracle; other checks stay closed-form"
+    )
     pv.add_argument("--json", help="write the full report as JSON")
     pv.set_defaults(fn=cmd_verify)
 

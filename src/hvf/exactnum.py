@@ -35,20 +35,25 @@ class QuadExt:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a=0, b=0, d=0):
-        a = Fraction(a)
-        b = Fraction(b)
-        d = int(d)
+        a, b, d = Fraction(a), Fraction(b), int(d)
+        if b != 0 and d != 0:
+            s, d = _squarefree_split(d)
+            a, b, d = (a + b * s, 0, 0) if d == 1 else (a, b * s, d)
+        self._set(a, b, d)
+
+    def _set(self, a: Fraction, b: Fraction, d: int) -> None:
         if b == 0 or d == 0:
             b, d = Fraction(0), 0
-        else:
-            s, d0 = _squarefree_split(d)
-            if d0 == 1:
-                a, b, d = a + b * s, Fraction(0), 0
-            else:
-                b, d = b * s, d0
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
+
+    @classmethod
+    def _trusted(cls, a: Fraction, b: Fraction, d: int) -> "QuadExt":
+        """a + b*sqrt(d) for a radicand already split to squarefree: ring results skip the split."""
+        out = object.__new__(cls)
+        out._set(a, b, d)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
@@ -75,12 +80,12 @@ class QuadExt:
         if other is None:
             return NotImplemented
         d = self._common_radicand(other)
-        return QuadExt(self.a + other.a, self.b + other.b, d)
+        return QuadExt._trusted(self.a + other.a, self.b + other.b, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return QuadExt._trusted(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -99,7 +104,7 @@ class QuadExt:
         if other is None:
             return NotImplemented
         d = self._common_radicand(other)
-        return QuadExt(
+        return QuadExt._trusted(
             self.a * other.a + self.b * other.b * d,
             self.a * other.b + self.b * other.a,
             d,
@@ -117,7 +122,7 @@ class QuadExt:
         # 1/(a + b*sqrt(d)) = (a - b*sqrt(d)) / (a^2 - b^2 d); the norm is
         # nonzero for nonzero elements because d is squarefree.
         nrm = other.a * other.a - other.b * other.b * d
-        inv = QuadExt(other.a / nrm, -other.b / nrm, d)
+        inv = QuadExt._trusted(other.a / nrm, -other.b / nrm, d)
         return self * inv
 
     def __rtruediv__(self, other):

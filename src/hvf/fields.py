@@ -346,7 +346,7 @@ class KillingField(AffineField):
             v = L @ w
             self.tau = space.norm(v)
             T = np.outer(w, eta @ v) - np.outer(v, eta @ w)
-            E = np.array(space.frame(w))  # rows
+            E = space.frame(w)  # rows
             Rt = E @ eta @ (L - T) @ E.T  # <R E_j, E_i> in the (Euclidean) tangent space
             rot = self._twists_from_squares(np.linalg.eigvalsh(Rt.T @ Rt), op_scale)  # = -Rt^2
         self.twists = rot

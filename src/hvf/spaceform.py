@@ -15,9 +15,9 @@ analyses.
 Points are arrays whose last axis has length m = n+1: inner, norm,
 tangent_project, normalize_point and complex_rotation accept one point of
 shape (m,) or a batch of shape (N, m) and keep the leading axes, and
-sample_points returns one (N, m) array.  Frames and the finite-difference
-oracles work one point at a time; each oracle evaluates the field on its
-whole stencil of geodesic neighbours at once.
+sample_points returns one (N, m) array.  frame returns (..., n, m) from a
+closed formula, and the finite-difference oracles take a point or a batch
+too: each evaluates the field on the stencils of all points in one call.
 """
 
 from __future__ import annotations
@@ -143,34 +143,24 @@ class SpaceForm:
 
     # -- frames -----------------------------------------------------------
 
-    def frame(self, x) -> list[np.ndarray]:
-        """Deterministic orthonormal tangent frame at x (Gram-Schmidt on e_i)."""
-        x = as_vector(x)
-        out: list[np.ndarray] = []
-        for i in range(self.ambient_dim):
-            v = np.zeros(self.ambient_dim)
-            v[i] = 1.0
-            v = self.tangent_project(x, v)
-            for e in out:
-                v = v - self.inner(v, e) * e
-            s = self.sig.norm_sq(v)
-            if s > 1e-12:
-                out.append(v / np.sqrt(s))
-            if len(out) == self.n:
-                break
-        return out
+    def frame(self, x) -> np.ndarray:
+        """Orthonormal tangent frame at x, shape (..., n, m); rows are E_1..E_n.
 
-    def random_frame(self, x, rng: np.random.Generator) -> list[np.ndarray]:
-        """Random orthonormal tangent frame at x."""
-        out: list[np.ndarray] = []
-        while len(out) < self.n:
-            v = self.tangent_project(x, rng.standard_normal(self.ambient_dim))
-            for e in out:
-                v = v - self.inner(v, e) * e
-            s = self.sig.norm_sq(v)
-            if s > 1e-8:
-                out.append(v / np.sqrt(s))
-        return out
+        E_i = e_i - x_i v / (eps (1 + s x_m)), v = x + s e_m, s = sign(x_m) or 1
+        where x_m = 0 (so s = 1 on H^n): the images of e_1..e_n under the
+        eta-reflection that swaps e_m and -s x.  |1 + s x_m| >= 1, so nothing
+        small is divided by; at the pole the frame is e_1..e_n.
+        """
+        x = as_vector(x)
+        s = np.where(x[..., -1] < 0, -1.0, 1.0)
+        v = x.copy()
+        v[..., -1] += s
+        a = x[..., :-1] / (self.eps * (1.0 + s * x[..., -1]))[..., None]
+        return np.eye(self.n, self.ambient_dim) - a[..., :, None] * v[..., None, :]
+
+    def random_frame(self, x, rng: np.random.Generator) -> np.ndarray:
+        """Random orthonormal tangent frame at x: frame(x) turned by a random orthogonal matrix."""
+        return np.linalg.qr(rng.standard_normal((self.n, self.n)))[0] @ self.frame(x)
 
     def random_tangent(self, x, rng: np.random.Generator, unit: bool = True) -> np.ndarray:
         v = self.tangent_project(x, rng.standard_normal(self.ambient_dim))
@@ -243,24 +233,26 @@ class SpaceForm:
     # -- finite-difference oracles ------------------------------------------
 
     def covariant_derivative_fd(self, field, x, X, h: float = DEFAULT_H_FIRST) -> np.ndarray:
-        """Central-difference nabla_X sigma; O(h^2) accurate.
+        """Central-difference nabla_X sigma; O(h^2) accurate; x and X broadcast.
 
         The ambient directional derivative D_X sigma is differenced along the
         geodesic through x in direction X/|X|, then Gauss-corrected by
-        + eps <X, sigma(x)> x.
+        + eps <X, sigma(x)> x.  A zero direction gives 0.
         """
         _check_step(h)
-        x = as_vector(x)
-        X = as_vector(X)
+        s0 = field.sigma(x)
+        x, X = np.broadcast_arrays(as_vector(x), as_vector(X))
         nrm = self.norm(X)
-        if nrm < 1e-14:
-            return np.zeros(self.ambient_dim)
-        u = X / nrm
+        zero = nrm < 1e-14
+        u = X / np.where(zero, 1.0, nrm)[..., None]
+        if zero.any():  # any unit direction will do: its difference is discarded
+            u[zero] = self.frame(x[zero])[:, 0]
         sp, sm = field.sigma(self.geodesic(x, np.array([u, -u]), h))  # the points at +h and -h
-        return nrm * (sp - sm) / (2.0 * h) + self.eps * self.inner(X, field.sigma(x)) * x
+        d = nrm[..., None] * (sp - sm) / (2.0 * h) + (self.eps * self.inner(X, s0))[..., None] * x
+        return np.where(zero[..., None], 0.0, d)
 
     def rough_laplacian_fd(self, field, x, h: float = DEFAULT_H_SECOND) -> np.ndarray:
-        """-sum_i nabla^2_{E_i, E_i} sigma by second central differences.
+        """-sum_i nabla^2_{E_i, E_i} sigma by second central differences, at x of shape (..., m).
 
         Along a unit-speed geodesic gamma with gamma'(0) = E the velocity
         field is autoparallel, so the second covariant derivative reduces to
@@ -272,22 +264,23 @@ class SpaceForm:
         """
         _check_step(h)
         x = as_vector(x)
-        E = np.array(self.frame(x))
-        s0 = field.sigma(x)
-        sp, sm = field.sigma(self.geodesic(x, np.array([E, -E]), h))  # (n, m) each
+        E = self.frame(x)
+        s0 = field.sigma(x)[..., None, :]
+        sp, sm = field.sigma(self.geodesic(x[..., None, :], np.array([E, -E]), h))  # (..., n, m)
         d1 = (sp - sm) / (2.0 * h)
         d2 = (sp - 2.0 * s0 + sm) / (h * h)
         eps = self.eps
-        out = d2 + 2.0 * eps * self.inner(E, d1)[:, None] * x + eps * self.inner(E, s0)[:, None] * E
-        return self.tangent_project(x, -out.sum(axis=0))
+        out = d2 + 2.0 * eps * self.inner(E, d1)[..., None] * x[..., None, :]
+        out += eps * self.inner(E, s0)[..., None] * E
+        return self.tangent_project(x, -out.sum(axis=-2))
 
-    def laplacian_fd(self, field_F, x, h: float = DEFAULT_H_SECOND) -> float:
-        """Laplacian Delta f = -tr Hess f by differences, for an f that takes a stack of points."""
+    def laplacian_fd(self, field_F, x, h: float = DEFAULT_H_SECOND):
+        """Delta f = -tr Hess f by differences at x of shape (..., m); f takes a stack of points."""
         _check_step(h)
         x = as_vector(x)
-        E = np.array(self.frame(x))
-        fp, fm = field_F(self.geodesic(x, np.array([E, -E]), h))
-        return -((fp - 2.0 * field_F(x) + fm) / (h * h)).sum()
+        E = self.frame(x)
+        fp, fm = field_F(self.geodesic(x[..., None, :], np.array([E, -E]), h))
+        return -((fp - 2.0 * field_F(x)[..., None] + fm) / (h * h)).sum(axis=-1)
 
 
 def sphere(n: int) -> SpaceForm:

@@ -5,8 +5,8 @@ import pytest
 
 from hvf.fields import AffineField
 from hvf.spaceform import hyperbolic, sphere
-from hvf.tension import weitzenbock_error
-from test_fields import TANGENT_TOL, sample_fields
+from hvf.tension import ingredients, weitzenbock_error
+from test_fields import TANGENT_TOL, _batch_fields, assert_batch_equals_rows, sample_fields
 
 COV_TOL = 1e-5
 GRADF_TOL = 1e-5
@@ -113,3 +113,24 @@ def test_general_affine_field_against_oracle(space):
         fd = M.rough_laplacian_fd(field, x, 1e-3)
         assert _rel(M.norm(fd - exact), M.norm(exact)) < ROUGH_TOL
         assert weitzenbock_error(field, x) < 1e-10
+
+
+@pytest.mark.parametrize("size", ["m", 7])
+def test_fd_oracle_batch_equals_rows(size):
+    """The frame, the three oracles and ingredients(fd=True) on a batch equal the stack of their rows."""
+    rng = np.random.default_rng(60)
+    for f in _batch_fields():
+        M = f.space
+        pts = M.sample_points(M.ambient_dim if size == "m" else size, 61)
+        assert_batch_equals_rows(M.frame, pts)
+        X = M.tangent_project(pts, rng.standard_normal(pts.shape))
+        got = M.covariant_derivative_fd(f, pts, X)
+        rows = np.array([M.covariant_derivative_fd(f, x, v) for x, v in zip(pts, X)])
+        assert np.all(np.abs(got - rows) <= 1e-12 * (1.0 + np.abs(rows)))
+        assert_batch_equals_rows(lambda y: M.rough_laplacian_fd(f, y), pts)
+        assert_batch_equals_rows(lambda y: M.laplacian_fd(f.F, y), pts)
+        batch, per_row = ingredients(f, pts, fd=True), [ingredients(f, x, fd=True) for x in pts]
+        for name in ("sigma", "sigma_sq", "rough", "nabla_gradF_sigma", "nabla_sq", "gradF_sq", "lap_F"):
+            want = np.array([getattr(r, name) for r in per_row])
+            assert getattr(batch, name).shape == want.shape
+            assert np.all(np.abs(getattr(batch, name) - want) <= 1e-12 * (1.0 + np.abs(want))), name

@@ -1,13 +1,18 @@
-"""Property-based tests: input handling that fails only with ValueError, and seed-independent verdicts."""
+"""Property-based tests: input handling that fails only with ValueError, seed-independent verdicts,
+and the algebra of QuadExt and TriPoly."""
 
 import argparse
+import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hvf.cli import _FAMILY_KEYS, _collect_spec
+from hvf.exactnum import QuadExt
 from hvf.fields import build_field
+from hvf.polyreduce import TriPoly
 from hvf.solvers import harmonic_catalogue
 from hvf.tension import MetricParams, verify
 
@@ -71,3 +76,72 @@ def test_catalogue_verdicts_do_not_depend_on_the_seed(seed):
         # constant-length (Hopf) fields are (2, q)-harmonic for every q
         shifted = MetricParams(entry.mp.p, entry.mp.q + 0.05)
         assert verify(entry.field, shifted, seed=seed).harmonic is entry.constant_length, entry.label
+
+
+RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=40)
+RADICAND = 7
+
+
+def _quad(a, b):
+    return QuadExt(a, b, RADICAND)
+
+
+QUADS = st.builds(_quad, RATIONALS, RATIONALS)
+SETTINGS = settings(max_examples=60, deadline=None, database=None)
+
+
+@SETTINGS
+@given(x=QUADS, y=QUADS, z=QUADS)
+def test_quadext_field_axioms(x, y, z):
+    zero, one = QuadExt(0), QuadExt(1)
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z) and (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + zero == x and x * one == x
+    assert x + (-x) == zero and x - y == x + (-y)
+    if x:
+        assert x * (1 / x) == one and (y / x) * x == y
+
+
+@SETTINGS
+@given(x=QUADS, y=QUADS)
+def test_quadext_sign_agrees_with_float(x, y):
+    for v in (x, y, x - y, x * y):
+        if abs(float(v)) > 1e-9:
+            assert v.sign() == (1 if float(v) > 0 else -1)
+
+
+@SETTINGS
+@given(x=QUADS, y=QUADS, r=RATIONALS)
+def test_quadext_ring_results_are_canonical(x, y, r):
+    """Ring results equal, field for field, the same number rebuilt through the public constructor."""
+    results = [x + y, x - y, x * y, -x, x + r, r - x, r * x, x**2]
+    if y:
+        results += [x / y, r / y]
+    for v in results:
+        rebuilt = QuadExt(v.a, v.b, v.d)
+        assert (type(v.a), type(v.b), type(v.d)) == (Fraction, Fraction, int)
+        assert (v.a, v.b, v.d) == (rebuilt.a, rebuilt.b, rebuilt.d)
+        assert (str(v), repr(v), hash(v)) == (str(rebuilt), repr(rebuilt), hash(rebuilt))
+
+
+def _polys(max_degree):
+    mons = [m for m in itertools.product(range(max_degree + 1), repeat=3) if sum(m) <= max_degree]
+    coeffs = st.one_of(RATIONALS, QUADS)
+    return st.dictionaries(st.sampled_from(mons), coeffs, max_size=4).map(TriPoly)
+
+
+@SETTINGS
+@given(p=_polys(4), q=_polys(4), r=_polys(4))
+def test_tripoly_additive_laws(p, q, r):
+    assert (p + q) + r == p + (q + r) and p + q == q + p
+    assert (p + (-p)).is_zero() and p - q == p + (-q)
+
+
+@SETTINGS
+@given(p=_polys(1), q=_polys(1), r=_polys(2), s=_polys(2))
+def test_tripoly_multiplicative_laws(p, q, r, s):
+    # degrees chosen so that every product stays within degree 4
+    assert (p * q) * r == p * (q * r) and p * q == q * p
+    assert r * (s + q) == r * s + r * q and (s + q) * r == s * r + q * r
+    assert r * TriPoly.constant(Fraction(1)) == r

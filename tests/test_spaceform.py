@@ -72,7 +72,7 @@ def test_frames():
                     want = 1.0 if i == j else 0.0
                     assert abs(M.inner(u, v) - want) <= POINT_TOL
             # completed with x itself: a signature-orthonormal basis of the ambient space
-            basis = E + [x]
+            basis = [*E, x]
             gram = np.array([[M.inner(u, v) for v in basis] for u in basis])
             want = np.eye(M.n + 1)
             want[-1, -1] = M.eps
@@ -83,6 +83,50 @@ def test_frame_at_sphere_pole_spans_equator_plane():
     M = sphere(2)
     E = M.frame([0.0, 0.0, 1.0])
     assert all(abs(v[-1]) <= 1e-14 for v in E)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_frame_on_the_sphere_at_poles_equator_and_southern_points(n):
+    M = sphere(n)
+    e = np.eye(n + 1)
+    south = np.arange(1.0, n + 2.0)
+    south[-1] *= -1.0
+    for x in (e[-1], -e[-1], e[0], south / np.linalg.norm(south)):
+        E = M.frame(x)
+        assert E.shape == (n, n + 1)
+        assert np.abs(E @ E.T - np.eye(n)).max() <= 1e-14
+        assert np.abs(E @ x).max() <= 1e-14
+    assert np.array_equal(M.frame(e[-1]), e[:n])
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_frame_far_out_on_hyperbolic_space(n):
+    # entries grow like cosh 10 ~ 1e4 and the inner products cancel terms of
+    # size |E_i| |E_j|, so the errors are measured against those sizes
+    M = hyperbolic(n)
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        x = M.geodesic(M.base_point(), M.random_tangent(M.base_point(), rng), 10.0)
+        E = M.frame(x)
+        size = np.linalg.norm(E, axis=-1)
+        gram = M.inner(E[:, None, :], E[None, :, :])
+        assert np.all(np.abs(gram - np.eye(n)) <= 1e-12 * np.outer(size, size))
+        assert np.all(np.abs(M.inner(E, x)) <= 1e-12 * size * np.linalg.norm(x))
+    assert np.array_equal(M.frame(M.base_point()), np.eye(n, n + 1))
+
+
+@pytest.mark.parametrize("M", [sphere(3), hyperbolic(3)], ids=["S3", "H3"])
+def test_covariant_derivative_fd_batch_with_zero_directions(M):
+    f = ConformalGradientField([0.5, 0.0, 0.0, 1.0], M)
+    pts = M.sample_points(6, 8)
+    X = M.tangent_project(pts, np.random.default_rng(9).standard_normal(pts.shape))
+    X[[1, 4]] = 0.0
+    out = M.covariant_derivative_fd(f, pts, X, 1e-4)
+    assert np.all(out[[1, 4]] == 0.0)
+    for i in (0, 2, 3, 5):
+        want = M.covariant_derivative_fd(f, pts[i], X[i], 1e-4)
+        assert M.norm(want) > 0.0
+        assert np.abs(out[i] - want).max() <= 1e-12 * (1.0 + M.norm(want))
 
 
 def test_sample_points_deterministic_and_valid():

@@ -77,9 +77,17 @@ def test_reduced_pde_examples():
     loop = associate_family_member(math.pi / 4)
     H = loop.space
     good, bad = MetricParams(3.0, -0.5), MetricParams(3.0, -0.55)
+    p, q = good.p, good.q
+    for seed in range(8):
+        # out to x_3 ~ cosh 3 the three terms reach ~3e4 and cancel, so the
+        # residual is bounded relative to their sizes, not absolutely
+        pts = H.sample_points(100, seed)
+        F, dF, zeta = loop.F(pts), loop.lap_F(pts), loop.spinnaker(pts)
+        size = np.abs((p + q + 2 * q * F) * dF) + np.abs(2 * p * (1 + q * F) * zeta)
+        size += np.abs(loop.nu * (1 + 2 * (1 - p) * F))
+        assert np.all(np.abs(reduced_pde_residual(loop, pts, good)) < 1e-12 * size)
     hits = 0
     for x in H.sample_points(100, 4):
-        assert abs(reduced_pde_residual(loop, x, good)) < 1e-10
         hits += abs(reduced_pde_residual(loop, x, bad)) > 1e-3
     assert hits > 90  # generic points see the perturbation
 
