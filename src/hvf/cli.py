@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import polyreduce, solvers
 from .fields import build_field
-from .tension import HARMONIC_TOL, MetricParams, verify
+from .tension import FD_TOL, HARMONIC_TOL, MetricParams, verify
 
 
 def _fmt(v: float) -> str:
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--q", type=float)
     pv.add_argument("--points", type=int, default=200)
     pv.add_argument("--seed", type=int, default=42)
-    pv.add_argument("--tol", type=float, default=HARMONIC_TOL, help="harmonic verdict threshold")
+    pv.add_argument("--tol", type=float, help=f"harmonic verdict threshold (default {HARMONIC_TOL:g}, {FD_TOL:g} with --fd)")
     pv.add_argument("--h-fd", dest="h_fd", type=float, help="finite-difference step override")
     pv.add_argument(
         "--fd", action="store_true", help="take the tension residual from the finite-difference oracle; other checks stay closed-form"

@@ -7,9 +7,10 @@ form, the manifold is cut out by
 
 and a conformal field is harmonic exactly when a certain quartic
 P(alpha, beta, psi) vanishes modulo Q, i.e. P = Q*S for a quadratic S.
-Divisibility is decided grade by grade: since the quadric's top part is a
-nonzerodivisor, the homogeneous pieces of S are unique when they exist, and
-a returned witness is always re-verified via P - Q*S = 0.
+Divisibility is decided by substitution: psi^2 -> 1 - eps*(alpha^2 + beta^2)
+leaves a remainder of degree <= 1 in psi that is zero exactly when Q
+divides P, and the substitutions collect the unique witness S, which is
+always re-verified via P - Q*S = 0.
 
 Coefficients are exact (Fraction, or QuadExt for one square-root extension);
 a numeric double-precision fallback with a zero threshold is available for
@@ -18,7 +19,6 @@ irrational parameter scans and is flagged as approximate in its result.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -143,16 +143,6 @@ class TriPoly:
     def __hash__(self):
         return hash(frozenset((m, c) for m, c in self.terms.items()))
 
-    def evaluate(self, alpha: float, beta: float, psi: float) -> float:
-        vals = (alpha, beta, psi)
-        total = 0.0
-        for (i, j, k), c in self.terms.items():
-            total += float(c) * vals[0] ** i * vals[1] ** j * vals[2] ** k
-        return total
-
-    def map_coefficients(self, fn) -> "TriPoly":
-        return TriPoly({m: fn(c) for m, c in self.terms.items()})
-
     # -- canonical text form ---------------------------------------------------
 
     def __str__(self):
@@ -267,108 +257,33 @@ class ReductionResult:
         return self.divisible
 
 
-def _monomials(deg: int) -> list[Monomial]:
-    return [
-        (i, j, deg - i - j)
-        for i, j in itertools.product(range(deg + 1), repeat=2)
-        if i + j <= deg
-    ]
-
-
-def _solve_linear(A, b, tol: float | None):
-    """Solve A x = b over the coefficient field; None when inconsistent.
-
-    Exact Gaussian elimination when tol is None (any nonzero pivot works);
-    partial pivoting with |.| < tol as the zero test otherwise.  Free
-    columns (which cannot occur for our injective systems) default to zero.
-    """
-
-    def is_zero(v):
-        return (not v) if tol is None else abs(float(v)) <= tol
-
-    rows = [list(row) + [bv] for row, bv in zip(A, b)]
-    ncols = len(A[0]) if A else 0
-    pivot_of_col: dict[int, int] = {}
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        if tol is None:
-            for i in range(rank, len(rows)):
-                if not is_zero(rows[i][col]):
-                    piv = i
-                    break
-        else:
-            cand = max(range(rank, len(rows)), key=lambda i: abs(float(rows[i][col])), default=None)
-            if cand is not None and not is_zero(rows[cand][col]):
-                piv = cand
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col]
-        rows[rank] = [v / inv for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and not is_zero(rows[i][col]):
-                f = rows[i][col]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[rank])]
-        pivot_of_col[col] = rank
-        rank += 1
-    for row in rows:
-        if all(is_zero(v) for v in row[:-1]) and not is_zero(row[-1]):
-            return None
-    zero = Fraction(0) if tol is None else 0.0
-    x = [zero] * ncols
-    for col, i in pivot_of_col.items():
-        x[col] = rows[i][-1]
-    return x
-
-
-def _divide_homogeneous(H: TriPoly, Q2: TriPoly, deg: int, tol: float | None) -> TriPoly | None:
-    """The unique homogeneous S of the given degree with Q2*S = H, if any."""
-    unknowns = _monomials(deg)
-    eq_mons = _monomials(deg + 2)
-    A = []
-    b = []
-    for em in eq_mons:
-        row = []
-        for um in unknowns:
-            diff = tuple(e - u for e, u in zip(em, um))
-            row.append(Q2.coeff(diff) if min(diff) >= 0 else Fraction(0))
-        A.append(row)
-        b.append(H.coeff(em))
-    x = _solve_linear(A, b, tol)
-    if x is None:
-        return None
-    return TriPoly(dict(zip(unknowns, x)))
-
-
 def vanishes_mod_quadric(P: TriPoly, eps: int, tol: float | None = None) -> ReductionResult:
-    """Decide whether P = Q*S for some quadratic S, grade by grade.
+    """Decide whether P = Q*S for some quadratic S, by division by Q in psi.
 
-    Returns the witness S on success; on failure, the lowest report is the
-    first homogeneous grade (from 4 down to 0) at which no match exists.
-    Pass tol for the double-precision fallback (flagged approximate).
+    From psi^4 down to psi^2, each term c*alpha^i*beta^j*psi^k is rewritten
+    by psi^2 = 1 - eps*(alpha^2 + beta^2) + eps*Q, which adds
+    eps*c*alpha^i*beta^j*psi^(k-2) to the quotient S.  The remainder R has
+    degree <= 1 in psi, and such polynomials are independent mod Q, so P is
+    divisible exactly when R = 0; S is then the unique witness, re-verified
+    via P - Q*S = 0.  Otherwise failing_grade is the total degree of R.
+    Pass tol for the double-precision fallback (flagged approximate): a
+    coefficient counts as zero only when |c| <= tol, so NaN and inf do not.
     """
     if P.degree() > MAX_DEGREE:
         raise ValueError("P must have total degree <= 4")
     Q = quadric(eps)
-    Q2 = Q.homogeneous_part(2)
-    Q0 = Q.coeff((0, 0, 0))
     approx = tol is not None
-
-    S2 = _divide_homogeneous(P.homogeneous_part(4), Q2, 2, tol)
-    if S2 is None:
-        return ReductionResult(False, None, 4, "quartic part is not a multiple of the quadric", approx)
-    S1 = _divide_homogeneous(P.homogeneous_part(3), Q2, 1, tol)
-    if S1 is None:
-        return ReductionResult(False, None, 3, "cubic part is not a multiple of the quadric", approx)
-    S0 = _divide_homogeneous(P.homogeneous_part(2) - Q0 * S2, Q2, 0, tol)
-    if S0 is None:
-        return ReductionResult(False, None, 2, "quadratic grade has no consistent match", approx)
-    S = S2 + S1 + S0
-    if not (P.homogeneous_part(1) - Q0 * S1).is_zero(tol):
-        return ReductionResult(False, None, 1, "linear grade mismatch", approx)
-    if not (P.homogeneous_part(0) - Q0 * S0).is_zero(tol):
-        return ReductionResult(False, None, 0, "constant grade mismatch", approx)
+    R, S = dict(P.terms), {}
+    for k in (4, 3, 2):
+        for i, j, _ in [m for m in R if m[2] == k]:
+            c = R.pop((i, j, k))
+            S[i, j, k - 2] = eps * c  # each quotient monomial arises once
+            for mon, d in (((i, j, k - 2), c), ((i + 2, j, k - 2), -eps * c), ((i, j + 2, k - 2), -eps * c)):
+                R[mon] = R.get(mon, 0) + d
+    S = TriPoly(S)
+    grades = [sum(m) for m, c in R.items() if c and (tol is None or not abs(float(c)) <= tol)]
+    if grades:
+        return ReductionResult(False, None, max(grades), f"remainder of degree {max(grades)} mod the quadric", approx)
     residual = P - Q * S
     if not residual.is_zero(tol):
         return ReductionResult(False, None, 2, "witness failed the exact re-check", approx)

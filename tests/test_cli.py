@@ -135,6 +135,14 @@ def test_scan2d_numeric_mode(capsys):
     assert "1 harmonic hits" in capsys.readouterr().out
 
 
+def test_scan2d_numeric_overflow_is_not_a_hit(capsys):
+    # the quartic's coefficients overflow to inf and NaN, which must not count as zero
+    code = main("scan2d --epsilon -1 --omega 1e200 --rr 1e200 --h 1e200 --p 3 --q=-0.5 --numeric".split())
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "no (grade 4)" in out and "0 harmonic hits" in out
+
+
 def test_verify_fd_override(capsys):
     code = main(
         "verify --family confgrad --n 3 --epsilon 1 --mu 1 --p 4 --q -1 "
@@ -142,6 +150,14 @@ def test_verify_fd_override(capsys):
     )
     assert code == 0
     assert "derivatives=finite-difference" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("q, code", [("-1", 0), ("-0.9", 1)])
+def test_verify_fd_default_tolerance(q, code, capsys):
+    # without --tol, --fd judges against FD_TOL: the oracle's noise here (~1e-7) is above HARMONIC_TOL
+    argv = "verify --family confgrad --n 3 --epsilon 1 --mu 1 --p 4 --fd --q".split()
+    assert main(argv + [q]) == code
+    assert f"harmonic={code == 0}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

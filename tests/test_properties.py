@@ -1,10 +1,11 @@
-"""Property-based tests: input handling that fails only with ValueError, seed-independent verdicts,
-and the algebra of QuadExt and TriPoly."""
+"""Property-based tests: input handling that fails only with ValueError, seed-independent and
+isometry-invariant verdicts, the algebra of QuadExt and TriPoly, and reduction modulo the quadric."""
 
 import argparse
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from hvf.cli import _FAMILY_KEYS, _collect_spec
 from hvf.exactnum import QuadExt
 from hvf.fields import build_field
-from hvf.polyreduce import TriPoly
+from hvf.polyreduce import TriPoly, quadric, vanishes_mod_quadric
 from hvf.solvers import harmonic_catalogue
 from hvf.tension import MetricParams, verify
 
@@ -76,6 +77,19 @@ def test_catalogue_verdicts_do_not_depend_on_the_seed(seed):
         # constant-length (Hopf) fields are (2, q)-harmonic for every q
         shifted = MetricParams(entry.mp.p, entry.mp.q + 0.05)
         assert verify(entry.field, shifted, seed=seed).harmonic is entry.constant_length, entry.label
+
+
+@settings(max_examples=6, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_catalogue_verdicts_are_invariant_under_isometries(seed):
+    rng = np.random.default_rng(seed)
+    for entry in CATALOGUE:
+        moved = entry.field.transform(entry.field.space.random_isometry(rng))
+        # constant-length (Hopf) fields are (2, q)-harmonic for every q, so only their own q is checked
+        shifts = (0.0,) if entry.constant_length else (0.0, 0.05)
+        for mp in (MetricParams(entry.mp.p, entry.mp.q + dq) for dq in shifts):
+            want = verify(entry.field, mp, count=50).harmonic
+            assert verify(moved, mp, count=50).harmonic is want, (entry.label, mp)
 
 
 RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=40)
@@ -145,3 +159,36 @@ def test_tripoly_multiplicative_laws(p, q, r, s):
     assert (p * q) * r == p * (q * r) and p * q == q * p
     assert r * (s + q) == r * s + r * q and (s + q) * r == s * r + q * r
     assert r * TriPoly.constant(Fraction(1)) == r
+
+
+# multiples of 1/4: every sum and product below is exact in float as well
+DYADIC = st.integers(-8, 8).map(lambda k: Fraction(k, 4))
+
+
+@st.composite
+def _quotient_and_remainder(draw):
+    """S of degree <= 2, and R of psi-degree <= 1: zero, or a nonzero term of a drawn grade plus lower terms."""
+    quotients = [m for m in itertools.product(range(3), repeat=3) if sum(m) <= 2]
+    S = TriPoly(draw(st.dictionaries(st.sampled_from(quotients), DYADIC, max_size=6)))
+    grade = draw(st.none() | st.integers(0, 4))
+    if grade is None:
+        return S, TriPoly.zero()
+    mons = [(i, j, k) for i, j, k in itertools.product(range(5), range(5), range(2)) if i + j + k <= grade]
+    below = [m for m in mons if sum(m) < grade]
+    terms = draw(st.dictionaries(st.sampled_from(below), DYADIC, max_size=4)) if below else {}
+    terms[draw(st.sampled_from([m for m in mons if sum(m) == grade]))] = draw(DYADIC.filter(bool))
+    return S, TriPoly(terms)
+
+
+@SETTINGS
+@given(case=_quotient_and_remainder(), eps=st.sampled_from((1, -1)))
+def test_reduction_finds_the_quotient_and_the_remainder_grade(case, eps):
+    S, R = case
+    P = quadric(eps) * S + R
+    for tol, poly in ((None, P), (1e-10, TriPoly({m: float(c) for m, c in P.terms.items()}))):
+        res = vanishes_mod_quadric(poly, eps, tol)
+        assert res.divisible is R.is_zero() and res.approximate is (tol is not None)
+        if res.divisible:
+            assert res.witness == S and res.failing_grade is None
+        else:
+            assert res.witness is None and res.failing_grade == R.degree()
