@@ -19,7 +19,6 @@ from .fields import (
     QuadraticGradientField,
     associate_family_member,
     build_field,
-    circle_action,
     elementary_killing,
     hyperbolic_translation,
     killing_from_twists,

@@ -312,7 +312,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ValueError, ArithmeticError, OSError, KeyError) as exc:
+    except Exception as exc:  # every failure of a subcommand is an input error, never a verdict
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

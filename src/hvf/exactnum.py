@@ -202,11 +202,6 @@ class QuadExt:
     def is_rational(self) -> bool:
         return self.d == 0
 
-    def as_fraction(self) -> Fraction:
-        if self.d != 0:
-            raise ValueError(f"{self} is irrational")
-        return self.a
-
     # -- rendering --------------------------------------------------------
 
     def __repr__(self):

@@ -23,8 +23,8 @@ costs O(N m) memory.
 
 The six classified families are subclasses.  Each one only builds its
 (L, c), validates its own parameters and keeps its metadata: params(),
-twists and kind, the circle action on the hyperbolic plane, and the
-spinnaker zeta of a preharmonic field (nabla_{grad F} sigma = zeta sigma).
+twists and kind, and the spinnaker zeta of a preharmonic field
+(nabla_{grad F} sigma = zeta sigma).
 
 * conformal gradient fields  sigma = grad <a, .>  with pole a;
 * Killing fields  sigma(x) = A(x)  for a skew operator A, including the
@@ -39,8 +39,10 @@ spinnaker zeta of a preharmonic field (nabla_{grad F} sigma = zeta sigma).
 
 scale_field and transform keep the family and its parameters and replace
 (L, c) by (k L, k c) and (g L g^-1, g c).  Each spinnaker is written in
-terms of the field's own (L, c), so it follows both.  Fields are immutable
-after construction.
+terms of the field's own (L, c), so it follows both.  On the hyperbolic
+plane the circle action cos(t) sigma + sin(t) J sigma is a third linear map
+of (L, c), defined once for every conformal field (eta-skew L); its result
+is a Conformal2DField.  Fields are immutable after construction.
 """
 
 from __future__ import annotations
@@ -80,6 +82,11 @@ def _block_rotation(twists, space: SpaceForm) -> np.ndarray:
         A[2 * i + 1, 2 * i] = w
         A[2 * i, 2 * i + 1] = -w
     return A
+
+
+def _axial(A) -> np.ndarray:
+    """The axial vector m of an antisymmetric 3x3 matrix A: A v = m x v."""
+    return np.array([A[2, 1], A[0, 2], A[1, 0]])
 
 
 class AffineField:
@@ -231,6 +238,23 @@ class AffineField:
         moved = {name: getattr(self, name) @ g.T for name in self._vectors}
         moved.update({name: g @ getattr(self, name) @ g_inv for name in self._operators})
         return self._with(g @ self.L @ g_inv, g @ self.c, **moved)
+
+    def circle_action(self, t: float) -> "Conformal2DField":
+        """e^{it}.sigma = cos(t) sigma + sin(t) J sigma on the hyperbolic plane.
+
+        For eta-skew L, J sigma(x) = eta (x cross (L x + c)) is the conformal
+        field with (L, c) -> (-eta [c]_x, -eps m): [c]_x is the cross-product
+        matrix of c and m the axial vector of the antisymmetric eta L.
+        """
+        space, L, c = self.space, self.L, self.c
+        if space.n != 2 or space.eps != -1:
+            raise ValueError("circle action is defined on the hyperbolic plane")
+        if not space.sig.is_skew(L):
+            raise ValueError("circle action needs a conformal field: L must be eta-skew")
+        cx = np.array([[0.0, -c[2], c[1]], [c[2], 0.0, -c[0]], [-c[1], c[0], 0.0]])
+        JL, Jc = -self._eta[:, None] * cx, -self._eps * _axial(self._eta[:, None] * L)
+        cos, sin = math.cos(t), math.sin(t)
+        return Conformal2DField.from_operator(space, cos * L + sin * JL, cos * c + sin * Jc)
 
     def params(self) -> dict:
         out = self._params()
@@ -498,25 +522,6 @@ class LoxodromicField(AffineField):
         mu = self.space.inner(self.c, self.c)
         return self._eps * (mu - self.sigma_sq(x)) - 0.5 * float(np.sum(self.L * self.L.T))
 
-    def circle_action(self, t: float) -> "LoxodromicField":
-        """Associate-family member cos(t) sigma + sin(t) J sigma on H^2."""
-        if self.space.n != 2 or self.space.eps != -1:
-            raise ValueError("circle action implemented on the hyperbolic plane")
-        a, b = self.pairs[0]
-        w = np.cross(a, b)
-        w[-1] = -w[-1]  # Lorentz dual of the rotation plane
-        w = self.space.normalize_point(w if w[-1] > 0 else -w)
-        orient = 1.0 if np.linalg.det(np.column_stack([a, b, w])) > 0 else -1.0
-        h = -self.space.inner(self.c, w)  # c = h * w
-        om = self.space.inner(self.L @ a, b)  # L a = omega b
-        om2 = math.cos(t) * om - math.sin(t) * orient * h
-        h2 = math.cos(t) * h + math.sin(t) * orient * om
-        if abs(om2) < 1e-12 or abs(h2) < 1e-12:
-            raise ValueError("degenerate associate-family member (pure rotation/gradient)")
-        if om2 < 0:
-            b, om2 = -b, -om2
-        return LoxodromicField([(a, b)], [om2], h2 * w, self.space)
-
     def _params(self):
         return {
             "pairs": self.pairs.tolist(),
@@ -660,40 +665,27 @@ class Conformal2DField(AffineField):
 
     def spinnaker(self, x):
         x = as_vector(x)
-        M = self._eta[:, None] * self.L  # antisymmetric: M v = m x v
-        twist = (self._eta * x) @ np.array([M[2, 1], M[0, 2], M[1, 0]])
+        twist = (self._eta * x) @ _axial(self._eta[:, None] * self.L)
         gamma = self.space.inner(self.c, x)
         return twist * twist + gamma * gamma
 
-    def components(self) -> np.ndarray:
-        """Coefficients (k_R, k_a, k_b, c_a, c_b, c_w) of (L, c) in the frame (a, b, w).
-
-        L = k_R R + k_a T_a + k_b T_b with the pair operators R of (a, b) and
-        T_u of (u, w); c = c_a a + c_b b + c_w w.
-        """
-        ip, eps, L, c = self.space.inner, self._eps, self.L, self.c
-        a, b, w = self.a, self.b, self.w
-        return np.array(
-            [ip(L @ a, b), eps * ip(L @ a, w), eps * ip(L @ b, w), ip(c, a), ip(c, b), eps * ip(c, w)]
-        )
-
     @classmethod
-    def from_components(cls, space, w, a, b, comps) -> "Conformal2DField":
-        """Canonicalize (rotate the frame, fix signs) and build the field."""
-        k_R, k_a, k_b, c_a, c_b, c_w = (float(v) for v in comps)
-        tau = math.hypot(k_a, k_b)
-        if tau > 1e-12:
-            phi = math.atan2(k_b, k_a)
-            a, b = (
-                math.cos(phi) * a + math.sin(phi) * b,
-                -math.sin(phi) * a + math.cos(phi) * b,
-            )
-            c_a, c_b = (
-                math.cos(phi) * c_a + math.sin(phi) * c_b,
-                -math.sin(phi) * c_a + math.cos(phi) * c_b,
-            )
-        else:
-            tau = 0.0
+    def from_operator(cls, space: SpaceForm, L, c) -> "Conformal2DField":
+        """The field P_x(L x + c) for an eta-skew L, in canonical form.
+
+        Reads L = k_R R + k_a T_a + k_b T_b and c = c_a a + c_b b + c_w w in the
+        standard frame (a, b, w) = (e_1, e_2, base point), where R is the pair
+        operator of (a, b) and T_u that of (u, w); then turns the frame so that
+        k_b = 0 and flips b so that k_R >= 0.
+        """
+        k_R, k_a, k_b = float(L[1, 0]), float(L[2, 0]), float(L[2, 1])
+        c_a, c_b, c_w = (float(v) for v in c)
+        tau, phi = math.hypot(k_a, k_b), math.atan2(k_b, k_a)
+        if tau <= 1e-12:
+            tau, phi = 0.0, 0.0
+        cos, sin = math.cos(phi), math.sin(phi)
+        a, b = np.array([cos, sin, 0.0]), np.array([-sin, cos, 0.0])
+        c_a, c_b = cos * c_a + sin * c_b, cos * c_b - sin * c_a
         if k_R < 0:
             b, k_R, c_b = -b, -k_R, -c_b
         rr = math.hypot(c_a, c_b)
@@ -701,20 +693,7 @@ class Conformal2DField(AffineField):
             s, t = c_a / rr, c_b / rr
         else:
             rr, s, t = 0.0, 0.0, 1.0
-        return cls(space, k_R, tau, rr, s, t, c_w, w=w, a=a, b=b)
-
-    def circle_action(self, t: float) -> "Conformal2DField":
-        """Associate-family member cos(t) sigma + sin(t) J sigma (H^2 only)."""
-        if self.space.eps != -1:
-            raise ValueError("circle action implemented on the hyperbolic plane")
-        eps = self.space.eps
-        orient = 1.0 if np.linalg.det(np.column_stack([self.a, self.b, self.w])) > 0 else -1.0
-        k_R, k_a, k_b, c_a, c_b, c_w = self.components()
-        j = orient * np.array(
-            [-c_w, eps * c_b, -eps * c_a, eps * k_b, -eps * k_a, k_R]
-        )
-        comps = math.cos(t) * self.components() + math.sin(t) * j
-        return Conformal2DField.from_components(self.space, self.w, self.a, self.b, comps)
+        return cls(space, k_R, tau, rr, s, t, c_w, a=a, b=b)
 
     def _params(self):
         return {
@@ -794,18 +773,8 @@ def quadratic_two_eigenvalue(r: int, lam: float, space: SpaceForm) -> QuadraticG
 
 
 # ---------------------------------------------------------------------------
-# circle action and declarative construction
+# declarative construction
 # ---------------------------------------------------------------------------
-
-
-def circle_action(field: AffineField, t: float) -> AffineField:
-    """e^{it}.sigma = cos(t) sigma + sin(t) J sigma on the hyperbolic plane."""
-    if field.space.n != 2:
-        raise ValueError("circle action requires n = 2")
-    action = getattr(field, "circle_action", None)
-    if action is None:
-        raise ValueError(f"family {field.family!r} has no circle action")
-    return action(t)
 
 
 def build_field(doc: dict) -> AffineField:

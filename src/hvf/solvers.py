@@ -21,11 +21,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import fields as fld
 from .exactnum import QuadExt, solve_quadratic
-from .spaceform import SpaceForm, hyperbolic, sphere
 from .tension import MetricParams
 
 
@@ -46,23 +43,6 @@ class Classification:
     metrically_unique: bool = False
     q_free: bool = False  # constant-length Hopf fields: p = 2, every q works
     exact: dict[str, QuadExt] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "epsilon": self.epsilon,
-            "exists": self.exists,
-            "reason": self.reason,
-            "r": self.r,
-            "mu": self.mu,
-            "omega0_sq": self.omega0_sq,
-            "lambda0_sq": self.lambda0_sq,
-            "metric_params": [[mp.p, mp.q] for mp in self.metric_params],
-            "metrically_unique": self.metrically_unique,
-            "q_free": self.q_free,
-            "exact": {k: str(v) for k, v in self.exact.items()},
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -394,22 +374,18 @@ def build_classified_field(cl: Classification, t: float = math.pi / 4) -> fld.Af
     """
     if not cl.exists:
         raise ValueError(f"no field exists: {cl.reason}")
-    if cl.family == "confgrad":
-        space = SpaceForm(cl.n, fld.Signature(cl.epsilon))
-        a = np.zeros(space.ambient_dim)
-        if cl.mu > 0:
-            a[0] = math.sqrt(cl.mu)
-        else:
-            a[-1] = math.sqrt(-cl.mu)
-        return fld.ConformalGradientField(a, space)
-    if cl.family in ("killing", "hopf"):
-        space = SpaceForm(cl.n, fld.Signature(cl.epsilon))
-        return fld.GeneralizedHopfField(cl.r, math.sqrt(cl.omega0_sq), space)
-    if cl.family == "quadratic":
-        return fld.quadratic_two_eigenvalue(cl.r, math.sqrt(cl.lambda0_sq), sphere(cl.n))
     if cl.family == "loxodromic":
         return fld.associate_family_member(t)
-    raise ValueError(f"cannot build family {cl.family!r}")
+    doc = {"family": cl.family, "n": cl.n, "epsilon": cl.epsilon}
+    if cl.family == "confgrad":
+        doc["mu"] = cl.mu
+    elif cl.family in ("killing", "hopf"):
+        doc.update(r=cl.r, omega=math.sqrt(cl.omega0_sq))
+    elif cl.family == "quadratic":
+        doc.update(r=cl.r, lam=math.sqrt(cl.lambda0_sq))
+    else:
+        raise ValueError(f"cannot build family {cl.family!r}")
+    return fld.build_field(doc)
 
 
 @dataclass

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fields import AffineField, circle_action
+from .fields import AffineField
 from .spaceform import DEFAULT_H_FIRST, DEFAULT_H_SECOND
 
 HARMONIC_TOL = 1e-7  # closed forms: catalogue residuals stay below ~1e-13
@@ -326,9 +326,14 @@ def isometry_equivariance_check(field: AffineField, g, mp: MetricParams, samples
 
 
 def circle_equivariance_check(field: AffineField, t: float, mp: MetricParams, samples) -> float:
-    """max over samples of |e^{it}.tau(sigma)(x) - tau(e^{it}.sigma)(x)| / scale."""
+    """max over samples of |e^{it}.tau(sigma)(x) - tau(e^{it}.sigma)(x)| / scale.
+
+    The two sides are independent derivations: on the left the tension is
+    turned pointwise by SpaceForm.complex_rotation, on the right the field is
+    turned first by AffineField.circle_action, the linear map on (L, c).
+    """
     M = field.space
     v, scale = _assemble(ingredients(field, samples), mp.p, mp.q, M)
     lhs = np.cos(t) * v + np.sin(t) * M.complex_rotation(samples, v)
-    rhs = tension(circle_action(field, t), samples, mp)
+    rhs = tension(field.circle_action(t), samples, mp)
     return float((M.norm(lhs - rhs) / scale).max())

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from hvf.cli import main
+from hvf.spaceform import SpaceForm
 
 
 def test_verify_confirmed(capsys):
@@ -22,6 +23,21 @@ def test_verify_refuted(capsys):
     )
     assert code == 1
     assert "harmonic=False" in capsys.readouterr().out
+
+
+def test_verify_unexpected_error_exits_2(monkeypatch, capsys):
+    # a batch too large to allocate raises MemoryError, which is not a refutation
+    def no_memory(self, count, seed):
+        raise MemoryError(f"Unable to allocate an array for {count} points")
+
+    monkeypatch.setattr(SpaceForm, "sample_points", no_memory)
+    code = main(
+        "verify --family confgrad --n 3 --epsilon 1 --mu 1 --p 4 --q -1 --points 100000000000".split()
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == ["error: Unable to allocate an array for 100000000000 points"]
+    assert "Traceback" not in err
 
 
 def test_verify_parse_errors(capsys):
@@ -81,7 +97,7 @@ def test_table_values_and_csv(tmp_path, capsys):
     assert main(["table", "--csv", str(path1)]) == 0
     assert main(["table", "--csv", str(path2)]) == 0
     assert path1.read_bytes() == path2.read_bytes()
-    rows = list(csv.DictReader(path1.open()))
+    rows = list(csv.DictReader(path1.read_text().splitlines()))
     assert [row["n"] for row in rows] == ["5", "7", "9"]
     got = {int(r["n"]): (float(r["q"]), float(r["lambda0_sq_over_4"])) for r in rows}
     assert got[5][0] == pytest.approx(1 / math.sqrt(3) - 1, abs=1e-9)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hvf.fields import (
+    AffineField,
     Conformal2DField,
     ConformalGradientField,
     DipoleDeformationField,
@@ -13,7 +14,6 @@ from hvf.fields import (
     QuadraticGradientField,
     associate_family_member,
     build_field,
-    circle_action,
     elementary_killing,
     hyperbolic_translation,
     killing_from_twists,
@@ -21,6 +21,7 @@ from hvf.fields import (
     scale_field,
 )
 from hvf.spaceform import hyperbolic, sphere
+from hvf.tension import MetricParams, verify
 
 TANGENT_TOL = 1e-10
 
@@ -463,7 +464,67 @@ def test_circle_action_spherical_rejected():
     with pytest.raises(ValueError):
         f.circle_action(0.3)
     with pytest.raises(ValueError):
-        circle_action(ConformalGradientField([1.0, 0, 0, 0], sphere(3)), 0.3)
+        ConformalGradientField([1.0, 0, 0, 0], sphere(3)).circle_action(0.3)
+
+
+def _planar_conformal_fields():
+    """sigma_0, sigma_1, a dipole, a loop member and a field with tau != 0 on H^2,
+    each as built and moved by a random isometry."""
+    M = hyperbolic(2)
+    e = np.eye(3)
+    built = [
+        GeneralizedHopfField(1, 1.0, M),  # sigma_0
+        ConformalGradientField(e[2], M),  # sigma_1
+        DipoleDeformationField(e[2], e[0], 0.7, 1.3, M),
+        associate_family_member(0.6),
+        Conformal2DField(M, 0.8, 0.3, 0.5, 0.6, 0.8, 1.1),
+    ]
+    rng = np.random.default_rng(31)
+    return built + [f.transform(M.random_isometry(rng)) for f in built]
+
+
+@pytest.mark.parametrize("index", range(10))
+def test_circle_action_of_every_conformal_field(index):
+    # one linear map on (L, c) for every family: pointwise it is the complex
+    # rotation, and it is a group action
+    f = _planar_conformal_fields()[index]
+    M = f.space
+    pts = M.sample_points(20, 32)
+    s = f.sigma(pts)
+    size = max(1.0, np.abs(s).max())
+    op_size = max(1.0, np.abs(f.L).max(), np.abs(f.c).max())
+    for t in (0.4, 1.9, -2.7):
+        g = f.circle_action(t)
+        want = math.cos(t) * s + math.sin(t) * M.complex_rotation(pts, s)
+        assert np.abs(g.sigma(pts) - want).max() <= 1e-11 * size
+        for b in (0.8, -1.3):
+            gb, direct = g.circle_action(b), f.circle_action(t + b)
+            assert np.abs(gb.L - direct.L).max() <= 1e-12 * op_size
+            assert np.abs(gb.c - direct.c).max() <= 1e-12 * op_size
+
+
+def test_circle_action_turns_sigma_1_into_the_loop():
+    M = hyperbolic(2)
+    sigma_1 = ConformalGradientField([0.0, 0.0, 1.0], M)
+    for s in (math.pi / 6, math.pi / 4, math.pi / 3):
+        g, member = sigma_1.circle_action(-s), associate_family_member(s)
+        assert np.allclose(g.L, member.L, rtol=0, atol=1e-15)
+        assert np.allclose(g.c, member.c, rtol=0, atol=1e-15)
+
+
+def test_circle_orbits_of_sigma_0_and_sigma_1_are_harmonic():
+    M = hyperbolic(2)
+    for f in (GeneralizedHopfField(1, 1.0, M), ConformalGradientField([0.0, 0.0, 1.0], M)):
+        for t in np.linspace(0.0, 2 * math.pi, 9, endpoint=False):
+            g = f.circle_action(t)
+            assert verify(g, MetricParams(3.0, -0.5), count=40, seed=33).harmonic
+            assert not verify(g, MetricParams(3.0, -0.45), count=40, seed=33).harmonic
+
+
+def test_circle_action_needs_a_conformal_field():
+    f = AffineField(np.diag([1.0, 2.0, 3.0]), np.zeros(3), hyperbolic(2))
+    with pytest.raises(ValueError):
+        f.circle_action(0.3)
 
 
 # ---------------------------------------------------------------------------
