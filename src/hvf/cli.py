@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--exact", dest="exact", action="store_true", default=True,
                     help="exact rational coefficients (the default)")
     pc.add_argument("--numeric", dest="exact", action="store_false",
-                    help="double precision with a 1e-10 zero threshold")
+                    help="double precision; a coefficient below 1e-10 times the largest counts as zero")
     pc.add_argument("--json", help="write results as JSON")
     pc.set_defaults(fn=cmd_scan2d)
     return parser

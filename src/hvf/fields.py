@@ -19,7 +19,8 @@ Every closed form, spinnaker and coordinate function takes one point of
 shape (m,) or a batch of shape (N, m), m = n+1, and keeps the leading
 axes: vectors come back as (m,) or (N, m), scalars as a number or (N,).
 The scalars |nabla sigma|^2 and Delta F are per-point traces, so a batch
-costs O(N m) memory.
+costs O(N m) memory.  grad_F, nabla, nabla_norm_sq, nabla_gradF_sigma and lap_F
+also take the Jet they all start from, so several of them share its one evaluation.
 
 The six classified families are subclasses.  Each one only builds its
 (L, c), validates its own parameters and keeps its metadata: params(),
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import copy
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -89,6 +91,10 @@ def _axial(A) -> np.ndarray:
     return np.array([A[2, 1], A[0, 2], A[1, 0]])
 
 
+# what every closed form of one field starts from at x: L x, L† x, alpha = <L x + c, x>, sigma(x)
+Jet = namedtuple("Jet", "x Lx Ldx alpha sigma")
+
+
 class AffineField:
     """sigma(x) = P_x(L x + c) on S^n or H^n, for any finite L and c."""
 
@@ -123,12 +129,19 @@ class AffineField:
     # -- closed forms, broadcasting over leading axes -----------------------
 
     def _parts(self, x):
-        """(x, L x, alpha, sigma(x)) with alpha = <L x + c, x>."""
+        """(x, L x, alpha, sigma(x)) with alpha = <L x + c, x>: all that sigma alone needs."""
         x = as_vector(x)
         Lx = x @ self.L.T
         u = Lx + self.c
         alpha = self.space.inner(u, x)
         return x, Lx, alpha, u - (self._eps * alpha)[..., None] * x
+
+    def jet(self, x) -> Jet:
+        """The Jet at a point or batch x; a Jet is returned as it is."""
+        if isinstance(x, Jet):
+            return x
+        x, Lx, alpha, s = self._parts(x)
+        return Jet(x, Lx, x @ self._Ldag.T, alpha, s)
 
     def sigma(self, x) -> np.ndarray:
         return self._parts(x)[3]
@@ -141,9 +154,8 @@ class AffineField:
         return 0.5 * self.sigma_sq(x)
 
     def nabla(self, x, X) -> np.ndarray:
-        x, _, alpha, _ = self._parts(x)
-        X = as_vector(X)
-        return self.space.tangent_project(x, X @ self.L.T) - (self._eps * alpha)[..., None] * X
+        j, X = self.jet(x), as_vector(X)
+        return self.space.tangent_project(j.x, X @ self.L.T) - (self._eps * j.alpha)[..., None] * X
 
     def nabla_matrix(self, x) -> np.ndarray:
         """B = (P_x L - eps alpha I) P_x, so B X = nabla_X sigma for tangent X and B x = 0."""
@@ -158,8 +170,7 @@ class AffineField:
         tr(L L†) - eps|Lx|^2 - eps|L†x|^2 + <Lx, x>^2 - 2 eps alpha (tr L - eps <Lx, x>) + n alpha^2.
         """
         eps, ip = self._eps, self.space.inner
-        x, Lx, alpha, _ = self._parts(x)
-        Ldx = x @ self._Ldag.T
+        x, Lx, Ldx, alpha, _ = self.jet(x)
         lxx = ip(Lx, x)
         return (
             self._trLLd - eps * ip(Lx, Lx) - eps * ip(Ldx, Ldx) + lxx * lxx
@@ -167,11 +178,12 @@ class AffineField:
         )
 
     def grad_F(self, x) -> np.ndarray:
-        x, _, alpha, s = self._parts(x)
+        x, _, _, alpha, s = self.jet(x)
         return self.space.tangent_project(x, s @ self._Ldag.T) - (self._eps * alpha)[..., None] * s
 
     def nabla_gradF_sigma(self, x) -> np.ndarray:
-        return self.nabla(x, self.grad_F(x))
+        j = self.jet(x)
+        return self.nabla(j, self.grad_F(j))
 
     def lap_F(self, x):
         """Delta F = -div grad F = -(tr J - eps <J x, x>) for the ambient Jacobian J.
@@ -184,8 +196,7 @@ class AffineField:
         of the rough Laplacian, so the Weitzenboeck identity stays a check.
         """
         eps, ip, m = self._eps, self.space.inner, len(self.c)
-        x, Lx, alpha, s = self._parts(x)
-        Ldx = x @ self._Ldag.T
+        x, Lx, Ldx, alpha, s = self.jet(x)
         w = Ldx + Lx + self.c  # d alpha = <w, .>
         dax = ip(w, x)
         Sx = Lx - (eps * (dax + alpha))[..., None] * x

@@ -13,12 +13,14 @@ divides P, and the substitutions collect the unique witness S, which is
 always re-verified via P - Q*S = 0.
 
 Coefficients are exact (Fraction, or QuadExt for one square-root extension);
-a numeric double-precision fallback with a zero threshold is available for
-irrational parameter scans and is flagged as approximate in its result.
+a numeric double-precision fallback with a zero threshold relative to the
+largest coefficient is available for irrational parameter scans and is
+flagged as approximate in its result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -267,12 +269,16 @@ def vanishes_mod_quadric(P: TriPoly, eps: int, tol: float | None = None) -> Redu
     divisible exactly when R = 0; S is then the unique witness, re-verified
     via P - Q*S = 0.  Otherwise failing_grade is the total degree of R.
     Pass tol for the double-precision fallback (flagged approximate): a
-    coefficient counts as zero only when |c| <= tol, so NaN and inf do not.
+    coefficient counts as zero only when |c| <= tol * max(1, |c'|) for the
+    largest finite coefficient c' of P, so NaN and inf never do, and the
+    verdict does not depend on the scale of P or on the order of its terms.
     """
     if P.degree() > MAX_DEGREE:
         raise ValueError("P must have total degree <= 4")
     Q = quadric(eps)
     approx = tol is not None
+    if approx:
+        tol *= max([1.0] + [a for a in (abs(float(c)) for c in P.terms.values()) if a < math.inf])
     R, S = dict(P.terms), {}
     for k in (4, 3, 2):
         for i, j, _ in [m for m in R if m[2] == k]:

@@ -15,8 +15,8 @@ analyses.
 Points are arrays whose last axis has length m = n+1: inner, norm,
 tangent_project, normalize_point and complex_rotation accept one point of
 shape (m,) or a batch of shape (N, m) and keep the leading axes, and
-sample_points returns one (N, m) array.  frame returns (..., n, m) from a
-closed formula, and the finite-difference oracles take a point or a batch
+sample_points draws one (N, m) array, never point by point.  frame returns (..., n, m)
+from a closed formula, and the finite-difference oracles take a point or a batch
 too: each evaluates the field on the stencils of all points in one call.
 """
 
@@ -175,9 +175,10 @@ class SpaceForm:
 
         Hyperbolic points are geodesic(base, random unit tangent, t) with t
         uniform on [0, 3], keeping cosh well conditioned while exercising
-        the unbounded growth of the fields.  Each point draws n+1 normals
-        (then, on H^n, one uniform) from the seeded stream, so a smaller
-        count gives a prefix of a larger one.
+        the unbounded growth of the fields.  The directions come from one
+        (count, n+1) block of normals of the stream seeded by seed, the radii
+        from a second stream seeded by [seed, 1], so each stream is read in
+        point order and a smaller count gives a prefix of a larger one.
         """
         if count < 1:
             raise ValueError("count must be >= 1")
@@ -190,13 +191,10 @@ class SpaceForm:
                 s = self.sig.norm_sq(g)
                 pts = np.concatenate([pts, g[s > 1e-12] / np.sqrt(s[s > 1e-12])[:, None]])
             return pts
-        # normals and uniforms alternate in the stream, so they are drawn point by point;
-        # 3 * random() is the draw of uniform(0, 3), with less call overhead
-        draws = [(rng.standard_normal(m), 3.0 * rng.random()) for _ in range(count)]
         base = self.base_point()
-        u = self.tangent_project(base, np.array([g for g, _ in draws]))
+        u = self.tangent_project(base, rng.standard_normal((count, m)))
         u /= self.norm(u)[:, None]
-        t = np.array([t for _, t in draws])[:, None]
+        t = 3.0 * np.random.default_rng([seed, 1]).random(count)[:, None]
         return self.normalize_point(np.cosh(t) * base + np.sinh(t) * u)
 
     # -- isometries ----------------------------------------------------------

@@ -19,14 +19,17 @@ is available as an independent residual.
 There is one evaluation path.  ingredients() evaluates the closed forms or
 the finite-difference oracle at once on a point of shape (m,) or a batch of
 shape (N, m), m = n+1, and every tension, residual, check and grid scan is
-assembled from those arrays; results keep the leading axes.
+assembled from those arrays; results keep the leading axes.  The closed forms
+share one Jet of the field per call, and a report keeps its per-point values
+as arrays until it is serialised.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+import os
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,6 +40,9 @@ HARMONIC_TOL = 1e-7  # closed forms: catalogue residuals stay below ~1e-13
 FD_TOL = 1e-5  # FD oracle: catalogue residuals reach ~8e-7, q +- 0.05 refutations stay above ~3.7e-3
 ZERO_LENGTH = 1e-6  # samples below this |sigma| are excluded from spinnaker division
 PREHARMONIC_TOL = 1e-8
+# peak working set of verify in (count, n+1) float arrays: 10-13 closed-form, plus 13-14 per
+# dimension n for the FD stencils (tracemalloc over the catalogue at 4000-20000 points)
+LIVE_ARRAYS, FD_LIVE_ARRAYS_PER_DIM = 14, 14
 
 
 @dataclass(frozen=True)
@@ -83,8 +89,8 @@ def ingredients(field: AffineField, x, fd: bool = False, h: float | None = None)
     """
     x = np.asarray(x, dtype=float)
     M = field.space
-    s = field.sigma(x)
     if fd:
+        s = field.sigma(x)
         h1, h2 = (h, h) if h is not None else (DEFAULT_H_FIRST, DEFAULT_H_SECOND)
         E = M.frame(x)
         D = M.covariant_derivative_fd(field, x[..., None, :], E, h1)  # rows nabla_{E_i} sigma
@@ -93,9 +99,10 @@ def ingredients(field: AffineField, x, fd: bool = False, h: float | None = None)
         nsq = M.sig.norm_sq(D).sum(axis=-1)
         rough, lap = M.rough_laplacian_fd(field, x, h2), M.laplacian_fd(field.F, x, h2)
     else:
-        gF = field.grad_F(x)
-        ngs, nsq = field.nabla(x, gF), field.nabla_norm_sq(x)
-        rough, lap = field.rough_laplacian(x), field.lap_F(x)
+        j = field.jet(x)
+        s, gF = j.sigma, field.grad_F(j)
+        ngs, nsq = field.nabla(j, gF), field.nabla_norm_sq(j)
+        rough, lap = field.rough_laplacian(j.x), field.lap_F(j)
     return Ingredients(
         sigma=s,
         sigma_sq=M.sig.norm_sq(s),
@@ -151,10 +158,10 @@ def reduced_pde_residual(field: AffineField, x, mp: MetricParams):
 
 def _preharmonic(ing: Ingredients, zeta, M) -> tuple[bool, float]:
     keep = ing.sigma_sq > ZERO_LENGTH**2
-    ing = ing[keep]
-    zeta = ing.gradF_sq / ing.sigma_sq if zeta is None else zeta[keep]
-    scale = 1.0 + M.norm(ing.nabla_gradF_sigma) + np.abs(zeta) * np.sqrt(ing.sigma_sq)
-    err = M.norm(ing.nabla_gradF_sigma - zeta[..., None] * ing.sigma) / scale
+    s_sq, ngs = ing.sigma_sq[keep], ing.nabla_gradF_sigma[keep]
+    zeta = ing.gradF_sq[keep] / s_sq if zeta is None else zeta[keep]
+    scale = 1.0 + M.norm(ngs) + np.abs(zeta) * np.sqrt(s_sq)
+    err = M.norm(ngs - zeta[..., None] * ing.sigma[keep]) / scale
     worst = float(err.max(initial=0.0))
     return worst < PREHARMONIC_TOL, worst
 
@@ -209,6 +216,7 @@ class TensionReport:
 
     derivative_source names where the tension residual came from; preharmonic,
     weitzenbock_max_err and spinnaker_max_err are closed-form values either way.
+    to_dict turns the samples and their residuals and scales into per_point rows.
     """
 
     family: str
@@ -226,15 +234,33 @@ class TensionReport:
     weitzenbock_max_err: float
     spinnaker_max_err: float | None
     derivative_source: str
-    per_point: list = field(default_factory=list)
+    samples: np.ndarray
+    residuals: np.ndarray
+    scales: np.ndarray
 
     def to_dict(self) -> dict:
         out = dict(vars(self))
+        rows = enumerate(zip(*(out.pop(k).tolist() for k in ("samples", "residuals", "scales"))))
+        out["per_point"] = [{"index": i, "point": x, "residual": r, "scale": sc} for i, (x, r, sc) in rows]
         out["verdicts"] = {k: out.pop(k) for k in ("harmonic", "preharmonic", "q_riemannian")}
         return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+
+
+def _check_fits(count: int, m: int, arrays: int) -> None:
+    """Raise ValueError when `arrays` float arrays of shape (count, m) exceed the physical memory."""
+    try:
+        phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or it does not know these names
+        return
+    need = count * m * 8 * arrays
+    if 0 < phys < need:
+        raise ValueError(
+            f"{count} points need about {need / 2**30:.3g} GiB, more than the "
+            f"{phys / 2**30:.3g} GiB of physical memory"
+        )
 
 
 def verify(
@@ -248,9 +274,11 @@ def verify(
 ) -> TensionReport:
     """Run the full identity/residual suite on `count` seeded sample points.
 
-    With fd=True only the tension residual (max_rel_residual, harmonic,
-    per_point) comes from the FD oracle; every other check uses closed forms.
-    tol defaults to HARMONIC_TOL, or to FD_TOL with fd=True.
+    With fd=True only the tension residual (max_rel_residual, harmonic and
+    the residuals and scales) comes from the FD oracle; every other check
+    uses closed forms.  tol defaults to HARMONIC_TOL, or to FD_TOL with
+    fd=True.  A count whose arrays cannot fit in physical memory is
+    rejected before any point is drawn.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -259,6 +287,7 @@ def verify(
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     M = field.space
+    _check_fits(count, M.ambient_dim, LIVE_ARRAYS + (FD_LIVE_ARRAYS_PER_DIM * M.n if fd else 0))
     samples = M.sample_points(count, seed)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         ing = ingredients(field, samples)
@@ -269,10 +298,6 @@ def verify(
     if not finite.all():
         raise ValueError(f"non-finite tension residual or ingredient at sample {np.argmin(finite)}")
     rel = res / scale
-    per_point = [
-        {"index": i, "point": x, "residual": r, "scale": sc}
-        for i, (x, r, sc) in enumerate(zip(samples.tolist(), res.tolist(), scale.tolist()))
-    ]
     zeta = field.spinnaker(samples)
     sp_err = _spinnaker_error(ing, zeta)
     keep = ing.sigma_sq > ZERO_LENGTH**2
@@ -292,7 +317,9 @@ def verify(
         weitzenbock_max_err=float(_weitzenbock(ing, M).max()),
         spinnaker_max_err=float(sp_err[keep].max()) if sp_err is not None and keep.any() else None,
         derivative_source="finite-difference" if fd else "closed-form",
-        per_point=per_point,
+        samples=samples,
+        residuals=res,
+        scales=scale,
     )
 
 

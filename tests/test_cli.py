@@ -26,18 +26,30 @@ def test_verify_refuted(capsys):
 
 
 def test_verify_unexpected_error_exits_2(monkeypatch, capsys):
-    # a batch too large to allocate raises MemoryError, which is not a refutation
+    # a batch that fits the memory estimate can still fail to allocate when the memory is
+    # in use elsewhere; the MemoryError is not a refutation
     def no_memory(self, count, seed):
         raise MemoryError(f"Unable to allocate an array for {count} points")
 
     monkeypatch.setattr(SpaceForm, "sample_points", no_memory)
-    code = main(
-        "verify --family confgrad --n 3 --epsilon 1 --mu 1 --p 4 --q -1 --points 100000000000".split()
-    )
+    code = main("verify --family confgrad --n 3 --epsilon 1 --mu 1 --p 4 --q -1 --points 1000".split())
     err = capsys.readouterr().err
     assert code == 2
-    assert err.splitlines() == ["error: Unable to allocate an array for 100000000000 points"]
+    assert err.splitlines() == ["error: Unable to allocate an array for 1000 points"]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fd", [[], ["--fd"]], ids=["closed-form", "fd"])
+def test_verify_rejects_impossible_points_before_sampling(monkeypatch, capsys, fd):
+    def never(self, count, seed):
+        raise AssertionError("sample_points must not run for an impossible count")
+
+    monkeypatch.setattr(SpaceForm, "sample_points", never)
+    argv = "verify --family confgrad --n 3 --epsilon 1 --mu 1 --p 4 --q -1 --points 1000000000000000"
+    code = main(argv.split() + fd)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "physical memory" in err
 
 
 def test_verify_parse_errors(capsys):

@@ -7,6 +7,7 @@ from hvf.fields import Conformal2DField
 from hvf.polyreduce import (
     ALPHA,
     BETA,
+    NUMERIC_ZERO_TOL,
     PSI,
     TriPoly,
     build_harmonicity_poly,
@@ -153,6 +154,17 @@ def test_numeric_fallback_agrees():
         build_harmonicity_poly(-1, 0.7, 0, 0, 0, 1, 0.8, 3, -0.5, exact=False), -1, tol=1e-10
     )
     assert not bad.divisible
+
+
+def test_numeric_zero_test_is_relative_to_the_coefficients():
+    # coefficients ~1e300 leave rounding residues ~1e284 that an absolute threshold calls non-zero
+    args = (-1, 1e150, 0.0, 1e150, 0.0, 1.0, 1e-200, 3.0, 1e-300)
+    P = build_harmonicity_poly(*args, exact=False)
+    reversed_P = TriPoly(dict(reversed(list(P.terms.items()))))
+    a, b = (vanishes_mod_quadric(poly, -1, tol=NUMERIC_ZERO_TOL) for poly in (P, reversed_P))
+    assert (a.divisible, a.failing_grade) == (b.divisible, b.failing_grade)
+    exact = vanishes_mod_quadric(build_harmonicity_poly(*args), -1)
+    assert (a.divisible, a.failing_grade) == (exact.divisible, exact.failing_grade) == (False, 3)
 
 
 def test_semantic_agreement_with_numeric_verifier():

@@ -147,6 +147,17 @@ def test_sample_points_symmetry_monte_carlo():
     assert np.abs(pts.mean(axis=0)).max() < 0.02
 
 
+def test_hyperbolic_sample_points_monte_carlo():
+    # geodesic shots from the vertex: radius arccosh(x_m) uniform on [0, 3], direction isotropic
+    pts = hyperbolic(3).sample_points(100_000, 7)
+    t = np.arccosh(pts[:, -1])
+    assert t.min() >= 0.0 and t.max() <= 3.0
+    assert abs(t.mean() - 1.5) < 0.02
+    assert np.abs(np.quantile(t, [0.25, 0.5, 0.75]) - [0.75, 1.5, 2.25]).max() < 0.02
+    u = pts[:, :-1] / np.linalg.norm(pts[:, :-1], axis=1)[:, None]
+    assert np.abs(u.mean(axis=0)).max() < 0.02
+
+
 def test_covariant_derivative_fd_conformal():
     # nabla_X sigma = -eps alpha X for conformal gradients
     rng = np.random.default_rng(3)

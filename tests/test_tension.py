@@ -35,6 +35,7 @@ from hvf.tension import (
     verify,
     weitzenbock_error,
 )
+from test_fields import _batch_fields
 
 
 def test_harmonic_conformal_gradient_s3():
@@ -151,6 +152,40 @@ def test_q_riemannian_check():
     # constant length always passes
     hopf = GeneralizedHopfField(2, 1.0, sphere(3))
     assert q_riemannian_check(hopf, -50.0, hopf.space.sample_points(20, 10))
+
+
+def test_ingredients_equal_the_public_closed_forms():
+    # one jet per batch changed no arithmetic: each array is bit-identical to its public method
+    for f in _batch_fields():
+        M, pts = f.space, f.space.sample_points(30, 12)
+        ing = ingredients(f, pts)
+        gF = f.grad_F(pts)
+        pairs = [
+            (ing.sigma, f.sigma(pts)),
+            (ing.sigma_sq, f.sigma_sq(pts)),
+            (ing.gradF_sq, M.sig.norm_sq(gF)),
+            (ing.nabla_gradF_sigma, f.nabla(pts, gF)),
+            (ing.nabla_gradF_sigma, f.nabla_gradF_sigma(pts)),
+            (ing.nabla_sq, f.nabla_norm_sq(pts)),
+            (ing.lap_F, f.lap_F(pts)),
+            (ing.rough, f.rough_laplacian(pts)),
+        ]
+        for got, want in pairs:
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("fd", [False, True])
+def test_verify_rows_are_built_from_the_arrays(fd):
+    for f, mp in ((GeneralizedHopfField(1, 1.0, hyperbolic(2)), MetricParams(3.0, -0.5)),
+                  (quadratic_two_eigenvalue(3, 1.0, sphere(5)), MetricParams(4.0, -0.4))):
+        rep = verify(f, mp, count=25, seed=4, fd=fd)
+        rows = rep.to_dict()["per_point"]
+        assert [list(row) for row in rows] == [["index", "point", "residual", "scale"]] * 25
+        assert [row["index"] for row in rows] == list(range(25))
+        assert [row["point"] for row in rows] == rep.samples.tolist()
+        assert [row["residual"] for row in rows] == rep.residuals.tolist()
+        assert [row["scale"] for row in rows] == rep.scales.tolist()
+        assert rep.max_rel_residual == float((rep.residuals / rep.scales).max())
 
 
 def test_verify_verdicts_and_report():
