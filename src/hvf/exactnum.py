@@ -17,16 +17,22 @@ from fractions import Fraction
 
 
 def _squarefree_split(d: int) -> tuple[int, int]:
-    """Write d = s**2 * d0 with d0 squarefree; return (s, d0)."""
+    """Write d = s**2 * d0 with d0 squarefree; return (s, d0).
+
+    Trial division only runs to the cube root of the remaining cofactor: what
+    is left then has at most two prime factors, so it is a square or squarefree.
+    """
     if d < 0:
         raise ValueError("radicand must be non-negative")
-    s, d0, f = 1, d, 2
-    while f * f <= d0:
-        while d0 % (f * f) == 0:
-            d0 //= f * f
-            s *= f
-        f += 1
-    return s, d0
+    s, d0, f = 1, 1, 2
+    while f * f * f <= d:
+        k = 0
+        while d % f == 0:
+            d //= f
+            k += 1
+        s, d0, f = s * f ** (k // 2), d0 * f ** (k % 2), f + 1
+    r = math.isqrt(d)
+    return (s * r, d0) if r * r == d else (s, d0 * d)
 
 
 class QuadExt:
@@ -197,7 +203,11 @@ class QuadExt:
         return (self - other).sign() >= 0
 
     def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
+        """a + b*sqrt(d) as a float; opposite-signed terms go through (a^2 - b^2 d) / (a - b*sqrt(d)), which does not cancel."""
+        root = float(self.b) * math.sqrt(self.d)
+        if self.a * self.b < 0:
+            return float(self.a * self.a - self.b * self.b * self.d) / (float(self.a) - root)
+        return float(self.a) + root
 
     def is_rational(self) -> bool:
         return self.d == 0

@@ -400,8 +400,7 @@ class KillingField(AffineField):
             return
         L3 = L2 @ L
         lam = float((L3 * L).sum()) / fro
-        scale = max(1.0, np.linalg.norm(L, 2) ** 3)
-        ok = np.linalg.norm(L3 - lam * L, 2) <= PREHARMONIC_OP_TOL * scale
+        ok = np.linalg.norm(L3 - lam * L, 2) <= PREHARMONIC_OP_TOL * np.linalg.norm(L, 2) ** 3
         self.preharmonic_lambda = lam if ok else None
 
     def _twists_from_squares(self, sq, op_scale) -> tuple[float, ...]:
@@ -569,8 +568,8 @@ class DipoleDeformationField(AffineField):
     A is the conformal gradient with pole a and T the elementary Killing
     field of the pair (a, w), so (L, c) = (tau T, r a); |tau| = |r| (with
     the sign fixed by eps) gives the dipole field with a single zero at w.
-    Preharmonic only in dimension two (or at the conformal/Killing
-    endpoints), with zeta = eps*(r^2 + tau^2 - 2 r tau psi - |sigma|^2),
+    Preharmonic in every dimension, with
+    zeta = eps*(r^2 + tau^2 - 2 r tau psi - |sigma|^2),
     where r^2 = <c, c>, eps tau^2 = -tr(L^2)/2 and r tau psi = <L c, x>.
     """
 
@@ -594,8 +593,6 @@ class DipoleDeformationField(AffineField):
         return self.space.inner(self.w, x)
 
     def spinnaker(self, x):
-        if not (self.space.n == 2 or self.tau == 0.0 or self.r == 0.0):
-            return None
         L, c = self.L, self.c
         twisted = self.space.inner(c, c) - 2.0 * self.space.inner(L @ c, as_vector(x)) - self.sigma_sq(x)
         return self._eps * twisted - 0.5 * float(np.sum(L * L.T))

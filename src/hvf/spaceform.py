@@ -7,17 +7,18 @@ Both spaces are realised as quadrics in R^{n+1}:
 
 The covariant derivative of the induced metric is the Gauss formula
 nabla_X Y = D_X Y + eps <X, Y> x, with x the unit normal.  On top of the
-exact geodesics this module provides central-difference approximations of
-nabla_X sigma and of the rough Laplacian -tr nabla^2 sigma for a field
-sigma, used as an independent oracle against the closed-form field
-analyses.
+exact geodesics this module provides two finite-difference oracles for a
+field sigma, used as an independent check of the closed-form field analyses:
+first central differences give nabla_X sigma, and one second-difference
+stencil gives both the rough Laplacian -tr nabla^2 sigma and Delta F for
+F = |sigma|^2 / 2.  They call nothing of the field but sigma.
 
 Points are arrays whose last axis has length m = n+1: inner, norm,
 tangent_project, normalize_point and complex_rotation accept one point of
 shape (m,) or a batch of shape (N, m) and keep the leading axes, and
 sample_points draws one (N, m) array, never point by point.  frame returns (..., n, m)
 from a closed formula, and the finite-difference oracles take a point or a batch
-too: each evaluates the field on the stencils of all points in one call.
+too: each evaluates sigma at the points once and on the stencils of all points once.
 """
 
 from __future__ import annotations
@@ -249,16 +250,18 @@ class SpaceForm:
         d = nrm[..., None] * (sp - sm) / (2.0 * h) + (self.eps * self.inner(X, s0))[..., None] * x
         return np.where(zero[..., None], 0.0, d)
 
-    def rough_laplacian_fd(self, field, x, h: float = DEFAULT_H_SECOND) -> np.ndarray:
-        """-sum_i nabla^2_{E_i, E_i} sigma by second central differences, at x of shape (..., m).
+    def laplacians_fd(self, field, x, h: float = DEFAULT_H_SECOND) -> tuple[np.ndarray, np.ndarray]:
+        """(-sum_i nabla^2_{E_i, E_i} sigma, Delta F) by second central differences at x of shape (..., m).
 
-        Along a unit-speed geodesic gamma with gamma'(0) = E the velocity
-        field is autoparallel, so the second covariant derivative reduces to
+        One frame and one +-h geodesic stencil serve both.  Along a unit-speed
+        geodesic gamma with gamma'(0) = E the velocity field is autoparallel, so
+        the second covariant derivative of sigma reduces to
 
             s''(0) + 2 eps <E, s'(0)> x + eps <E, sigma(x)> E,
 
         where s(t) = sigma(gamma(t)); the curvature term <gamma'', sigma> x
-        drops out because sigma(x) is tangent.
+        drops out because sigma(x) is tangent.  Delta F = -sum_i f''(0) for
+        f(t) = F(gamma(t)) is taken from the same sigma values, F = |sigma|^2 / 2.
         """
         _check_step(h)
         x = as_vector(x)
@@ -270,15 +273,9 @@ class SpaceForm:
         eps = self.eps
         out = d2 + 2.0 * eps * self.inner(E, d1)[..., None] * x[..., None, :]
         out += eps * self.inner(E, s0)[..., None] * E
-        return self.tangent_project(x, -out.sum(axis=-2))
-
-    def laplacian_fd(self, field_F, x, h: float = DEFAULT_H_SECOND):
-        """Delta f = -tr Hess f by differences at x of shape (..., m); f takes a stack of points."""
-        _check_step(h)
-        x = as_vector(x)
-        E = self.frame(x)
-        fp, fm = field_F(self.geodesic(x[..., None, :], np.array([E, -E]), h))
-        return -((fp - 2.0 * field_F(x)[..., None] + fm) / (h * h)).sum(axis=-1)
+        Fp, F0, Fm = (0.5 * self.sig.norm_sq(v) for v in (sp, s0, sm))
+        lap_F = -((Fp - 2.0 * F0 + Fm) / (h * h)).sum(axis=-1)
+        return self.tangent_project(x, -out.sum(axis=-2)), lap_F
 
 
 def sphere(n: int) -> SpaceForm:

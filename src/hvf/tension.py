@@ -20,8 +20,10 @@ There is one evaluation path.  ingredients() evaluates the closed forms or
 the finite-difference oracle at once on a point of shape (m,) or a batch of
 shape (N, m), m = n+1, and every tension, residual, check and grid scan is
 assembled from those arrays; results keep the leading axes.  The closed forms
-share one Jet of the field per call, and a report keeps its per-point values
-as arrays until it is serialised.
+share one Jet of the field per call.  The oracle calls only sigma: first
+differences along the frame give nabla sigma, and SpaceForm.laplacians_fd
+takes the rough Laplacian and Delta F from one second-difference stencil.
+A report keeps its per-point values as arrays until it is serialised.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .spaceform import DEFAULT_H_FIRST, DEFAULT_H_SECOND
 
 HARMONIC_TOL = 1e-7  # closed forms: catalogue residuals stay below ~1e-13
 FD_TOL = 1e-5  # FD oracle: catalogue residuals reach ~8e-7, q +- 0.05 refutations stay above ~3.7e-3
-ZERO_LENGTH = 1e-6  # samples below this |sigma| are excluded from spinnaker division
+ZERO_LENGTH = 1e-6  # |sigma| below which samples leave spinnaker division (times max |sigma| in _preharmonic)
 PREHARMONIC_TOL = 1e-8
 # peak working set of verify in (count, n+1) float arrays: 10-13 closed-form, plus 13-14 per
 # dimension n for the FD stencils (tracemalloc over the catalogue at 4000-20000 points)
@@ -85,7 +87,8 @@ def ingredients(field: AffineField, x, fd: bool = False, h: float | None = None)
 
     The oracle differences sigma along the frame E at every point at once:
     grad F = sum <nabla_{E_i} sigma, sigma> E_i and, by linearity,
-    nabla_{grad F} sigma = sum <grad F, E_i> nabla_{E_i} sigma.
+    nabla_{grad F} sigma = sum <grad F, E_i> nabla_{E_i} sigma; the rough
+    Laplacian and Delta F come from one call of SpaceForm.laplacians_fd.
     """
     x = np.asarray(x, dtype=float)
     M = field.space
@@ -97,7 +100,7 @@ def ingredients(field: AffineField, x, fd: bool = False, h: float | None = None)
         c = M.inner(D, s[..., None, :])  # E_i F = <grad F, E_i>
         gF, ngs = (c[..., None] * E).sum(axis=-2), (c[..., None] * D).sum(axis=-2)
         nsq = M.sig.norm_sq(D).sum(axis=-1)
-        rough, lap = M.rough_laplacian_fd(field, x, h2), M.laplacian_fd(field.F, x, h2)
+        rough, lap = M.laplacians_fd(field, x, h2)
     else:
         j = field.jet(x)
         s, gF = j.sigma, field.grad_F(j)
@@ -157,10 +160,18 @@ def reduced_pde_residual(field: AffineField, x, mp: MetricParams):
 
 
 def _preharmonic(ing: Ingredients, zeta, M) -> tuple[bool, float]:
-    keep = ing.sigma_sq > ZERO_LENGTH**2
+    """(verdict, max relative error) of nabla_{grad F} sigma = zeta sigma over the samples of ing.
+
+    Both the mask and the scale are homogeneous in sigma: points with
+    |sigma| <= ZERO_LENGTH * max |sigma| are skipped, and each error is divided
+    by |nabla_{grad F} sigma| + |zeta| |sigma| + (max |sigma|)^3, which scale
+    like the error itself, so k sigma gets the verdict of sigma.
+    """
+    top_sq = ing.sigma_sq.max(initial=0.0)
+    keep = ing.sigma_sq > ZERO_LENGTH**2 * top_sq
     s_sq, ngs = ing.sigma_sq[keep], ing.nabla_gradF_sigma[keep]
     zeta = ing.gradF_sq[keep] / s_sq if zeta is None else zeta[keep]
-    scale = 1.0 + M.norm(ngs) + np.abs(zeta) * np.sqrt(s_sq)
+    scale = M.norm(ngs) + np.abs(zeta) * np.sqrt(s_sq) + top_sq ** 1.5
     err = M.norm(ngs - zeta[..., None] * ing.sigma[keep]) / scale
     worst = float(err.max(initial=0.0))
     return worst < PREHARMONIC_TOL, worst
@@ -171,7 +182,8 @@ def preharmonic_check(field: AffineField, samples) -> tuple[bool, float]:
 
     Falls back to zeta = |grad F|^2 / |sigma|^2 (the only candidate) when the
     family does not provide a spinnaker.  Returns (verdict, max relative
-    error); points with |sigma| <= 1e-6 are skipped.
+    error); points with |sigma| <= 1e-6 max |sigma| are skipped, and the
+    verdict does not change when sigma is scaled.
     """
     return _preharmonic(ingredients(field, samples), field.spinnaker(samples), field.space)
 
@@ -276,9 +288,10 @@ def verify(
 
     With fd=True only the tension residual (max_rel_residual, harmonic and
     the residuals and scales) comes from the FD oracle; every other check
-    uses closed forms.  tol defaults to HARMONIC_TOL, or to FD_TOL with
-    fd=True.  A count whose arrays cannot fit in physical memory is
-    rejected before any point is drawn.
+    uses closed forms.  The preharmonic verdict is relative to the sampled
+    size of sigma, so scaling the field does not change it.  tol defaults to
+    HARMONIC_TOL, or to FD_TOL with fd=True.  A count whose arrays cannot
+    fit in physical memory is rejected before any point is drawn.
     """
     if count < 1:
         raise ValueError("count must be >= 1")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hvf.exactnum import QuadExt, solve_quadratic, sqrt_fraction
+from hvf.exactnum import QuadExt, _squarefree_split, solve_quadratic, sqrt_fraction
 
 
 def test_radicand_reduction():
@@ -11,6 +11,21 @@ def test_radicand_reduction():
     assert x.d == 3 and x.b == 8
     assert QuadExt(0, 1, 49) == 7
     assert QuadExt(2, 0, 73).is_rational()
+
+
+def test_squarefree_split_matches_trial_division_to_the_square_root():
+    def reference(d):
+        s, d0, f = 1, d, 2
+        while f * f <= d0:
+            while d0 % (f * f) == 0:
+                d0 //= f * f
+                s *= f
+            f += 1
+        return s, d0
+
+    big = [p * q * k for p in (9973, 104729) for q in (1, 2, 9973, 7919, 104729) for k in (1, 12, 49)]
+    for d in list(range(1, 20000)) + big:
+        assert _squarefree_split(d) == reference(d), d
 
 
 def test_field_arithmetic():

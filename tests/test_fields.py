@@ -21,7 +21,7 @@ from hvf.fields import (
     scale_field,
 )
 from hvf.spaceform import hyperbolic, sphere
-from hvf.tension import MetricParams, verify
+from hvf.tension import MetricParams, spinnaker_identity_error, verify
 
 TANGENT_TOL = 1e-10
 
@@ -350,6 +350,14 @@ def test_dipole_radial_derivative_identity():
             al, ps = f.alpha(x), f.psi(x)
             coef = (0.6**2 - 1.3**2) * al**2 + M.eps * 1.3**2 * (1 - ps**2)
             assert np.allclose(f.nabla_gradF_sigma(x), coef * f.sigma(x), atol=1e-10)
+
+
+def test_dipole_spinnaker_in_every_dimension():
+    # |sigma|^2 zeta = |grad F|^2 with tau != 0 != r beyond dimension two
+    for M in (sphere(3), hyperbolic(4), sphere(5)):
+        f = DipoleDeformationField(M.base_point(), np.eye(M.ambient_dim)[0], 1.3, 0.6, M)
+        err = spinnaker_identity_error(f, M.sample_points(50, 11))
+        assert err is not None and err.max() < 1e-12
 
 
 def test_dipole_guards():

@@ -46,7 +46,7 @@ def test_grad_F_agreement(field):
 def test_rough_laplacian_agreement(field):
     M = field.space
     for x in M.sample_points(15, 3):
-        fd = M.rough_laplacian_fd(field, x, 1e-3)
+        fd = M.laplacians_fd(field, x, 1e-3)[0]
         exact = field.rough_laplacian(x)
         assert _rel(M.norm(fd - exact), M.norm(exact)) < ROUGH_TOL
 
@@ -55,7 +55,7 @@ def test_rough_laplacian_agreement(field):
 def test_lap_F_agreement(field):
     M = field.space
     for x in M.sample_points(15, 4):
-        fd = M.laplacian_fd(field.F, x, 1e-3)
+        fd = M.laplacians_fd(field, x, 1e-3)[1]
         assert _rel(abs(fd - field.lap_F(x)), abs(fd)) < LAPF_TOL
 
 
@@ -76,7 +76,7 @@ def test_second_order_convergence_rate():
         return total
 
     def rough_err(h):
-        return sum(M.norm(M.rough_laplacian_fd(f, x, h) - f.rough_laplacian(x)) for x in pts)
+        return sum(M.norm(M.laplacians_fd(f, x, h)[0] - f.rough_laplacian(x)) for x in pts)
 
     assert 3.5 < cov_err(2e-4) / cov_err(1e-4) < 4.5
     assert 3.5 < rough_err(2e-3) / rough_err(1e-3) < 4.5
@@ -107,17 +107,16 @@ def test_general_affine_field_against_oracle(space):
         for E in M.frame(x):
             fd = (field.F(M.geodesic(x, E, h)) - field.F(M.geodesic(x, E, -h))) / (2 * h)
             assert _rel(abs(M.inner(gF, E) - fd), abs(fd)) < GRADF_TOL
-        fd = M.laplacian_fd(field.F, x, 1e-3)
-        assert _rel(abs(fd - field.lap_F(x)), abs(fd)) < LAPF_TOL
+        rough_fd, lap_fd = M.laplacians_fd(field, x, 1e-3)
+        assert _rel(abs(lap_fd - field.lap_F(x)), abs(lap_fd)) < LAPF_TOL
         exact = field.rough_laplacian(x)
-        fd = M.rough_laplacian_fd(field, x, 1e-3)
-        assert _rel(M.norm(fd - exact), M.norm(exact)) < ROUGH_TOL
+        assert _rel(M.norm(rough_fd - exact), M.norm(exact)) < ROUGH_TOL
         assert weitzenbock_error(field, x) < 1e-10
 
 
 @pytest.mark.parametrize("size", ["m", 7])
 def test_fd_oracle_batch_equals_rows(size):
-    """The frame, the three oracles and ingredients(fd=True) on a batch equal the stack of their rows."""
+    """The frame, both oracles and ingredients(fd=True) on a batch equal the stack of their rows."""
     rng = np.random.default_rng(60)
     for f in _batch_fields():
         M = f.space
@@ -127,10 +126,34 @@ def test_fd_oracle_batch_equals_rows(size):
         got = M.covariant_derivative_fd(f, pts, X)
         rows = np.array([M.covariant_derivative_fd(f, x, v) for x, v in zip(pts, X)])
         assert np.all(np.abs(got - rows) <= 1e-12 * (1.0 + np.abs(rows)))
-        assert_batch_equals_rows(lambda y: M.rough_laplacian_fd(f, y), pts)
-        assert_batch_equals_rows(lambda y: M.laplacian_fd(f.F, y), pts)
+        assert_batch_equals_rows(lambda y: M.laplacians_fd(f, y)[0], pts)
+        assert_batch_equals_rows(lambda y: M.laplacians_fd(f, y)[1], pts)
         batch, per_row = ingredients(f, pts, fd=True), [ingredients(f, x, fd=True) for x in pts]
         for name in ("sigma", "sigma_sq", "rough", "nabla_gradF_sigma", "nabla_sq", "gradF_sq", "lap_F"):
             want = np.array([getattr(r, name) for r in per_row])
             assert getattr(batch, name).shape == want.shape
             assert np.all(np.abs(getattr(batch, name) - want) <= 1e-12 * (1.0 + np.abs(want))), name
+
+
+def test_fd_ingredients_evaluate_sigma_once_per_stencil(monkeypatch):
+    """ingredients(fd=True) evaluates sigma on N(3 + 4n) points in five calls.
+
+    sigma at x is taken once by ingredients and once by each oracle, and each
+    oracle evaluates one +-h stencil of 2n points per sample; a second
+    stencil for Delta F would make it N(4 + 6n).
+    """
+    sizes = []
+    sigma = AffineField.sigma
+
+    def counted(self, x):
+        sizes.append(np.asarray(x).size // self.space.ambient_dim)
+        return sigma(self, x)
+
+    monkeypatch.setattr(AffineField, "sigma", counted)
+    for f in _batch_fields():
+        M, N = f.space, 7
+        pts = M.sample_points(N, 70)
+        sizes.clear()
+        ingredients(f, pts, fd=True)
+        assert sum(sizes) == N * (3 + 4 * M.n), f.family
+        assert len(sizes) == 5, f.family

@@ -28,6 +28,17 @@ def test_twist_roots_worked_values():
     assert twist_roots_exact(4, 2, -1) == QuadExt(Fraction(7, 4), Fraction(1, 4), 73)
 
 
+def test_exact_twist_root_floats_without_cancellation():
+    # twist_roots is the cancellation-free float reference; float(QuadExt) must not lose digits to it
+    for n in range(2, 200):
+        for r in range(1, (n + 1) // 2 + 1):
+            for eps in (1, -1):
+                if 2 * r >= n + 1 or (r == 1 and eps == 1):
+                    continue
+                want = twist_roots(n, r, eps)
+                assert abs(float(twist_roots_exact(n, r, eps)) - want) <= 1e-15 * abs(want), (n, r, eps)
+
+
 def test_twist_roots_guards():
     with pytest.raises(ValueError):
         twist_roots(4, 1, 1)  # rank 1 has no spherical solution

@@ -133,6 +133,22 @@ def test_preharmonic_check_examples():
     assert ok
 
 
+def _preharmonic_scale_cases():
+    cases = [pytest.param(entry.field, entry.mp, id=entry.label) for entry in harmonic_catalogue()]
+    for M in (sphere(4), hyperbolic(5)):
+        f = killing_from_twists([1.0, 2.0], M)
+        cases.append(pytest.param(f, MetricParams(M.n + 1, -1.0), id=f"killing (1, 2) n={M.n} eps={M.eps:+d}"))
+    return cases
+
+
+@pytest.mark.parametrize("field, mp", _preharmonic_scale_cases())
+def test_preharmonic_verdict_is_scale_invariant(field, mp):
+    """k sigma is preharmonic exactly when sigma is, from 1e-6 to 1e6."""
+    want = verify(field, mp, count=50, seed=3).preharmonic
+    for k in (1e-6, 1e-3, 1e3, 1e6):
+        assert verify(scale_field(field, k), mp, count=50, seed=3).preharmonic == want, k
+
+
 def test_q_riemannian_check():
     M = sphere(4)
     pts = M.sample_points(50, 8)
