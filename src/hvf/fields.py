@@ -371,7 +371,7 @@ class KillingField(AffineField):
         space, L = self.space, self.L
         L2 = L @ L
         self.operator_sq = float(np.trace(L @ self._Ldag))
-        op_scale = max(np.abs(L).max(), 1.0)
+        op_scale = float(np.abs(L).max())
         if space.eps == 1:
             self.tau = 0.0
             rot = self._twists_from_squares(np.linalg.eigvalsh(-L2), op_scale)
@@ -386,11 +386,11 @@ class KillingField(AffineField):
             rot = self._twists_from_squares(np.linalg.eigvalsh(Rt.T @ Rt), op_scale)  # = -Rt^2
         self.twists = rot
         self.rank = len(rot)
-        self.balanced = not rot or rot[0] - rot[-1] <= CLUSTER_TOL * max(rot[0], 1.0)
+        self.balanced = not rot or rot[0] - rot[-1] <= CLUSTER_TOL * rot[0]
         inv = sum(t * t for t in rot) - self.tau * self.tau
         if space.eps == 1:
             self.kind = "rotation"
-        elif abs(inv) <= 1e-9 * max(op_scale**2, 1.0):
+        elif abs(inv) <= 1e-9 * op_scale**2:
             self.kind = "parabolic"
         else:
             self.kind = "rotation" if inv > 0 else "translation"
@@ -404,7 +404,7 @@ class KillingField(AffineField):
         self.preharmonic_lambda = lam if ok else None
 
     def _twists_from_squares(self, sq, op_scale) -> tuple[float, ...]:
-        tol = CLUSTER_TOL * max(op_scale**2, 1.0)
+        tol = CLUSTER_TOL * op_scale**2
         twists: list[float] = []
         for mean, count in _cluster(np.clip(sq, 0.0, None), tol):
             if mean > tol:

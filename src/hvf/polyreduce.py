@@ -7,6 +7,12 @@ form, the manifold is cut out by
 
 and a conformal field is harmonic exactly when a certain quartic
 P(alpha, beta, psi) vanishes modulo Q, i.e. P = Q*S for a quadratic S.
+build_harmonicity_poly writes P from coefficient formulas: the squared
+length A = 2F and the spinnaker zeta are dicts over the ten monomials of
+degree <= 2, and P = eps + eps(1 + q)A - 2q zeta + A*B with B quadratic, so
+the only product is A*B, taken over the non-zero coefficients, and one
+TriPoly is constructed at the end.  The ring operations of TriPoly serve
+the reduction's re-check and callers that build their own polynomials.
 Divisibility is decided by substitution: psi^2 -> 1 - eps*(alpha^2 + beta^2)
 leaves a remainder of degree <= 1 in psi that is zero exactly when Q
 divides P, and the substitutions collect the unique witness S, which is
@@ -207,9 +213,22 @@ def build_harmonicity_poly(eps, omega, tau, rr, s, t, h, p, q, exact: bool = Tru
     every parameter is coerced to Fraction (floats keep their exact binary
     value) or kept as a QuadExt; pass exact=False for plain doubles.
 
-    The squared length is expanded from the pairwise inner products of the
-    component fields, so no quadric relation is consumed in the build; the
-    result agrees with the reduced closed form modulo the quadric.
+    With rs = rr*s and rt = rr*t, the squared length A = 2F = |sigma|^2 and
+    the spinnaker zeta are written from their coefficients:
+
+        A    = (omega^2 + eps tau^2 - eps rs^2) alpha^2 + (omega^2 - eps rt^2) beta^2
+               + (tau^2 - eps h^2) psi^2 - 2 eps rs rt alpha beta - 2 eps rs h alpha psi
+               + (2 omega tau - 2 eps rt h) beta psi + (2 omega rt + 2 eps tau h) alpha
+               - 2 omega rs beta - 2 tau rs psi + rs^2 + rt^2 + eps h^2,
+        zeta = rs^2 alpha^2 + (tau^2 + rt^2) beta^2 + (omega^2 + h^2) psi^2
+               + 2 rs rt alpha beta + 2 rs h alpha psi + (2 rt h - 2 eps omega tau) beta psi.
+
+    Then P = eps (1 + A)(1 + qA) + 2q((p - 2)/2 A - 1) zeta
+           = eps + eps (1 + q) A - 2q zeta + A B,  B = eps q A + q (p - 2) zeta,
+    and A B is the one product, taken over the non-zero coefficients only.
+    A is expanded from the pairwise inner products of the component fields,
+    so no quadric relation is consumed in the build; the result agrees with
+    the reduced closed form modulo the quadric.
     """
     conv = _to_exact if exact else float
     eps = int(eps)
@@ -219,27 +238,37 @@ def build_harmonicity_poly(eps, omega, tau, rr, s, t, h, p, q, exact: bool = Tru
     if not q:
         raise ValueError("harmonicity forces q != 0 for conformal fields on M^2")
 
-    al, be, ps = ALPHA, BETA, PSI
-    gamma = r * s * al + r * t * be + h * ps
-    mu = r * r * (s * s + t * t) + eps * h * h
-    # pairwise inner products of the component fields R, T, C
-    R_sq = al * al + be * be
-    T_sq = eps * (al * al) + ps * ps
-    C_sq = mu - eps * (gamma * gamma)
-    RT = be * ps
-    RC = r * t * al - r * s * be
-    TC = eps * h * al - r * s * ps
-    two_F = (
-        om * om * R_sq
-        + ta * ta * T_sq
-        + C_sq
-        + 2 * om * ta * RT
-        + 2 * om * RC
-        + 2 * ta * TC
-    )
-    zeta = (om * ps - eps * ta * be) ** 2 + gamma * gamma
-    half = Fraction(1, 2) if exact else 0.5
-    return eps * (1 + two_F) * (1 + q * two_F) + (2 * q) * ((p - 2) * half * two_F - 1) * zeta
+    rs, rt = r * s, r * t
+    A = {
+        (2, 0, 0): om * om + eps * ta * ta - eps * rs * rs,
+        (0, 2, 0): om * om - eps * rt * rt,
+        (0, 0, 2): ta * ta - eps * h * h,
+        (1, 1, 0): -2 * eps * rs * rt,
+        (1, 0, 1): -2 * eps * rs * h,
+        (0, 1, 1): 2 * om * ta - 2 * eps * rt * h,
+        (1, 0, 0): 2 * om * rt + 2 * eps * ta * h,
+        (0, 1, 0): -2 * om * rs,
+        (0, 0, 1): -2 * ta * rs,
+        (0, 0, 0): rs * rs + rt * rt + eps * h * h,
+    }
+    zeta = {
+        (2, 0, 0): rs * rs,
+        (0, 2, 0): ta * ta + rt * rt,
+        (0, 0, 2): om * om + h * h,
+        (1, 1, 0): 2 * rs * rt,
+        (1, 0, 1): 2 * rs * h,
+        (0, 1, 1): 2 * rt * h - 2 * eps * om * ta,
+    }
+    uA, uZ, vA, vZ = eps * q, q * (p - 2), eps * (1 + q), -2 * q
+    out = {m: vA * a + vZ * zeta.get(m, 0) for m, a in A.items()}
+    out[0, 0, 0] += eps
+    B = [(m, b) for m, a in A.items() if (b := uA * a + uZ * zeta.get(m, 0))]
+    for (i1, j1, k1), a in A.items():
+        if a:
+            for (i2, j2, k2), b in B:
+                mon = (i1 + i2, j1 + j2, k1 + k2)
+                out[mon] = out.get(mon, 0) + a * b
+    return TriPoly(out)
 
 
 # ---------------------------------------------------------------------------

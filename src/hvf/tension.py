@@ -40,7 +40,7 @@ from .spaceform import DEFAULT_H_FIRST, DEFAULT_H_SECOND
 
 HARMONIC_TOL = 1e-7  # closed forms: catalogue residuals stay below ~1e-13
 FD_TOL = 1e-5  # FD oracle: catalogue residuals reach ~8e-7, q +- 0.05 refutations stay above ~3.7e-3
-ZERO_LENGTH = 1e-6  # |sigma| below which samples leave spinnaker division (times max |sigma| in _preharmonic)
+ZERO_LENGTH = 1e-6  # samples with |sigma| <= ZERO_LENGTH * max |sigma| leave the spinnaker and preharmonic checks
 PREHARMONIC_TOL = 1e-8
 # peak working set of verify in (count, n+1) float arrays: 10-13 closed-form, plus 13-14 per
 # dimension n for the FD stencils (tracemalloc over the catalogue at 4000-20000 points)
@@ -188,25 +188,39 @@ def preharmonic_check(field: AffineField, samples) -> tuple[bool, float]:
     return _preharmonic(ingredients(field, samples), field.spinnaker(samples), field.space)
 
 
+def _relative(err, size):
+    """err / size per point, with 0/0 read as 0; both scale alike, so k sigma gets the value of sigma."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(err == 0, 0.0, err / size)[()]
+
+
 def _spinnaker_error(ing: Ingredients, zeta):
     if zeta is None:
         return None
     s_zeta = ing.sigma_sq * zeta
-    return np.abs(s_zeta - ing.gradF_sq) / (1.0 + np.abs(s_zeta) + ing.gradF_sq)
+    return _relative(np.abs(s_zeta - ing.gradF_sq), np.abs(s_zeta) + ing.gradF_sq + ing.sigma_sq**2)
 
 
 def spinnaker_identity_error(field: AffineField, x):
-    """Relative error in |sigma|^2 zeta = |grad F|^2, None when zeta is absent."""
+    """Relative error in |sigma|^2 zeta = |grad F|^2, None when zeta is absent.
+
+    Each point's error is divided by |sigma|^2 |zeta| + |grad F|^2 + |sigma|^4,
+    which scales like it, so k sigma gets the error of sigma.
+    """
     return _spinnaker_error(ingredients(field, x), field.spinnaker(x))
 
 
 def _weitzenbock(ing: Ingredients, M):
     lhs = M.inner(ing.rough, ing.sigma)
-    return np.abs(lhs - (ing.nabla_sq + ing.lap_F)) / (1.0 + np.abs(lhs) + ing.nabla_sq)
+    return _relative(np.abs(lhs - (ing.nabla_sq + ing.lap_F)), np.abs(lhs) + ing.nabla_sq + ing.sigma_sq)
 
 
 def weitzenbock_error(field: AffineField, x):
-    """Relative error in <nabla*nabla sigma, sigma> = |nabla sigma|^2 + Delta F."""
+    """Relative error in <nabla*nabla sigma, sigma> = |nabla sigma|^2 + Delta F.
+
+    Each point's error is divided by |<nabla*nabla sigma, sigma>| + |nabla sigma|^2
+    + |sigma|^2, which scales like it, so k sigma gets the error of sigma.
+    """
     return _weitzenbock(ingredients(field, x), field.space)
 
 
@@ -288,9 +302,10 @@ def verify(
 
     With fd=True only the tension residual (max_rel_residual, harmonic and
     the residuals and scales) comes from the FD oracle; every other check
-    uses closed forms.  The preharmonic verdict is relative to the sampled
-    size of sigma, so scaling the field does not change it.  tol defaults to
-    HARMONIC_TOL, or to FD_TOL with fd=True.  A count whose arrays cannot
+    uses closed forms.  The preharmonic verdict and the identity errors are
+    relative to the sampled size of sigma, so scaling the field changes
+    neither; spinnaker_max_err skips the samples that _preharmonic skips.
+    tol defaults to HARMONIC_TOL, or to FD_TOL with fd=True.  A count whose arrays cannot
     fit in physical memory is rejected before any point is drawn.
     """
     if count < 1:
@@ -313,7 +328,7 @@ def verify(
     rel = res / scale
     zeta = field.spinnaker(samples)
     sp_err = _spinnaker_error(ing, zeta)
-    keep = ing.sigma_sq > ZERO_LENGTH**2
+    keep = ing.sigma_sq > ZERO_LENGTH**2 * ing.sigma_sq.max()
     return TensionReport(
         family=field.family,
         params=field.params(),

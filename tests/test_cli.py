@@ -1,4 +1,6 @@
+import collections
 import csv
+import hashlib
 import json
 import math
 
@@ -141,6 +143,31 @@ def test_scan2d_hyperbolic_loop_hits(tmp_path, capsys):
     # exactly the loop members (omega^2 + h^2 = 1) and the endpoints sigma_0, sigma_1
     assert hits == {(0.6, 0.8), (1.0, 0.0), (0.0, 1.0)}
     capsys.readouterr()
+
+
+def test_scan2d_hyperbolic_grid_lines_are_pinned(capsys):
+    # a 720-point exact grid with tau, s and t off their defaults; the digest was taken with
+    # the quartic built by TriPoly ring operations (_reference_quartic in test_polyreduce)
+    argv = (
+        "scan2d --epsilon -1 --omega 0.6,0.8,1,0.5,1/3 --rr 0,0.5 --h 0.8,0.6,0,1 --tau 0,1/2 "
+        "--s 3/5 --t 4/5 --p 3,4,5/2 --q=-1/2,-1,-3/10"
+    ).split()
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    assert [line for line in lines if line.endswith("HIT")] == [
+        "omega=0.6 tau=0 rr=0 h=0.8 p=3 q=-0.5: HIT",
+        "omega=0.8 tau=0 rr=0 h=0.6 p=3 q=-0.5: HIT",
+        "omega=1 tau=0 rr=0 h=0 p=3 q=-0.5: HIT",
+    ]
+    grades = collections.Counter(line.split(": ")[1] for line in lines[:-1] if not line.endswith("HIT"))
+    assert grades == {"no (grade 4)": 480, "no (grade 3)": 165, "no (grade 2)": 71, "no (grade 0)": 1}
+    assert [line for line in lines if line.endswith("(grade 0)")] == [
+        "omega=1 tau=0 rr=0 h=1 p=3 q=-1: no (grade 0)"
+    ]
+    assert lines[-1] == "720 grid points, 3 harmonic hits"
+    digest = "3162d3c71577a33e87028b7d9e727d4562125f5d27e9bd2634fbf83196a39f7f"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_scan2d_empty_grid(capsys):

@@ -161,6 +161,23 @@ def test_hyperbolic_killing_trichotomy():
     assert par.kind == "parabolic"
 
 
+@pytest.mark.parametrize("M", [sphere(4), hyperbolic(5)], ids=["S4", "H5"])
+def test_scaled_killing_keeps_its_normal_form(M):
+    for k in (1e-6, 1e-3, 1e6):
+        f = scale_field(killing_from_twists([1.0, 2.0], M), k)
+        assert f.twists == pytest.approx((2.0 * k, k), rel=1e-8), k
+        assert f.rank == 2 and not f.balanced and f.kind == "rotation", k
+
+
+def test_scaled_hyperbolic_killing_keeps_its_kind():
+    M = hyperbolic(3)
+    par = GeneralizedHopfField(1, 0.7, M).A + hyperbolic_translation(0.7, M, direction=np.eye(4)[2]).A
+    for k in (1e-6, 1e6):
+        assert KillingField(k * GeneralizedHopfField(1, 1.1, M).A, M).kind == "rotation", k
+        assert KillingField(k * hyperbolic_translation(0.9, M).A, M).kind == "translation", k
+        assert KillingField(k * par, M).kind == "parabolic", k
+
+
 def test_killing_congruence_invariant_base_independent():
     # sum omega_i(w)^2 - tau(w)^2 is the same at every base point, and equals
     # half the operator pairing

@@ -1,6 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvf.exactnum import QuadExt
 from hvf.fields import Conformal2DField
@@ -189,3 +192,103 @@ def test_semantic_agreement_with_numeric_verifier():
             assert rep.max_rel_residual < 1e-9
         else:
             assert rep.max_rel_residual > 1e-4
+
+
+# ---------------------------------------------------------------------------
+# the coefficient-formula build against the ring-operation expansion
+# ---------------------------------------------------------------------------
+
+
+def _reference_quartic(eps, omega, tau, rr, s, t, h, p, q, exact=True):
+    """The quartic expanded by TriPoly ring operations from the pairwise inner
+    products of the component fields R, T and C, kept as an independent oracle."""
+    conv = (lambda v: v if isinstance(v, QuadExt) else Fraction(v)) if exact else float
+    om, ta, r, s, t, h, p, q = (conv(v) for v in (omega, tau, rr, s, t, h, p, q))
+    al, be, ps = ALPHA, BETA, PSI
+    gamma = r * s * al + r * t * be + h * ps
+    mu = r * r * (s * s + t * t) + eps * h * h
+    R_sq = al * al + be * be
+    T_sq = eps * (al * al) + ps * ps
+    C_sq = mu - eps * (gamma * gamma)
+    RT = be * ps
+    RC = r * t * al - r * s * be
+    TC = eps * h * al - r * s * ps
+    two_F = om * om * R_sq + ta * ta * T_sq + C_sq + 2 * om * ta * RT + 2 * om * RC + 2 * ta * TC
+    zeta = (om * ps - eps * ta * be) ** 2 + gamma * gamma
+    half = Fraction(1, 2) if exact else 0.5
+    return eps * (1 + two_F) * (1 + q * two_F) + (2 * q) * ((p - 2) * half * two_F - 1) * zeta
+
+
+_HALF, _ONE, _TWO = Fraction(1, 2), Fraction(1), Fraction(2)
+_S2_PQ = [(Fraction(p), Fraction(q)) for p in (2, 3, 4, 5) for q in (-2, -1, -_HALF, Fraction(-1, 10))]
+_H2_PAIRS = [
+    (Fraction(3, 5), Fraction(4, 5)), (Fraction(4, 5), Fraction(3, 5)), (Fraction(5, 13), Fraction(12, 13)),
+    (Fraction(12, 13), Fraction(5, 13)), (Fraction(8, 17), Fraction(15, 17)), (_ONE, 0), (0, _ONE),
+    (_HALF, _HALF), (_ONE, _ONE), (_TWO, _ONE), (Fraction(3, 5), Fraction(3, 5)), (_TWO, 0), (0, _TWO), (_HALF, 0),
+]
+_H2_PQ = [(Fraction(p), Fraction(q)) for p in (3, 4, Fraction(5, 2), 5) for q in (-_HALF, -1, Fraction(-3, 10), -2)]
+
+
+def _sweep_grid():
+    """(eps, omega, tau, rr, s, t, h, p, q): the exact sweep's grid, with every sign pattern
+    of (omega, rr, h) and both eps on the M^2 triples, and the H^2 (omega, h) pairs."""
+    triples = itertools.product((_HALF, _ONE, _TWO), repeat=3)
+    for k, (om, rr, h) in enumerate(triples):
+        om, rr, h = ((-1) ** (k >> b & 1) * v for b, v in enumerate((om, rr, h)))
+        for eps in (1, -1):
+            yield from ((eps, om, 0, rr, 0, 1, h, p, q) for p, q in _S2_PQ)
+    for k, (om, h) in enumerate(_H2_PAIRS):
+        om, h = (-1) ** (k & 1) * om, (-1) ** (k >> 1 & 1) * h
+        yield from ((-1, om, 0, 0, 0, 1, h, p, q) for p, q in _H2_PQ)
+
+
+def _assert_float_agrees(args):
+    """Coefficients within 1e-14 of the largest, and the same numeric verdict and grade."""
+    P = build_harmonicity_poly(*args, exact=False)
+    ref = _reference_quartic(*args, exact=False)
+    top = max((abs(c) for c in ref.terms.values()), default=0.0)
+    for mon in P.terms.keys() | ref.terms.keys():
+        assert abs(P.coeff(mon) - ref.coeff(mon)) <= 1e-14 * top, (args, mon)
+    eps = args[0]
+    got, want = (vanishes_mod_quadric(poly, eps, tol=NUMERIC_ZERO_TOL) for poly in (P, ref))
+    assert (got.divisible, got.failing_grade) == (want.divisible, want.failing_grade), args
+
+
+def test_quartic_equals_ring_expansion_on_the_sweep_grid():
+    for args in _sweep_grid():
+        assert build_harmonicity_poly(*args).terms == _reference_quartic(*args).terms, args
+        _assert_float_agrees((args[0], *map(float, args[1:])))
+
+
+NONZERO = st.fractions(min_value=-3, max_value=3, max_denominator=12).filter(bool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((1, -1)), st.lists(NONZERO, min_size=8, max_size=8))
+def test_quartic_equals_ring_expansion_on_random_rationals(eps, params):
+    args = (eps, *params)
+    assert build_harmonicity_poly(*args).terms == _reference_quartic(*args).terms
+    _assert_float_agrees((args[0], *map(float, args[1:])))
+
+
+def test_quartic_equals_ring_expansion_in_a_quadratic_extension():
+    s22 = QuadExt(0, Fraction(1, 2), 2)
+    for args in (
+        (-1, s22, 0, 0, 0, 1, s22, 3, Fraction(-1, 2)),
+        (1, s22, Fraction(1, 3), QuadExt(1, 1, 2), Fraction(3, 5), Fraction(4, 5), s22, Fraction(5, 2), -1),
+    ):
+        P, ref = build_harmonicity_poly(*args), _reference_quartic(*args)
+        assert P.terms == ref.terms
+        assert vanishes_mod_quadric(P, args[0]).divisible == vanishes_mod_quadric(ref, args[0]).divisible
+
+
+def test_quartic_build_performs_no_tripoly_ring_operation(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("TriPoly ring operation in build_harmonicity_poly")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__", "__pow__"):
+        monkeypatch.setattr(TriPoly, name, refuse)
+    s22 = QuadExt(0, Fraction(1, 2), 2)
+    assert build_harmonicity_poly(-1, Fraction(3, 5), 0, 0, 0, 1, Fraction(4, 5), 3, Fraction(-1, 2)).terms
+    assert build_harmonicity_poly(-1, s22, 1, 2, 3, 4, s22, 3, Fraction(-1, 2)).terms
+    assert build_harmonicity_poly(1, 0.5, 0.25, 1.0, 0.6, 0.8, 2.0, 3.0, -0.5, exact=False).terms

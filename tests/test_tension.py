@@ -6,6 +6,7 @@ import pytest
 
 from hvf.fields import (
     ConformalGradientField,
+    DipoleDeformationField,
     GeneralizedHopfField,
     KillingField,
     associate_family_member,
@@ -147,6 +148,25 @@ def test_preharmonic_verdict_is_scale_invariant(field, mp):
     want = verify(field, mp, count=50, seed=3).preharmonic
     for k in (1e-6, 1e-3, 1e3, 1e6):
         assert verify(scale_field(field, k), mp, count=50, seed=3).preharmonic == want, k
+
+
+def _identity_scale_cases():
+    cases = [pytest.param(entry.field, entry.mp, id=entry.label) for entry in harmonic_catalogue()]
+    for M in (sphere(3), hyperbolic(4)):
+        f = DipoleDeformationField(M.base_point(), np.eye(M.ambient_dim)[0], 1.3, 0.6, M)
+        cases.append(pytest.param(f, MetricParams(3.0, -0.5), id=f"dipole n={M.n} eps={M.eps:+d}"))
+    return cases
+
+
+@pytest.mark.parametrize("field, mp", _identity_scale_cases())
+def test_identity_errors_do_not_measure_the_field_size(field, mp):
+    """weitzenbock_max_err and spinnaker_max_err of k sigma stay within 100x of those of sigma."""
+    base = verify(field, mp, count=50, seed=3)
+    for k in (1e-7, 1e-3, 1e3):
+        rep = verify(scale_field(field, k), mp, count=50, seed=3)
+        for name in ("weitzenbock_max_err", "spinnaker_max_err"):
+            want, got = getattr(base, name), getattr(rep, name)
+            assert got is not None and want / 100 <= got <= 100 * want, (name, k, got, want)
 
 
 def test_q_riemannian_check():
