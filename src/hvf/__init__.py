@@ -5,52 +5,83 @@ Killing, loxodromic, dipole deformation, planar conformal, quadratic
 gradient), the generalised Cheeger-Gromoll tension operator and its
 verification suite, closed-form parameter solvers with exact surds, and
 the mod-quadric polynomial test for planar conformal fields.
+
+The public names are resolved on first use (PEP 562), so ``import hvf``
+loads no submodule, and the classifications and the polynomial test run
+without numpy.  ``hvf.tension`` is always the submodule, whatever was
+imported first; the operator itself is ``hvf.tension.tension``.
 """
 
-from .ambient import EUCLIDEAN, LORENTZIAN, Signature, lorentz_pairing
-from .fields import (
-    AffineField,
-    Conformal2DField,
-    ConformalGradientField,
-    DipoleDeformationField,
-    GeneralizedHopfField,
-    KillingField,
-    LoxodromicField,
-    QuadraticGradientField,
-    associate_family_member,
-    build_field,
-    elementary_killing,
-    hyperbolic_translation,
-    killing_from_twists,
-    quadratic_two_eigenvalue,
-    scale_field,
-)
-from .polyreduce import TriPoly, build_harmonicity_poly, quadric, vanishes_mod_quadric
-from .solvers import (
-    BoundCheck,
-    Classification,
-    bounds_report,
-    build_classified_field,
-    conformal_gradient_classification,
-    harmonic_catalogue,
-    killing_classification,
-    loxodromic_classification,
-    quadratic_classification,
-    table7,
-    twist_roots,
-    twist_roots_exact,
-)
-from .spaceform import SpaceForm, hyperbolic, sphere
-from .tension import (
-    MetricParams,
-    TensionReport,
-    isometry_equivariance_check,
-    metric_grid_scan,
-    preharmonic_check,
-    q_riemannian_check,
-    reduced_pde_residual,
-    tension,
-    verify,
-)
+from importlib import import_module
 
+_SUBMODULE = {
+    name: module
+    for module, names in {
+        "ambient": ("EUCLIDEAN", "LORENTZIAN", "Signature", "lorentz_pairing"),
+        "fields": (
+            "AffineField",
+            "Conformal2DField",
+            "ConformalGradientField",
+            "DipoleDeformationField",
+            "GeneralizedHopfField",
+            "KillingField",
+            "LoxodromicField",
+            "QuadraticGradientField",
+            "associate_family_member",
+            "build_field",
+            "elementary_killing",
+            "hyperbolic_translation",
+            "killing_from_twists",
+            "quadratic_two_eigenvalue",
+            "scale_field",
+        ),
+        "params": ("MetricParams",),
+        "polyreduce": (
+            "TriPoly",
+            "build_harmonicity_poly",
+            "harmonicity_remainders",
+            "quadric",
+            "vanishes_mod_quadric",
+        ),
+        "solvers": (
+            "BoundCheck",
+            "Classification",
+            "bounds_report",
+            "build_classified_field",
+            "conformal_gradient_classification",
+            "harmonic_catalogue",
+            "killing_classification",
+            "loxodromic_classification",
+            "quadratic_classification",
+            "table7",
+            "twist_roots",
+            "twist_roots_exact",
+        ),
+        "spaceform": ("SpaceForm", "hyperbolic", "sphere"),
+        "tension": (
+            "TensionReport",
+            "isometry_equivariance_check",
+            "metric_grid_scan",
+            "preharmonic_check",
+            "q_riemannian_check",
+            "reduced_pde_residual",
+            "verify",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_SUBMODULE)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _SUBMODULE:
+        return getattr(import_module(f".{_SUBMODULE[name]}", __name__), name)
+    if name in _SUBMODULE.values():  # a submodule that was not imported yet
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return __all__

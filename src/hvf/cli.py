@@ -17,16 +17,12 @@ non-existence.  Identical command + seed produces byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
-import itertools
-import json
 import math
 import sys
-from fractions import Fraction
 
-from . import polyreduce, solvers
-from .fields import build_field
-from .tension import FD_TOL, HARMONIC_TOL, MetricParams, verify
+from .params import FD_TOL, HARMONIC_TOL, MetricParams
+
+# Each subcommand imports what it uses, so solve, table and scan2d run without numpy.
 
 
 def _fmt(v: float) -> str:
@@ -73,6 +69,9 @@ def _collect_spec(args) -> dict:
 
 
 def cmd_verify(args) -> int:
+    from .fields import build_field
+    from .tension import verify
+
     doc = _collect_spec(args)
     file_p, file_q = doc.pop("p", None), doc.pop("q", None)
     if args.p is None and file_p is not None:
@@ -109,7 +108,9 @@ def cmd_verify(args) -> int:
     return 0 if report.harmonic else 1
 
 
-def _print_classification(cl: solvers.Classification) -> None:
+def _print_classification(cl) -> None:
+    from .solvers import bounds_report
+
     print(f"family={cl.family} n={cl.n} epsilon={cl.epsilon:+d}")
     if not cl.exists:
         print(f"no solution: {cl.reason}")
@@ -130,20 +131,30 @@ def _print_classification(cl: solvers.Classification) -> None:
             suffix = f"  [q = {q_exact}]"
         print(f"(p, q) = ({_fmt(mp.p)}, {_fmt(mp.q)}){suffix}")
     print(f"metrically unique: {cl.metrically_unique}")
-    for check in solvers.bounds_report(cl):
+    for check in bounds_report(cl):
         flag = "ok" if check.holds else "VIOLATED"
         print(f"bound {check.name}: {check.statement}  [{flag}, margin {check.margin:.3e}]")
 
 
 def cmd_solve(args) -> int:
-    family = args.family
+    from . import solvers
+
+    family, eps = args.family, args.epsilon
+    # quadratic gradients are classified on S^n only, the loxodromic loop on H^2 only
+    if family == "quadratic" and eps == -1:
+        raise ValueError("--epsilon: quadratic gradient fields are defined on spheres only")
+    if family == "loxodromic" and (args.n != 2 or eps == 1):
+        option = "--n" if args.n != 2 else "--epsilon"
+        raise ValueError(f"{option}: the loxodromic classification is defined on H^2 only")
+    if eps is None:
+        eps = -1 if family == "loxodromic" else 1
     if family == "killing":
         if args.r is None:
             raise ValueError("killing classification needs --r")
-        cl = solvers.killing_classification(args.n, args.r, args.epsilon)
+        cl = solvers.killing_classification(args.n, args.r, eps)
     elif family == "confgrad":
-        mu_sign = {"+": 1, "0": 0, "-": -1}[args.mu_sign or ("-" if args.epsilon == -1 else "+")]
-        cl = solvers.conformal_gradient_classification(args.n, args.epsilon, mu_sign)
+        mu_sign = {"+": 1, "0": 0, "-": -1}[args.mu_sign or ("-" if eps == -1 else "+")]
+        cl = solvers.conformal_gradient_classification(args.n, eps, mu_sign)
     elif family == "quadratic":
         cl = solvers.quadratic_classification(args.n)
     elif family == "loxodromic":
@@ -155,6 +166,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from . import solvers
+
     if args.which != "table7":
         raise ValueError(f"unknown table {args.which!r}")
     ns = [n for n in range(5, args.max_n + 1, 2)]
@@ -167,6 +180,8 @@ def cmd_table(args) -> int:
             f"[q = {row['q_exact']}, lambda0^2/4 = {row['lambda0_sq_over_4_exact']}]"
         )
     if args.csv:
+        import csv
+
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["n", "r", "p", "q", "lambda0_sq_over_4"])
@@ -178,6 +193,11 @@ def cmd_table(args) -> int:
 
 
 def cmd_scan2d(args) -> int:
+    from fractions import Fraction
+    from itertools import product
+
+    from . import polyreduce
+
     def value(name, text):
         try:
             v = Fraction(text.strip()) if args.exact else float(text)
@@ -195,17 +215,26 @@ def cmd_scan2d(args) -> int:
     tol = None if args.exact else polyreduce.NUMERIC_ZERO_TOL
     rows = []
     hits = 0
-    for om, ta, rr, h in itertools.product(omegas, taus, rrs, hs):
+    for om, ta, rr, h in product(omegas, taus, rrs, hs):
         if not (om or ta or rr or h):
             continue  # the zero field: harmonic for all (p, q), no quartic to test
-        for p, q in itertools.product(ps, qs):
+        field = (args.epsilon, om, ta, rr, s, t, h)
+        if args.exact:
+            # the field's remainder x + q y + pq z, one (degree, x, y, z) per monomial, highest first
+            parts = polyreduce.harmonicity_remainders(*field)
+            monomials = sorted({m for R in parts for m in R.terms}, key=sum, reverse=True)
+            remainder = [(sum(m), *(R.coeff(m) for R in parts)) for m in monomials]
+        for p, q in product(ps, qs):
             if not q:
                 # q = 0 is never harmonic for a non-trivial conformal field
                 res = polyreduce.ReductionResult(False, None, None, "q = 0", not args.exact)
+            elif args.exact and (
+                grade := next((d for d, x, y, z in remainder if x + q * (y + p * z)), None)
+            ) is not None:
+                res = polyreduce.ReductionResult(False, None, grade, f"remainder of degree {grade}", False)
             else:
-                P = polyreduce.build_harmonicity_poly(
-                    args.epsilon, om, ta, rr, h=h, s=s, t=t, p=p, q=q, exact=args.exact
-                )
+                # floats, or a zero remainder: the case's own division finds the witness and re-checks it
+                P = polyreduce.build_harmonicity_poly(*field, p, q, exact=args.exact)
                 res = polyreduce.vanishes_mod_quadric(P, args.epsilon, tol=tol)
             hits += bool(res.divisible)
             rows.append(
@@ -228,6 +257,8 @@ def cmd_scan2d(args) -> int:
             )
     print(f"{len(rows)} grid points, {hits} harmonic hits")
     if args.json:
+        import json
+
         with open(args.json, "w") as fh:
             json.dump({"epsilon": args.epsilon, "hits": hits, "rows": rows}, fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -275,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--family", required=True, choices=["killing", "confgrad", "quadratic", "loxodromic"])
     ps.add_argument("--n", type=int, default=2)
     ps.add_argument("--r", type=int)
-    ps.add_argument("--epsilon", type=int, choices=[1, -1], default=1)
+    ps.add_argument("--epsilon", type=int, choices=[1, -1],
+                    help="the space: 1 for S^n, -1 for H^n (default: S^n, or H^2 for loxodromic)")
     ps.add_argument("--mu-sign", dest="mu_sign", choices=["+", "0", "-"])
     ps.set_defaults(fn=cmd_solve)
 

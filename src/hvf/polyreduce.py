@@ -16,7 +16,9 @@ the reduction's re-check and callers that build their own polynomials.
 Divisibility is decided by substitution: psi^2 -> 1 - eps*(alpha^2 + beta^2)
 leaves a remainder of degree <= 1 in psi that is zero exactly when Q
 divides P, and the substitutions collect the unique witness S, which is
-always re-verified via P - Q*S = 0.
+always re-verified via P - Q*S = 0.  P is affine in q and pq, so
+harmonicity_remainders reduces one field once and gives the remainder for
+every (p, q), as a sweep over metric parameters needs.
 
 Coefficients are exact (Fraction, or QuadExt for one square-root extension);
 a numeric double-precision fallback with a zero threshold relative to the
@@ -205,16 +207,11 @@ def quadric(eps: int) -> TriPoly:
 # ---------------------------------------------------------------------------
 
 
-def build_harmonicity_poly(eps, omega, tau, rr, s, t, h, p, q, exact: bool = True) -> TriPoly:
-    """The quartic whose vanishing mod the quadric is (p,q)-harmonicity.
+def _length_and_spinnaker(eps, conv, omega, tau, rr, s, t, h):
+    """(eps, A, zeta): the squared length A = 2F = |sigma|^2 and the spinnaker zeta
+    of the conformal field K + C, as dicts over the monomials of degree <= 2.
 
-    Parameters describe the conformal field K + C at a frame (a, b, w):
-    K = omega*R + tau*T and pole c = rr*s*a + rr*t*b + h*w.  In exact mode
-    every parameter is coerced to Fraction (floats keep their exact binary
-    value) or kept as a QuadExt; pass exact=False for plain doubles.
-
-    With rs = rr*s and rt = rr*t, the squared length A = 2F = |sigma|^2 and
-    the spinnaker zeta are written from their coefficients:
+    conv coerces each parameter.  With rs = rr*s and rt = rr*t,
 
         A    = (omega^2 + eps tau^2 - eps rs^2) alpha^2 + (omega^2 - eps rt^2) beta^2
                + (tau^2 - eps h^2) psi^2 - 2 eps rs rt alpha beta - 2 eps rs h alpha psi
@@ -223,21 +220,13 @@ def build_harmonicity_poly(eps, omega, tau, rr, s, t, h, p, q, exact: bool = Tru
         zeta = rs^2 alpha^2 + (tau^2 + rt^2) beta^2 + (omega^2 + h^2) psi^2
                + 2 rs rt alpha beta + 2 rs h alpha psi + (2 rt h - 2 eps omega tau) beta psi.
 
-    Then P = eps (1 + A)(1 + qA) + 2q((p - 2)/2 A - 1) zeta
-           = eps + eps (1 + q) A - 2q zeta + A B,  B = eps q A + q (p - 2) zeta,
-    and A B is the one product, taken over the non-zero coefficients only.
     A is expanded from the pairwise inner products of the component fields,
-    so no quadric relation is consumed in the build; the result agrees with
-    the reduced closed form modulo the quadric.
+    so no quadric relation is consumed.
     """
-    conv = _to_exact if exact else float
     eps = int(eps)
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
-    om, ta, r, s, t, h, p, q = (conv(v) for v in (omega, tau, rr, s, t, h, p, q))
-    if not q:
-        raise ValueError("harmonicity forces q != 0 for conformal fields on M^2")
-
+    om, ta, r, s, t, h = (conv(v) for v in (omega, tau, rr, s, t, h))
     rs, rt = r * s, r * t
     A = {
         (2, 0, 0): om * om + eps * ta * ta - eps * rs * rs,
@@ -259,16 +248,72 @@ def build_harmonicity_poly(eps, omega, tau, rr, s, t, h, p, q, exact: bool = Tru
         (1, 0, 1): 2 * rs * h,
         (0, 1, 1): 2 * rt * h - 2 * eps * om * ta,
     }
-    uA, uZ, vA, vZ = eps * q, q * (p - 2), eps * (1 + q), -2 * q
-    out = {m: vA * a + vZ * zeta.get(m, 0) for m, a in A.items()}
-    out[0, 0, 0] += eps
-    B = [(m, b) for m, a in A.items() if (b := uA * a + uZ * zeta.get(m, 0))]
+    return eps, A, zeta
+
+
+def _add_product(out: dict, A: dict, B: dict) -> None:
+    """out += A*B, taken over the non-zero coefficients of A and B only."""
+    B = [(m, b) for m, b in B.items() if b]
     for (i1, j1, k1), a in A.items():
         if a:
             for (i2, j2, k2), b in B:
                 mon = (i1 + i2, j1 + j2, k1 + k2)
                 out[mon] = out.get(mon, 0) + a * b
+
+
+def build_harmonicity_poly(eps, omega, tau, rr, s, t, h, p, q, exact: bool = True) -> TriPoly:
+    """The quartic whose vanishing mod the quadric is (p,q)-harmonicity.
+
+    Parameters describe the conformal field K + C at a frame (a, b, w):
+    K = omega*R + tau*T and pole c = rr*s*a + rr*t*b + h*w.  In exact mode
+    every parameter is coerced to Fraction (floats keep their exact binary
+    value) or kept as a QuadExt; pass exact=False for plain doubles.
+
+    With the squared length A = 2F = |sigma|^2 and the spinnaker zeta written
+    from their coefficients (_length_and_spinnaker),
+
+        P = eps (1 + A)(1 + qA) + 2q((p - 2)/2 A - 1) zeta
+          = eps + eps (1 + q) A - 2q zeta + A B,  B = eps q A + q (p - 2) zeta,
+
+    and A B is the one product, taken over the non-zero coefficients only.
+    The result agrees with the reduced closed form modulo the quadric.
+    """
+    conv = _to_exact if exact else float
+    eps, A, zeta = _length_and_spinnaker(eps, conv, omega, tau, rr, s, t, h)
+    p, q = conv(p), conv(q)
+    if not q:
+        raise ValueError("harmonicity forces q != 0 for conformal fields on M^2")
+
+    uA, uZ, vA, vZ = eps * q, q * (p - 2), eps * (1 + q), -2 * q
+    out = {m: vA * a + vZ * zeta.get(m, 0) for m, a in A.items()}
+    out[0, 0, 0] += eps
+    _add_product(out, A, {m: uA * a + uZ * zeta.get(m, 0) for m, a in A.items()})
     return TriPoly(out)
+
+
+def harmonicity_remainders(eps, omega, tau, rr, s, t, h) -> tuple[TriPoly, TriPoly, TriPoly]:
+    """(R_X, R_Y, R_Z): one field's remainder mod the quadric, for every (p, q) at once.
+
+    The quartic of build_harmonicity_poly is P = X + q Y + pq Z with
+
+        X = eps + eps A,  Y = eps A - 2 zeta + eps A^2 - 2 A zeta,  Z = A zeta,
+
+    and the division by the quadric is linear, so P leaves the remainder
+    R_X + q R_Y + pq R_Z: P is divisible exactly when that vanishes, and
+    otherwise its total degree is vanishes_mod_quadric's failing grade.
+    Parameters are coerced as in exact mode (floats keep their exact binary
+    value); in floating point the split would round differently from P.
+    """
+    eps, A, zeta = _length_and_spinnaker(eps, _to_exact, omega, tau, rr, s, t, h)
+    X = {m: eps * a for m, a in A.items()}
+    X[0, 0, 0] += eps
+    Y = {m: eps * a - 2 * zeta.get(m, 0) for m, a in A.items()}  # W = eps A - 2 zeta; Y = W + A W
+    _add_product(Y, A, dict(Y))
+    Z = {}
+    _add_product(Z, A, zeta)
+    for part in (X, Y, Z):
+        _divide_by_quadric(part, eps)
+    return TriPoly(X), TriPoly(Y), TriPoly(Z)
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +333,28 @@ class ReductionResult:
         return self.divisible
 
 
-def vanishes_mod_quadric(P: TriPoly, eps: int, tol: float | None = None) -> ReductionResult:
-    """Decide whether P = Q*S for some quadratic S, by division by Q in psi.
+def _divide_by_quadric(R: dict, eps: int) -> dict:
+    """Reduce R in place to its remainder of degree <= 1 in psi; return the quotient.
 
     From psi^4 down to psi^2, each term c*alpha^i*beta^j*psi^k is rewritten
     by psi^2 = 1 - eps*(alpha^2 + beta^2) + eps*Q, which adds
-    eps*c*alpha^i*beta^j*psi^(k-2) to the quotient S.  The remainder R has
-    degree <= 1 in psi, and such polynomials are independent mod Q, so P is
+    eps*c*alpha^i*beta^j*psi^(k-2) to the quotient.
+    """
+    S = {}
+    for k in (4, 3, 2):
+        for i, j, _ in [m for m in R if m[2] == k]:
+            c = R.pop((i, j, k))
+            S[i, j, k - 2] = eps * c  # each quotient monomial arises once
+            for mon, d in (((i, j, k - 2), c), ((i + 2, j, k - 2), -eps * c), ((i, j + 2, k - 2), -eps * c)):
+                R[mon] = R.get(mon, 0) + d
+    return S
+
+
+def vanishes_mod_quadric(P: TriPoly, eps: int, tol: float | None = None) -> ReductionResult:
+    """Decide whether P = Q*S for some quadratic S, by division by Q in psi.
+
+    The division (_divide_by_quadric) leaves a remainder R of degree <= 1 in
+    psi and collects the quotient S.  R has degree <= 1 in psi, and such polynomials are independent mod Q, so P is
     divisible exactly when R = 0; S is then the unique witness, re-verified
     via P - Q*S = 0.  Otherwise failing_grade is the total degree of R.
     Pass tol for the double-precision fallback (flagged approximate): a
@@ -308,14 +368,8 @@ def vanishes_mod_quadric(P: TriPoly, eps: int, tol: float | None = None) -> Redu
     approx = tol is not None
     if approx:
         tol *= max([1.0] + [a for a in (abs(float(c)) for c in P.terms.values()) if a < math.inf])
-    R, S = dict(P.terms), {}
-    for k in (4, 3, 2):
-        for i, j, _ in [m for m in R if m[2] == k]:
-            c = R.pop((i, j, k))
-            S[i, j, k - 2] = eps * c  # each quotient monomial arises once
-            for mon, d in (((i, j, k - 2), c), ((i + 2, j, k - 2), -eps * c), ((i, j + 2, k - 2), -eps * c)):
-                R[mon] = R.get(mon, 0) + d
-    S = TriPoly(S)
+    R = dict(P.terms)
+    S = TriPoly(_divide_by_quadric(R, eps))
     grades = [sum(m) for m, c in R.items() if c and (tol is None or not abs(float(c)) <= tol)]
     if grades:
         return ReductionResult(False, None, max(grades), f"remainder of degree {max(grades)} mod the quadric", approx)

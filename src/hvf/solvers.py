@@ -20,10 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import fields as fld
 from .exactnum import QuadExt, solve_quadratic
-from .tension import MetricParams
+from .params import MetricParams
+
+if TYPE_CHECKING:
+    from .fields import AffineField
 
 
 @dataclass
@@ -366,12 +369,14 @@ def _compactness_sanity(cl: Classification, sup_sq: float | None) -> list[BoundC
 # ---------------------------------------------------------------------------
 
 
-def build_classified_field(cl: Classification, t: float = math.pi / 4) -> fld.AffineField:
+def build_classified_field(cl: Classification, t: float = math.pi / 4) -> AffineField:
     """Instantiate a concrete field realising a classification.
 
     For the loxodromic loop, t picks the member.  Raises for no-solution
     records.
     """
+    from . import fields as fld
+
     if not cl.exists:
         raise ValueError(f"no field exists: {cl.reason}")
     if cl.family == "loxodromic":
@@ -391,13 +396,15 @@ def build_classified_field(cl: Classification, t: float = math.pi / 4) -> fld.Af
 @dataclass
 class CatalogueEntry:
     label: str
-    field: fld.AffineField
+    field: AffineField
     mp: MetricParams
     classification: Classification
     constant_length: bool = False
 
-    def rescaled(self, factor: float) -> fld.AffineField:
-        return fld.scale_field(self.field, factor)
+    def rescaled(self, factor: float) -> AffineField:
+        from .fields import scale_field
+
+        return scale_field(self.field, factor)
 
 
 def harmonic_catalogue() -> list[CatalogueEntry]:

@@ -36,27 +36,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import AffineField
+from .params import FD_TOL, HARMONIC_TOL, MetricParams
 from .spaceform import DEFAULT_H_FIRST, DEFAULT_H_SECOND
 
-HARMONIC_TOL = 1e-7  # closed forms: catalogue residuals stay below ~1e-13
-FD_TOL = 1e-5  # FD oracle: catalogue residuals reach ~8e-7, q +- 0.05 refutations stay above ~3.7e-3
 ZERO_LENGTH = 1e-6  # samples with |sigma| <= ZERO_LENGTH * max |sigma| leave the spinnaker and preharmonic checks
 PREHARMONIC_TOL = 1e-8
 # peak working set of verify in (count, n+1) float arrays: 10-13 closed-form, plus 13-14 per
 # dimension n for the FD stencils (tracemalloc over the catalogue at 4000-20000 points)
 LIVE_ARRAYS, FD_LIVE_ARRAYS_PER_DIM = 14, 14
-
-
-@dataclass(frozen=True)
-class MetricParams:
-    """The pair (p, q) selecting a generalised Cheeger-Gromoll metric."""
-
-    p: float
-    q: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.p) and np.isfinite(self.q)):
-            raise ValueError("metric parameters must be finite")
 
 
 @dataclass

@@ -3,9 +3,13 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hvf
 from hvf.cli import main
 from hvf.spaceform import SpaceForm
 
@@ -106,6 +110,27 @@ def test_solve_loxodromic(capsys):
     assert "(3, -0.5)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("solve --family loxodromic --epsilon 1", "--epsilon: the loxodromic classification is defined on H^2 only"),
+        ("solve --family loxodromic --n 5", "--n: the loxodromic classification is defined on H^2 only"),
+        ("solve --family quadratic --n 5 --epsilon -1", "--epsilon: quadratic gradient fields are defined on spheres only"),
+    ],
+)
+def test_solve_rejects_a_space_the_family_does_not_cover(argv, message, capsys):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_solve_defaults_to_the_family_space(capsys):
+    assert main("solve --family loxodromic --n 2 --epsilon -1".split()) == 0
+    assert capsys.readouterr().out.startswith("family=loxodromic n=2 epsilon=-1\n")
+    assert main("solve --family quadratic --n 5".split()) == 0
+    assert capsys.readouterr().out.startswith("family=quadratic n=5 epsilon=+1\n")
+
+
 def test_table_values_and_csv(tmp_path, capsys):
     path1, path2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
     assert main(["table", "--csv", str(path1)]) == 0
@@ -196,6 +221,65 @@ def test_scan2d_numeric_overflow_is_not_a_hit(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "no (grade 4)" in out and "0 harmonic hits" in out
+
+
+@pytest.mark.parametrize("mode", ["--numeric", "--exact"])
+def test_scan2d_extreme_scales_keep_their_grade(mode, capsys):
+    # coefficients ~1e300 next to rounding residues ~1e284: both arithmetics read grade 3
+    argv = "scan2d --epsilon -1 --omega 1e150 --rr 1e150 --h 1e-200 --p 3 --q 1e-300".split()
+    assert main(argv + [mode]) == 0
+    assert capsys.readouterr().out == (
+        "omega=1e+150 tau=0 rr=1e+150 h=1e-200 p=3 q=1e-300: no (grade 3)\n"
+        "1 grid points, 0 harmonic hits\n"
+    )
+
+
+# run one subcommand in a fresh process and report on stderr whether it imported numpy
+_REPORT_NUMPY = (
+    "import sys\n"
+    "from hvf.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print('numpy' in sys.modules, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def _fresh_process(argv):
+    src = os.path.dirname(os.path.dirname(hvf.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", _REPORT_NUMPY, *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("solve --family killing --n 4 --r 2", 0),
+        ("solve --family quadratic --n 6", 3),
+        ("table --csv {csv}", 0),
+        ("scan2d --epsilon 1", 0),
+    ],
+)
+def test_classifications_and_scan2d_run_without_numpy(argv, code, tmp_path, capsys):
+    fresh = _fresh_process(argv.format(csv=tmp_path / "fresh.csv").split())
+    assert (fresh.returncode, fresh.stderr) == (code, "False\n")
+    # the same output as in this process, where numpy is loaded
+    assert main(argv.format(csv=tmp_path / "here.csv").split()) == code
+    assert fresh.stdout == capsys.readouterr().out
+    if "--csv" in argv:
+        assert (tmp_path / "fresh.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
+
+
+def test_verify_runs_in_a_fresh_process():
+    fresh = _fresh_process("verify --family confgrad --n 3 --epsilon 1 --mu 1 --p 4 --q -1 --points 20".split())
+    assert (fresh.returncode, fresh.stderr) == (0, "True\n")
+    assert "harmonic=True" in fresh.stdout
+
+
+def test_verify_help_names_both_default_tolerances(capsys):
+    assert main(["verify", "--help"]) == 0
+    assert "default 1e-07, 1e-05 with --fd" in " ".join(capsys.readouterr().out.split())
 
 
 def test_verify_fd_override(capsys):

@@ -14,6 +14,7 @@ from hvf.polyreduce import (
     PSI,
     TriPoly,
     build_harmonicity_poly,
+    harmonicity_remainders,
     quadric,
     vanishes_mod_quadric,
 )
@@ -292,3 +293,53 @@ def test_quartic_build_performs_no_tripoly_ring_operation(monkeypatch):
     assert build_harmonicity_poly(-1, Fraction(3, 5), 0, 0, 0, 1, Fraction(4, 5), 3, Fraction(-1, 2)).terms
     assert build_harmonicity_poly(-1, s22, 1, 2, 3, 4, s22, 3, Fraction(-1, 2)).terms
     assert build_harmonicity_poly(1, 0.5, 0.25, 1.0, 0.6, 0.8, 2.0, 3.0, -0.5, exact=False).terms
+
+
+# ---------------------------------------------------------------------------
+# one remainder per field against the per-case reduction
+# ---------------------------------------------------------------------------
+
+
+def _case_verdict(args):
+    res = vanishes_mod_quadric(build_harmonicity_poly(*args), args[0])
+    return res.divisible, res.failing_grade
+
+
+def _remainder_verdict(remainders, p, q):
+    """(divisible, failing_grade) read off R_X + q R_Y + pq R_Z."""
+    RX, RY, RZ = remainders
+    R = RX + q * RY + (p * q) * RZ
+    return (True, None) if R.is_zero() else (False, R.degree())
+
+
+def test_field_remainder_matches_the_per_case_reduction_on_the_sweep_grid():
+    by_field, hits = {}, set()
+    for args in _sweep_grid():
+        field, (p, q) = args[:7], args[7:]
+        if field not in by_field:
+            by_field[field] = harmonicity_remainders(*field)
+        verdict = _remainder_verdict(by_field[field], p, q)
+        assert verdict == _case_verdict(args), args
+        if verdict[0]:
+            hits.add((field[1], field[6], p, q))
+    # the H^2 loop members, sigma_0 and sigma_1, all at (3, -1/2) and with every sign
+    on_loop = {(om, h) for om, h in _H2_PAIRS if om * om + h * h == 1}
+    assert {(abs(om), abs(h)) for om, h, _, _ in hits} == on_loop
+    assert {(p, q) for *_, p, q in hits} == {(3, -_HALF)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((1, -1)), st.lists(NONZERO, min_size=8, max_size=8))
+def test_field_remainder_matches_the_per_case_reduction_on_random_rationals(eps, params):
+    args = (eps, *params)
+    assert _remainder_verdict(harmonicity_remainders(*args[:7]), *args[7:]) == _case_verdict(args)
+
+
+def test_field_remainder_in_a_quadratic_extension():
+    s22 = QuadExt(0, Fraction(1, 2), 2)  # omega = h = sqrt(2)/2, on the loop
+    field = (-1, s22, 0, 0, 0, 1, s22)
+    remainders = harmonicity_remainders(*field)
+    for p, q in ((3, -_HALF), (3, Fraction(-11, 20)), (4, -_HALF), (Fraction(5, 2), -1)):
+        p, q = Fraction(p), Fraction(q)
+        assert _remainder_verdict(remainders, p, q) == _case_verdict((*field, p, q)), (p, q)
+    assert _remainder_verdict(remainders, Fraction(3), -_HALF) == (True, None)
