@@ -62,8 +62,6 @@ _SUBMODULE = {
             "TensionReport",
             "isometry_equivariance_check",
             "metric_grid_scan",
-            "preharmonic_check",
-            "q_riemannian_check",
             "reduced_pde_residual",
             "verify",
         ),

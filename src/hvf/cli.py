@@ -47,23 +47,27 @@ def _parse_spec_file(path: str) -> dict:
     return out
 
 
-_FAMILY_KEYS = (
-    "family", "n", "epsilon", "mu", "pole", "r", "omega", "twists", "tau",
-    "lam", "eigenvalues", "rr", "s", "t", "h", "scale",
-)
-_LIST_KEYS = ("pole", "twists", "eigenvalues")
+# verify's field keys, each a --key option of this type; the str-typed keys hold comma-separated lists
+_FAMILY_KEYS = {
+    "family": None, "n": int, "epsilon": int, "mu": float, "pole": str, "r": float, "omega": float,
+    "twists": str, "tau": float, "lam": float, "eigenvalues": str, "rr": float, "s": float, "t": float,
+    "h": float, "scale": float,
+}
+_CHOICES = {
+    "family": ["confgrad", "killing", "hopf", "loxodromic", "dipole", "conformal2d", "quadratic"],
+    "epsilon": [1, -1],
+}
 
 
 def _collect_spec(args) -> dict:
     doc: dict = {}
     if args.spec:
         doc.update(_parse_spec_file(args.spec))
-    for key in _FAMILY_KEYS:
-        val = getattr(args, key, None)
+    for key, kind in _FAMILY_KEYS.items():
+        val = getattr(args, key)
         if val is not None:
             doc[key] = val
-    for key in _LIST_KEYS:
-        if key in doc and isinstance(doc[key], str):
+        if kind is str and isinstance(doc.get(key), str):
             doc[key] = _floats(doc[key])
     return doc
 
@@ -157,10 +161,8 @@ def cmd_solve(args) -> int:
         cl = solvers.conformal_gradient_classification(args.n, eps, mu_sign)
     elif family == "quadratic":
         cl = solvers.quadratic_classification(args.n)
-    elif family == "loxodromic":
+    else:
         cl = solvers.loxodromic_classification()
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown family {family!r}")
     _print_classification(cl)
     return 0 if cl.exists else 3
 
@@ -274,22 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="test a field for (p, q)-harmonicity")
     pv.add_argument("--spec", help="key=value file describing the field")
-    pv.add_argument("--family", choices=["confgrad", "killing", "hopf", "loxodromic", "dipole", "conformal2d", "quadratic"])
-    pv.add_argument("--n", type=int)
-    pv.add_argument("--epsilon", type=int, choices=[1, -1])
-    pv.add_argument("--mu", type=float)
-    pv.add_argument("--pole", type=str)
-    pv.add_argument("--r", type=float)
-    pv.add_argument("--omega", type=float)
-    pv.add_argument("--twists", type=str)
-    pv.add_argument("--tau", type=float)
-    pv.add_argument("--lam", type=float)
-    pv.add_argument("--eigenvalues", type=str)
-    pv.add_argument("--rr", type=float)
-    pv.add_argument("--s", type=float)
-    pv.add_argument("--t", type=float)
-    pv.add_argument("--h", dest="h", type=float)
-    pv.add_argument("--scale", type=float)
+    for key, kind in _FAMILY_KEYS.items():
+        pv.add_argument(f"--{key}", type=kind, choices=_CHOICES.get(key))
     pv.add_argument("--p", type=float)
     pv.add_argument("--q", type=float)
     pv.add_argument("--points", type=int, default=200)

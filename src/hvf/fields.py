@@ -15,12 +15,12 @@ L† = eta L^T eta:
     Delta F            = -div grad F, from the ambient Jacobian of grad F
     nabla* nabla sigma = eps P_x((n+1) L x + 2 L† x + c)
 
-Every closed form, spinnaker and coordinate function takes one point of
-shape (m,) or a batch of shape (N, m), m = n+1, and keeps the leading
-axes: vectors come back as (m,) or (N, m), scalars as a number or (N,).
+Every closed form and spinnaker takes one point of shape (m,) or a batch
+of shape (N, m), m = n+1, and keeps the leading axes: vectors come back
+as (m,) or (N, m), scalars as a number or (N,).
 The scalars |nabla sigma|^2 and Delta F are per-point traces, so a batch
-costs O(N m) memory.  grad_F, nabla, nabla_norm_sq, nabla_gradF_sigma and lap_F
-also take the Jet they all start from, so several of them share its one evaluation.
+costs O(N m) memory.  grad_F, nabla, nabla_norm_sq and lap_F also take the
+Jet they all start from, so several of them share its one evaluation.
 
 The six classified families are subclasses.  Each one only builds its
 (L, c), validates its own parameters and keeps its metadata: params(),
@@ -100,7 +100,6 @@ class AffineField:
 
     family = "affine"
     scale_factor = None  # set by scale_field
-    sup_norm = None  # sup |sigma| over M, where a family knows it in closed form
     _vectors: tuple[str, ...] = ()  # metadata vectors (points, frames, poles) moved by transform
     _operators: tuple[str, ...] = ()  # metadata operators conjugated by transform
 
@@ -157,13 +156,6 @@ class AffineField:
         j, X = self.jet(x), as_vector(X)
         return self.space.tangent_project(j.x, X @ self.L.T) - (self._eps * j.alpha)[..., None] * X
 
-    def nabla_matrix(self, x) -> np.ndarray:
-        """B = (P_x L - eps alpha I) P_x, so B X = nabla_X sigma for tangent X and B x = 0."""
-        x, _, alpha, _ = self._parts(x)
-        eye = np.eye(len(self.c))
-        P = eye - self._eps * (x[..., :, None] * (self._eta * x)[..., None, :])
-        return (P @ self.L - (self._eps * alpha)[..., None, None] * eye) @ P
-
     def nabla_norm_sq(self, x):
         """|nabla sigma|^2 = tr_T(A† A) - 2 eps alpha tr_T A + n alpha^2 for A = P_x L on T_x M:
 
@@ -180,10 +172,6 @@ class AffineField:
     def grad_F(self, x) -> np.ndarray:
         x, _, _, alpha, s = self.jet(x)
         return self.space.tangent_project(x, s @ self._Ldag.T) - (self._eps * alpha)[..., None] * s
-
-    def nabla_gradF_sigma(self, x) -> np.ndarray:
-        j = self.jet(x)
-        return self.nabla(j, self.grad_F(j))
 
     def lap_F(self, x):
         """Delta F = -div grad F = -(tr J - eps <J x, x>) for the ambient Jacobian J.
@@ -310,15 +298,8 @@ class ConformalGradientField(AffineField):
             raise ValueError("timelike pole must be future-oriented")
         super().__init__(np.zeros((space.ambient_dim,) * 2), self.a, space)
 
-    def alpha(self, x) -> float:
-        return self.space.inner(self.c, x)
-
     def spinnaker(self, x):
         return self._eps * (self.space.inner(self.c, self.c) - self.sigma_sq(x))
-
-    @property
-    def sup_norm(self):
-        return math.sqrt(self.space.inner(self.c, self.c)) if self._eps == 1 else None
 
     def _params(self):
         return {"pole": self.a.tolist(), "mu": self.mu}
@@ -368,26 +349,34 @@ class KillingField(AffineField):
         super().__init__(self.A, np.zeros(space.ambient_dim), space)
 
     def _derive(self):
-        space, L = self.space, self.L
+        """The normal form and lambda, found on L0 = L / 2^e for the power of two 2^e at |L|max.
+
+        Twists and tau are scaled back by 2^e and lambda by 4^e.  Scaling by a
+        power of two is exact, so the results are those of L itself wherever
+        nothing underflows, and the tiniest and largest fields keep them too.
+        """
+        space = self.space
+        e = math.frexp(float(np.abs(self.L).max()))[1]
+        L = np.ldexp(self.L, -e)
         L2 = L @ L
-        self.operator_sq = float(np.trace(L @ self._Ldag))
         op_scale = float(np.abs(L).max())
         if space.eps == 1:
-            self.tau = 0.0
+            tau = 0.0
             rot = self._twists_from_squares(np.linalg.eigvalsh(-L2), op_scale)
         else:
             w = self.base
             eta = space.sig.eta(space.ambient_dim)
             v = L @ w
-            self.tau = space.norm(v)
+            tau = float(space.norm(v))
             T = np.outer(w, eta @ v) - np.outer(v, eta @ w)
             E = space.frame(w)  # rows
             Rt = E @ eta @ (L - T) @ E.T  # <R E_j, E_i> in the (Euclidean) tangent space
             rot = self._twists_from_squares(np.linalg.eigvalsh(Rt.T @ Rt), op_scale)  # = -Rt^2
-        self.twists = rot
+        self.tau = math.ldexp(tau, e)
+        self.twists = tuple(math.ldexp(t, e) for t in rot)
         self.rank = len(rot)
         self.balanced = not rot or rot[0] - rot[-1] <= CLUSTER_TOL * rot[0]
-        inv = sum(t * t for t in rot) - self.tau * self.tau
+        inv = sum(t * t for t in rot) - tau * tau
         if space.eps == 1:
             self.kind = "rotation"
         elif abs(inv) <= 1e-9 * op_scale**2:
@@ -395,13 +384,13 @@ class KillingField(AffineField):
         else:
             self.kind = "rotation" if inv > 0 else "translation"
         fro = float((L * L).sum())
-        if fro < 1e-300:
+        if fro == 0.0:  # the zero field
             self.preharmonic_lambda = 0.0
             return
         L3 = L2 @ L
         lam = float((L3 * L).sum()) / fro
         ok = np.linalg.norm(L3 - lam * L, 2) <= PREHARMONIC_OP_TOL * np.linalg.norm(L, 2) ** 3
-        self.preharmonic_lambda = lam if ok else None
+        self.preharmonic_lambda = math.ldexp(lam, 2 * e) if ok else None
 
     def _twists_from_squares(self, sq, op_scale) -> tuple[float, ...]:
         tol = CLUSTER_TOL * op_scale**2
@@ -415,12 +404,6 @@ class KillingField(AffineField):
         if self.preharmonic_lambda is None:
             return None
         return -(self.preharmonic_lambda + self._eps * self.sigma_sq(x))
-
-    @property
-    def sup_norm(self):
-        if not self.twists and self.tau == 0.0:
-            return 0.0
-        return self.twists[0] if self._eps == 1 else None
 
     def _params(self):
         return {"operator": self.A.tolist()}
@@ -519,13 +502,6 @@ class LoxodromicField(AffineField):
         L = sum(w * _pair_operator(a, b, space) for w, (a, b) in zip(self.omegas, self.pairs))
         super().__init__(L, self.pole, space)
 
-    def gamma(self, x) -> float:
-        return self.space.inner(self.c, x)
-
-    def conformal_value(self, x) -> np.ndarray:
-        """The conformal-gradient part P_x(c) of sigma."""
-        return self.space.tangent_project(x, self.c)
-
     def spinnaker(self, x):
         if not (self.properly and self.space.n == 2):
             return None
@@ -585,12 +561,6 @@ class DipoleDeformationField(AffineField):
         self.tau = _finite(tau, "tau")
         self.r = _finite(r, "r")
         super().__init__(self.tau * _pair_operator(self.a, self.w, space), self.r * self.a, space)
-
-    def alpha(self, x) -> float:
-        return self.space.inner(self.a, x)
-
-    def psi(self, x) -> float:
-        return self.space.inner(self.w, x)
 
     def spinnaker(self, x):
         L, c = self.L, self.c
@@ -660,16 +630,6 @@ class Conformal2DField(AffineField):
         L = omega * _pair_operator(self.a, self.b, space) + tau * _pair_operator(self.a, self.w, space)
         c = rr * s * self.a + rr * t * self.b + h * self.w
         super().__init__(L, c, space)
-
-    # coordinates alpha, beta, psi
-    def alpha(self, x) -> float:
-        return self.space.inner(self.a, x)
-
-    def beta(self, x) -> float:
-        return self.space.inner(self.b, x)
-
-    def psi(self, x) -> float:
-        return self.space.inner(self.w, x)
 
     def spinnaker(self, x):
         x = as_vector(x)
@@ -749,11 +709,6 @@ class QuadraticGradientField(AffineField):
         x = as_vector(x)
         return ((x @ np.linalg.matrix_power(self.L, m)) * x).sum(axis=-1)
 
-    def sigma_m(self, x, m: int = 1) -> np.ndarray:
-        """Q^m x - xi_m(x) x; sigma_1 = sigma."""
-        x = as_vector(x)
-        return x @ np.linalg.matrix_power(self.L, m) - self.xi(x, m)[..., None] * x
-
     def spinnaker(self, x):
         if len(self._clusters) == 1:
             return np.zeros(np.shape(x)[:-1])  # sigma is identically zero
@@ -762,10 +717,6 @@ class QuadraticGradientField(AffineField):
         (lo, _), (hi, _) = self._clusters
         d = hi + lo - 2.0 * self.xi(x)
         return d * d
-
-    @property
-    def sup_norm(self):
-        return 0.5 * float(self._spectrum[-1] - self._spectrum[0])
 
     def _params(self):
         return {"eigenvalues": self.eigenvalues.tolist()}

@@ -52,7 +52,7 @@ def _to_exact(v):
 
 
 class TriPoly:
-    """A polynomial in (alpha, beta, psi) of total degree <= 4."""
+    """A polynomial in (alpha, beta, psi) of total degree <= 4; TriPoly() is zero."""
 
     __slots__ = ("terms",)
 
@@ -71,19 +71,8 @@ class TriPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "TriPoly":
-        return cls()
-
-    @classmethod
     def constant(cls, c) -> "TriPoly":
         return cls({(0, 0, 0): c})
-
-    @classmethod
-    def variable(cls, name: str) -> "TriPoly":
-        if name not in _VAR_NAMES:
-            raise ValueError(f"unknown variable {name!r}")
-        mon = tuple(1 if v == name else 0 for v in _VAR_NAMES)
-        return cls({mon: Fraction(1)})
 
     # -- ring operations -----------------------------------------------------
 
@@ -130,9 +119,6 @@ class TriPoly:
         return out
 
     # -- structure ----------------------------------------------------------
-
-    def homogeneous_part(self, k: int) -> "TriPoly":
-        return TriPoly({m: c for m, c in self.terms.items() if sum(m) == k})
 
     def degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
@@ -186,11 +172,6 @@ class TriPoly:
 
     def __repr__(self):
         return f"TriPoly({self})"
-
-
-ALPHA = TriPoly.variable("alpha")
-BETA = TriPoly.variable("beta")
-PSI = TriPoly.variable("psi")
 
 
 def quadric(eps: int) -> TriPoly:
@@ -362,8 +343,6 @@ def vanishes_mod_quadric(P: TriPoly, eps: int, tol: float | None = None) -> Redu
     largest finite coefficient c' of P, so NaN and inf never do, and the
     verdict does not depend on the scale of P or on the order of its terms.
     """
-    if P.degree() > MAX_DEGREE:
-        raise ValueError("P must have total degree <= 4")
     Q = quadric(eps)
     approx = tol is not None
     if approx:

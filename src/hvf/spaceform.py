@@ -159,16 +159,6 @@ class SpaceForm:
         a = x[..., :-1] / (self.eps * (1.0 + s * x[..., -1]))[..., None]
         return np.eye(self.n, self.ambient_dim) - a[..., :, None] * v[..., None, :]
 
-    def random_frame(self, x, rng: np.random.Generator) -> np.ndarray:
-        """Random orthonormal tangent frame at x: frame(x) turned by a random orthogonal matrix."""
-        return np.linalg.qr(rng.standard_normal((self.n, self.n)))[0] @ self.frame(x)
-
-    def random_tangent(self, x, rng: np.random.Generator, unit: bool = True) -> np.ndarray:
-        v = self.tangent_project(x, rng.standard_normal(self.ambient_dim))
-        if unit:
-            v = v / self.norm(v)
-        return v
-
     # -- sampling ----------------------------------------------------------
 
     def sample_points(self, count: int, seed: int) -> np.ndarray:

@@ -8,8 +8,10 @@ For metric parameters (p, q) the operator is
 
 and sigma is (p, q)-harmonic when the residual vanishes.  verify() samples
 points, measures the relative residual against a per-point scale, and also
-checks the Weitzenboeck identity, the spinnaker identities, and the
-q-Riemannian inequality q|sigma|^2 >= -1.  For preharmonic eigenfields the
+runs the checks preharmonic, spinnaker_error, weitzenbock_error and
+q_riemannian (q|sigma|^2 >= -1).  Each check is a function of one
+Ingredients, which records its space form, and verify passes the one
+evaluation it makes to all of them.  For preharmonic eigenfields the
 scalar reduction
 
     (p + q + 2qF) Delta F + 2p (1 + qF) zeta + nu (1 + 2(1 - p)F) = 0
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 
@@ -37,7 +40,7 @@ import numpy as np
 
 from .fields import AffineField
 from .params import FD_TOL, HARMONIC_TOL, MetricParams
-from .spaceform import DEFAULT_H_FIRST, DEFAULT_H_SECOND
+from .spaceform import DEFAULT_H_FIRST, DEFAULT_H_SECOND, SpaceForm
 
 ZERO_LENGTH = 1e-6  # samples with |sigma| <= ZERO_LENGTH * max |sigma| leave the spinnaker and preharmonic checks
 PREHARMONIC_TOL = 1e-8
@@ -51,9 +54,10 @@ class Ingredients:
     """Everything the operator needs, at one point or at a batch of points.
 
     Vectors have shape (..., m) and scalars shape (...), with the leading
-    axes of the points they were evaluated at.
+    axes of the points they were evaluated at, on the space form `space`.
     """
 
+    space: SpaceForm
     sigma: np.ndarray
     sigma_sq: np.ndarray
     rough: np.ndarray
@@ -61,11 +65,10 @@ class Ingredients:
     nabla_sq: np.ndarray
     gradF_sq: np.ndarray
     lap_F: np.ndarray
-    source: str  # "closed-form" or "finite-difference"
 
     def __getitem__(self, index) -> "Ingredients":
         """The ingredients at the selected points (an index, slice or mask)."""
-        arrays = {k: v[index] for k, v in vars(self).items() if k != "source"}
+        arrays = {k: v[index] for k, v in vars(self).items() if k != "space"}
         return replace(self, **arrays)
 
 
@@ -94,6 +97,7 @@ def ingredients(field: AffineField, x, fd: bool = False, h: float | None = None)
         ngs, nsq = field.nabla(j, gF), field.nabla_norm_sq(j)
         rough, lap = field.rough_laplacian(j.x), field.lap_F(j)
     return Ingredients(
+        space=M,
         sigma=s,
         sigma_sq=M.sig.norm_sq(s),
         rough=rough,
@@ -101,16 +105,16 @@ def ingredients(field: AffineField, x, fd: bool = False, h: float | None = None)
         nabla_sq=nsq,
         gradF_sq=M.sig.norm_sq(gF),
         lap_F=lap,
-        source="finite-difference" if fd else "closed-form",
     )
 
 
-def _assemble(ing: Ingredients, p, q, M) -> tuple[np.ndarray, np.ndarray]:
+def _assemble(ing: Ingredients, p, q) -> tuple[np.ndarray, np.ndarray]:
     """(tension, residual scale), broadcasting over the points of ing and over p and q.
 
     The scale (1 + |s|^2)(1 + |rough| + |nabla_gradF s| + |phi||s|) keeps
     the relative residual dimensionally sane for fields of unbounded length.
     """
+    M = ing.space
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     one = 1.0 + ing.sigma_sq
     phi = p * ing.nabla_sq - p * q * ing.gradF_sq - q * one * ing.lap_F
@@ -123,13 +127,7 @@ def _assemble(ing: Ingredients, p, q, M) -> tuple[np.ndarray, np.ndarray]:
 
 def tension(field: AffineField, x, mp: MetricParams, fd: bool = False) -> np.ndarray:
     """The tension tau_{p,q}(sigma) at x; zero exactly for harmonic fields."""
-    return _assemble(ingredients(field, x, fd=fd), mp.p, mp.q, field.space)[0]
-
-
-def tension_residual(field: AffineField, x, mp: MetricParams, fd: bool = False):
-    """(residual norm, scale) of the tension at x."""
-    t, scale = _assemble(ingredients(field, x, fd=fd), mp.p, mp.q, field.space)
-    return field.space.norm(t), scale
+    return _assemble(ingredients(field, x, fd=fd), mp.p, mp.q)[0]
 
 
 def reduced_pde_residual(field: AffineField, x, mp: MetricParams):
@@ -146,16 +144,24 @@ def reduced_pde_residual(field: AffineField, x, mp: MetricParams):
     )
 
 
-def _preharmonic(ing: Ingredients, zeta, M) -> tuple[bool, float]:
-    """(verdict, max relative error) of nabla_{grad F} sigma = zeta sigma over the samples of ing.
+def _kept(ing: Ingredients):
+    """The samples with |sigma| > ZERO_LENGTH * max |sigma|: those the preharmonic and spinnaker checks judge."""
+    return ing.sigma_sq > ZERO_LENGTH**2 * ing.sigma_sq.max(initial=0.0)
 
-    Both the mask and the scale are homogeneous in sigma: points with
+
+def preharmonic(ing: Ingredients, zeta) -> tuple[bool, float]:
+    """Is nabla_{grad F} sigma = zeta sigma at the samples of ing, for the family zeta?
+
+    Falls back to zeta = |grad F|^2 / |sigma|^2 (the only candidate) when the
+    family provides no spinnaker (zeta None).  Returns (verdict, max relative
+    error).  Both the mask and the scale are homogeneous in sigma: points with
     |sigma| <= ZERO_LENGTH * max |sigma| are skipped, and each error is divided
     by |nabla_{grad F} sigma| + |zeta| |sigma| + (max |sigma|)^3, which scale
     like the error itself, so k sigma gets the verdict of sigma.
     """
+    M = ing.space
     top_sq = ing.sigma_sq.max(initial=0.0)
-    keep = ing.sigma_sq > ZERO_LENGTH**2 * top_sq
+    keep = _kept(ing)
     s_sq, ngs = ing.sigma_sq[keep], ing.nabla_gradF_sigma[keep]
     zeta = ing.gradF_sq[keep] / s_sq if zeta is None else zeta[keep]
     scale = M.norm(ngs) + np.abs(zeta) * np.sqrt(s_sq) + top_sq ** 1.5
@@ -164,63 +170,40 @@ def _preharmonic(ing: Ingredients, zeta, M) -> tuple[bool, float]:
     return worst < PREHARMONIC_TOL, worst
 
 
-def preharmonic_check(field: AffineField, samples) -> tuple[bool, float]:
-    """Is nabla_{grad F} sigma = zeta sigma at the samples, for the family zeta?
-
-    Falls back to zeta = |grad F|^2 / |sigma|^2 (the only candidate) when the
-    family does not provide a spinnaker.  Returns (verdict, max relative
-    error); points with |sigma| <= 1e-6 max |sigma| are skipped, and the
-    verdict does not change when sigma is scaled.
-    """
-    return _preharmonic(ingredients(field, samples), field.spinnaker(samples), field.space)
-
-
 def _relative(err, size):
     """err / size per point, with 0/0 read as 0; both scale alike, so k sigma gets the value of sigma."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(err == 0, 0.0, err / size)[()]
 
 
-def _spinnaker_error(ing: Ingredients, zeta):
+def spinnaker_error(ing: Ingredients, zeta):
+    """Relative error in |sigma|^2 zeta = |grad F|^2 at each point of ing, None when zeta is None.
+
+    Each point's error is divided by |sigma|^2 |zeta| + |grad F|^2 + |sigma|^4,
+    which scales like it, so k sigma gets the error of sigma.
+    """
     if zeta is None:
         return None
     s_zeta = ing.sigma_sq * zeta
     return _relative(np.abs(s_zeta - ing.gradF_sq), np.abs(s_zeta) + ing.gradF_sq + ing.sigma_sq**2)
 
 
-def spinnaker_identity_error(field: AffineField, x):
-    """Relative error in |sigma|^2 zeta = |grad F|^2, None when zeta is absent.
-
-    Each point's error is divided by |sigma|^2 |zeta| + |grad F|^2 + |sigma|^4,
-    which scales like it, so k sigma gets the error of sigma.
-    """
-    return _spinnaker_error(ingredients(field, x), field.spinnaker(x))
-
-
-def _weitzenbock(ing: Ingredients, M):
-    lhs = M.inner(ing.rough, ing.sigma)
-    return _relative(np.abs(lhs - (ing.nabla_sq + ing.lap_F)), np.abs(lhs) + ing.nabla_sq + ing.sigma_sq)
-
-
-def weitzenbock_error(field: AffineField, x):
-    """Relative error in <nabla*nabla sigma, sigma> = |nabla sigma|^2 + Delta F.
+def weitzenbock_error(ing: Ingredients):
+    """Relative error in <nabla*nabla sigma, sigma> = |nabla sigma|^2 + Delta F at each point of ing.
 
     Each point's error is divided by |<nabla*nabla sigma, sigma>| + |nabla sigma|^2
     + |sigma|^2, which scales like it, so k sigma gets the error of sigma.
     """
-    return _weitzenbock(ingredients(field, x), field.space)
+    lhs = ing.space.inner(ing.rough, ing.sigma)
+    return _relative(np.abs(lhs - (ing.nabla_sq + ing.lap_F)), np.abs(lhs) + ing.nabla_sq + ing.sigma_sq)
 
 
-def _q_riemannian(sigma_sq, q: float) -> bool:
-    hi, lo = sigma_sq.max(), sigma_sq.min()
+def q_riemannian(ing: Ingredients, q: float) -> bool:
+    """q |sigma(x)|^2 >= -1 at every sample of ing; constant-length fields pass outright."""
+    hi, lo = ing.sigma_sq.max(), ing.sigma_sq.min()
     if hi - lo <= 1e-9 * (1.0 + abs(hi)):
         return True
-    return bool((q * sigma_sq >= -1.0 - 1e-12).all())
-
-
-def q_riemannian_check(field: AffineField, q: float, samples) -> bool:
-    """q |sigma(x)|^2 >= -1 at every sample; constant-length fields pass outright."""
-    return _q_riemannian(field.sigma_sq(samples), q)
+    return bool((q * ing.sigma_sq >= -1.0 - 1e-12).all())
 
 
 @dataclass
@@ -291,12 +274,15 @@ def verify(
     the residuals and scales) comes from the FD oracle; every other check
     uses closed forms.  The preharmonic verdict and the identity errors are
     relative to the sampled size of sigma, so scaling the field changes
-    neither; spinnaker_max_err skips the samples that _preharmonic skips.
+    neither; spinnaker_max_err skips the samples that preharmonic skips.
     tol defaults to HARMONIC_TOL, or to FD_TOL with fd=True.  A count whose arrays cannot
-    fit in physical memory is rejected before any point is drawn.
+    fit in physical memory is rejected before any point is drawn, and so is a seed that is
+    not a non-negative integer.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if tol is None:
         tol = FD_TOL if fd else HARMONIC_TOL
     if not (math.isfinite(tol) and tol > 0):
@@ -306,7 +292,7 @@ def verify(
     samples = M.sample_points(count, seed)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         ing = ingredients(field, samples)
-        t, scale = _assemble(ingredients(field, samples, fd=True, h=h) if fd else ing, mp.p, mp.q, M)
+        t, scale = _assemble(ingredients(field, samples, fd=True, h=h) if fd else ing, mp.p, mp.q)
         res = M.norm(t)
     # a non-finite ingredient makes the tension t non-finite too
     finite = np.isfinite(t).all(axis=-1) & np.isfinite(res) & np.isfinite(scale)
@@ -314,8 +300,8 @@ def verify(
         raise ValueError(f"non-finite tension residual or ingredient at sample {np.argmin(finite)}")
     rel = res / scale
     zeta = field.spinnaker(samples)
-    sp_err = _spinnaker_error(ing, zeta)
-    keep = ing.sigma_sq > ZERO_LENGTH**2 * ing.sigma_sq.max()
+    sp_err = spinnaker_error(ing, zeta)
+    keep = _kept(ing)
     return TensionReport(
         family=field.family,
         params=field.params(),
@@ -327,9 +313,9 @@ def verify(
         count=count,
         max_rel_residual=float(rel.max()),
         harmonic=bool(rel.max() < tol),
-        preharmonic=_preharmonic(ing, zeta, M)[0],
-        q_riemannian=_q_riemannian(ing.sigma_sq, mp.q),
-        weitzenbock_max_err=float(_weitzenbock(ing, M).max()),
+        preharmonic=preharmonic(ing, zeta)[0],
+        q_riemannian=q_riemannian(ing, mp.q),
+        weitzenbock_max_err=float(weitzenbock_error(ing).max()),
         spinnaker_max_err=float(sp_err[keep].max()) if sp_err is not None and keep.any() else None,
         derivative_source="finite-difference" if fd else "closed-form",
         samples=samples,
@@ -351,7 +337,7 @@ def metric_grid_scan(field: AffineField, ps, qs, samples) -> np.ndarray:
     ing = ingredients(field, samples)
     out = np.zeros((P.size, Q.size))
     for i in range(len(ing.sigma_sq)):
-        t, scale = _assemble(ing[i], P, Q, M)
+        t, scale = _assemble(ing[i], P, Q)
         out = np.maximum(out, M.norm(t) / scale)
     return out
 
@@ -362,7 +348,7 @@ def isometry_equivariance_check(field: AffineField, g, mp: MetricParams, samples
     g = np.asarray(g, dtype=float)
     if not M.is_isometry(g):
         raise ValueError("g does not preserve the signature form (and sheet)")
-    t, scale = _assemble(ingredients(field, samples), mp.p, mp.q, M)
+    t, scale = _assemble(ingredients(field, samples), mp.p, mp.q)
     moved = tension(field.transform(g), M.normalize_point(samples @ g.T), mp)
     return float((M.norm(t @ g.T - moved) / scale).max())
 
@@ -375,7 +361,7 @@ def circle_equivariance_check(field: AffineField, t: float, mp: MetricParams, sa
     turned first by AffineField.circle_action, the linear map on (L, c).
     """
     M = field.space
-    v, scale = _assemble(ingredients(field, samples), mp.p, mp.q, M)
+    v, scale = _assemble(ingredients(field, samples), mp.p, mp.q)
     lhs = np.cos(t) * v + np.sin(t) * M.complex_rotation(samples, v)
     rhs = tension(field.circle_action(t), samples, mp)
     return float((M.norm(lhs - rhs) / scale).max())

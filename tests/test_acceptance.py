@@ -31,15 +31,16 @@ from hvf.spaceform import hyperbolic, sphere
 from hvf.tension import (
     MetricParams,
     circle_equivariance_check,
+    ingredients,
     isometry_equivariance_check,
     metric_grid_scan,
-    preharmonic_check,
-    spinnaker_identity_error,
+    preharmonic,
+    spinnaker_error,
     verify,
     weitzenbock_error,
 )
 
-from test_fields import sample_fields
+from test_fields import random_frame, random_tangent, sample_fields
 
 
 def _report(num, name, failures, t0, budget):
@@ -119,7 +120,7 @@ def test_criterion_5_oracle_agreement():
     for field in sample_fields():
         M = field.space
         for idx, x in enumerate(M.sample_points(50, 42)):
-            X = M.random_tangent(x, rng)
+            X = random_tangent(M, x, rng)
             cd = M.covariant_derivative_fd(field, x, X, 1e-4)
             exact = field.nabla(x, X)
             if M.norm(cd - exact) > 1e-5 * (1 + M.norm(exact)):
@@ -138,7 +139,7 @@ def test_criterion_5_oracle_agreement():
     def cov_err(h):
         total = 0.0
         for x in pts:
-            X = M.random_tangent(x, np.random.default_rng(4))
+            X = random_tangent(M, x, np.random.default_rng(4))
             total += M.norm(M.covariant_derivative_fd(f, x, X, h) - f.nabla(x, X))
         return total
 
@@ -158,13 +159,15 @@ def test_criterion_6_identity_suites():
     for field in sample_fields():
         M = field.space
         for idx, x in enumerate(M.sample_points(30, 42)):
-            if weitzenbock_error(field, x) > 1e-8:
+            ing = ingredients(field, x)
+            if weitzenbock_error(ing) > 1e-8:
                 failures.append((field.family, M.n, idx, "weitzenbock"))
             if M.sig.norm_sq(field.sigma(x)) > 1e-12:
-                err = spinnaker_identity_error(field, x)
+                err = spinnaker_error(ing, field.spinnaker(x))
                 if err is not None and err > 1e-8:
                     failures.append((field.family, M.n, idx, "spinnaker"))
-        pre, err = preharmonic_check(field, M.sample_points(30, 42))
+        pts = M.sample_points(30, 42)
+        pre, err = preharmonic(ingredients(field, pts), field.spinnaker(pts))
         if field.spinnaker(M.sample_points(1, 0)[0]) is not None and not pre:
             failures.append((field.family, M.n, "preharmonic", err))
     # quadratic coordinate relations: loxodromic completion, planar quadric,
@@ -181,7 +184,8 @@ def test_criterion_6_identity_suites():
     for M2 in (sphere(2), hyperbolic(2)):
         f2 = Conformal2DField(M2, 0.7, 0.0, 0.5, 0.6, 0.8, 1.1)
         for x in M2.sample_points(30, 42):
-            qv = f2.alpha(x) ** 2 + f2.beta(x) ** 2 + M2.eps * f2.psi(x) ** 2 - M2.eps
+            al, be, ps = M2.inner(f2.a, x), M2.inner(f2.b, x), M2.inner(f2.w, x)
+            qv = al**2 + be**2 + M2.eps * ps**2 - M2.eps
             if abs(qv) > 1e-12:
                 failures.append(("planar quadric", M2.eps, qv))
     from hvf.fields import LoxodromicField
@@ -197,7 +201,7 @@ def test_criterion_6_identity_suites():
             lox.space.inner(a, x) ** 2
             + lox.space.inner(b, x) ** 2
             + lox.space.inner(d, x) ** 2
-            + lox.gamma(x) ** 2 / mu
+            + lox.space.inner(lox.c, x) ** 2 / mu
         )
         if abs(total - lox.space.eps) > 1e-12:
             failures.append(("loxodromic completion", total))
@@ -212,7 +216,7 @@ def test_criterion_6_identity_suites():
     expected = lorentz_pairing(A1, A2, H4.sig)
     for seed in range(5):
         w = H4.sample_points(1, seed)[0]
-        frame = H4.random_frame(w, np.random.default_rng(seed))
+        frame = random_frame(H4, w, np.random.default_rng(seed))
         total = sum(H4.inner(A1 @ u, A2 @ u) for u in frame) - H4.inner(A1 @ w, A2 @ w)
         if abs(total - expected) > 1e-9 * (1 + abs(expected)):
             failures.append(("pairing frame invariance", seed))
@@ -225,7 +229,7 @@ def test_criterion_7_nonexistence():
     # infinitesimal translations: preharmonic but never harmonic
     tr = hyperbolic_translation(1.0, hyperbolic(3))
     pts = tr.space.sample_points(60, 42)
-    pre, _ = preharmonic_check(tr, pts)
+    pre, _ = preharmonic(ingredients(tr, pts), tr.spinnaker(pts))
     if not pre:
         failures.append("translation not preharmonic")
     ps = np.arange(-5.0, 8.0 + 1e-9, 0.25)

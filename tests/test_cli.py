@@ -324,6 +324,13 @@ def test_verify_rejects_bad_tolerance(value, capsys):
     assert "tol must be finite and positive" in capsys.readouterr().err
 
 
+def test_verify_rejects_a_negative_seed(capsys):
+    argv = "verify --family confgrad --n 3 --epsilon 1 --mu 1 --p 4 --q -1 --seed -1".split()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be a non-negative integer, got -1\n" and captured.out == ""
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_verify_rejects_bad_fd_step(value, capsys):
     argv = "verify --family confgrad --n 3 --epsilon 1 --mu 1 --p 4 --q -1 --points 5 --fd --h-fd".split()

@@ -22,6 +22,21 @@ def test_every_public_name_is_its_submodule_attribute():
     assert hvf.MetricParams is hvf.tension.MetricParams
 
 
+def test_public_names_are_pinned():
+    assert hvf.__all__ == [
+        "AffineField", "BoundCheck", "Classification", "Conformal2DField", "ConformalGradientField",
+        "DipoleDeformationField", "EUCLIDEAN", "GeneralizedHopfField", "KillingField", "LORENTZIAN",
+        "LoxodromicField", "MetricParams", "QuadraticGradientField", "Signature", "SpaceForm",
+        "TensionReport", "TriPoly", "associate_family_member", "bounds_report", "build_classified_field",
+        "build_field", "build_harmonicity_poly", "conformal_gradient_classification", "elementary_killing",
+        "harmonic_catalogue", "harmonicity_remainders", "hyperbolic", "hyperbolic_translation",
+        "isometry_equivariance_check", "killing_classification", "killing_from_twists", "lorentz_pairing",
+        "loxodromic_classification", "metric_grid_scan", "quadratic_classification",
+        "quadratic_two_eigenvalue", "quadric", "reduced_pde_residual", "scale_field", "sphere", "table7",
+        "twist_roots", "twist_roots_exact", "vanishes_mod_quadric", "verify",
+    ]
+
+
 def test_unknown_names_raise_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         hvf.no_such_name

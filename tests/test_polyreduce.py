@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 from hvf.exactnum import QuadExt
 from hvf.fields import Conformal2DField
 from hvf.polyreduce import (
-    ALPHA,
-    BETA,
     NUMERIC_ZERO_TOL,
-    PSI,
     TriPoly,
     build_harmonicity_poly,
     harmonicity_remainders,
@@ -20,6 +17,8 @@ from hvf.polyreduce import (
 )
 from hvf.spaceform import hyperbolic
 from hvf.tension import MetricParams, verify
+
+ALPHA, BETA, PSI = (TriPoly({mon: Fraction(1)}) for mon in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def test_ring_operations():
@@ -31,11 +30,14 @@ def test_ring_operations():
 
 
 def test_homogeneous_parts_of_quadric():
+    def part(P, k):
+        return TriPoly({m: c for m, c in P.terms.items() if sum(m) == k})
+
     for eps in (1, -1):
         Q = quadric(eps)
-        assert Q.homogeneous_part(2) == ALPHA**2 + BETA**2 + eps * PSI**2
-        assert Q.homogeneous_part(1).is_zero()
-        assert Q.homogeneous_part(0) == TriPoly.constant(-eps)
+        assert part(Q, 2) == ALPHA**2 + BETA**2 + eps * PSI**2
+        assert part(Q, 1).is_zero()
+        assert part(Q, 0) == TriPoly.constant(-eps)
 
 
 def test_degree_cap():
@@ -50,7 +52,7 @@ def test_degree_cap():
 def test_canonical_string():
     assert str(quadric(1)) == "alpha^2 + beta^2 + psi^2 - 1"
     assert str(quadric(-1)) == "alpha^2 + beta^2 - psi^2 + 1"
-    assert str(TriPoly.zero()) == "0"
+    assert str(TriPoly()) == "0"
     P = TriPoly({(1, 1, 1): Fraction(-3, 2), (0, 0, 0): QuadExt(0, 1, 2)})
     assert str(P) == "-3/2*alpha*beta*psi + sqrt(2)"
 
@@ -62,8 +64,8 @@ def test_divisibility_constructed_cases():
     assert (quadric(1) * S - quadric(1) * res.witness).is_zero()
     res = vanishes_mod_quadric(ALPHA**4, 1)
     assert not res.divisible and res.failing_grade == 4
-    res = vanishes_mod_quadric(TriPoly.zero(), 1)
-    assert res.divisible and res.witness == TriPoly.zero()
+    res = vanishes_mod_quadric(TriPoly(), 1)
+    assert res.divisible and res.witness == TriPoly()
 
 
 def test_witness_soundness_random():

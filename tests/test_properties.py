@@ -172,7 +172,7 @@ def _quotient_and_remainder(draw):
     S = TriPoly(draw(st.dictionaries(st.sampled_from(quotients), DYADIC, max_size=6)))
     grade = draw(st.none() | st.integers(0, 4))
     if grade is None:
-        return S, TriPoly.zero()
+        return S, TriPoly()
     mons = [(i, j, k) for i, j, k in itertools.product(range(5), range(5), range(2)) if i + j + k <= grade]
     below = [m for m in mons if sum(m) < grade]
     terms = draw(st.dictionaries(st.sampled_from(below), DYADIC, max_size=4)) if below else {}

@@ -28,11 +28,10 @@ from hvf.tension import (
     ingredients,
     isometry_equivariance_check,
     metric_grid_scan,
-    preharmonic_check,
-    q_riemannian_check,
+    preharmonic,
+    q_riemannian,
     reduced_pde_residual,
     tension,
-    tension_residual,
     verify,
     weitzenbock_error,
 )
@@ -43,9 +42,7 @@ def test_harmonic_conformal_gradient_s3():
     M = sphere(3)
     f = ConformalGradientField([1.0, 0.0, 0.0, 0.0], M)  # mu = 1
     mp = MetricParams(4.0, -1.0)
-    for x in M.sample_points(100, 0):
-        res, scale = tension_residual(f, x, mp)
-        assert res < 1e-8 * scale
+    assert verify(f, mp, count=100, seed=0).max_rel_residual < 1e-8
 
 
 def test_parallel_field_harmonic_for_all_parameters():
@@ -67,8 +64,7 @@ def test_hopf_unit_field_reduction():
         assert np.allclose(t1, t2, atol=1e-10)
         unit_res = f.rough_laplacian(x) - f.nabla_norm_sq(x) * f.sigma(x)
         assert np.allclose(t1, 2.0 * unit_res, atol=1e-10)
-        res, scale = tension_residual(f, x, MetricParams(2.0, 0.7))
-        assert res < 1e-8 * scale
+    assert verify(f, MetricParams(2.0, 0.7), count=20, seed=2).max_rel_residual < 1e-8
 
 
 def test_reduced_pde_examples():
@@ -122,15 +118,19 @@ def test_reduced_pde_matches_tension_direction():
                 assert np.allclose(t, r * s, atol=1e-9 * (1 + abs(r)) * (1 + M.norm(s)))
 
 
+def _preharmonic(field, pts):
+    return preharmonic(ingredients(field, pts), field.spinnaker(pts))
+
+
 def test_preharmonic_check_examples():
     M = sphere(4)
     pts4 = M.sample_points(50, 6)
-    ok, err = preharmonic_check(ConformalGradientField([1.0, 0, 0, 0, 0.5], M), pts4)
+    ok, err = _preharmonic(ConformalGradientField([1.0, 0, 0, 0, 0.5], M), pts4)
     assert ok and err < 1e-12
-    ok, err = preharmonic_check(killing_from_twists([1.0, 2.0], M), pts4)
+    ok, err = _preharmonic(killing_from_twists([1.0, 2.0], M), pts4)
     assert not ok and err > 1e-3
     H = hyperbolic(2)
-    ok, _ = preharmonic_check(hyperbolic_translation(1.0, H), H.sample_points(50, 7))
+    ok, _ = _preharmonic(hyperbolic_translation(1.0, H), H.sample_points(50, 7))
     assert ok
 
 
@@ -173,21 +173,20 @@ def test_q_riemannian_check():
     M = sphere(4)
     pts = M.sample_points(50, 8)
     f = killing_from_twists([1.0, 2.0], M)
-    assert q_riemannian_check(f, 0.0, pts)
-    assert q_riemannian_check(f, 5.0, pts)  # q >= 0 is vacuous
+    assert q_riemannian(ingredients(f, pts), 0.0)
+    assert q_riemannian(ingredients(f, pts), 5.0)  # q >= 0 is vacuous
     # classified spherical Killing field: comfortably inside the ball bundle
     cl = killing_classification(4, 2, 1)
     kf = build_classified_field(cl)
     q0 = cl.metric_params[0].q
-    assert q_riemannian_check(kf, q0, pts)
-    assert q0 * kf.sup_norm**2 > -1.0 / 3.0
+    assert q_riemannian(ingredients(kf, pts), q0)
     # zero-free hyperbolic conformal gradient at q = 2-n: image outside the ball bundle
     H = hyperbolic(3)
     g = ConformalGradientField([math.sqrt(1.0), 0.0, 0.0, 0.0], H)
-    assert not q_riemannian_check(g, 2.0 - 3.0, H.sample_points(50, 9))
+    assert not q_riemannian(ingredients(g, H.sample_points(50, 9)), 2.0 - 3.0)
     # constant length always passes
     hopf = GeneralizedHopfField(2, 1.0, sphere(3))
-    assert q_riemannian_check(hopf, -50.0, hopf.space.sample_points(20, 10))
+    assert q_riemannian(ingredients(hopf, hopf.space.sample_points(20, 10)), -50.0)
 
 
 def test_ingredients_equal_the_public_closed_forms():
@@ -201,7 +200,6 @@ def test_ingredients_equal_the_public_closed_forms():
             (ing.sigma_sq, f.sigma_sq(pts)),
             (ing.gradF_sq, M.sig.norm_sq(gF)),
             (ing.nabla_gradF_sigma, f.nabla(pts, gF)),
-            (ing.nabla_gradF_sigma, f.nabla_gradF_sigma(pts)),
             (ing.nabla_sq, f.nabla_norm_sq(pts)),
             (ing.lap_F, f.lap_F(pts)),
             (ing.rough, f.rough_laplacian(pts)),
@@ -248,13 +246,18 @@ def test_verify_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+def test_verify_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    f = GeneralizedHopfField(2, 1.1, sphere(4))
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        verify(f, MetricParams(5.0, -0.5), count=5, seed=seed)
+
+
 def test_fd_fallback_path():
     f = ConformalGradientField([1.0, 0.0, 0.0, 0.0], sphere(3))
     rep = verify(f, MetricParams(4.0, -1.0), count=5, seed=12, fd=True, tol=1e-3)
     assert rep.derivative_source == "finite-difference"
     assert rep.harmonic  # oracle noise stays well under 1e-3
-    ing = ingredients(f, f.space.sample_points(1, 0)[0], fd=True)
-    assert ing.source == "finite-difference"
 
 
 def test_dilations_break_harmonicity():
@@ -301,7 +304,7 @@ def test_weitzenbock_identity():
 
     for f in sample_fields():
         for x in f.space.sample_points(30, 16):
-            assert weitzenbock_error(f, x) < 1e-8
+            assert weitzenbock_error(ingredients(f, x)) < 1e-8
 
 
 def test_isometry_equivariance():
@@ -335,4 +338,4 @@ def test_tension_and_weitzenbock_batch_equals_rows(size):
     for f in _batch_fields():
         pts = f.space.sample_points(f.space.ambient_dim if size == "m" else size, 50)
         assert_batch_equals_rows(lambda y: tension(f, y, mp), pts)
-        assert_batch_equals_rows(lambda y: weitzenbock_error(f, y), pts)
+        assert_batch_equals_rows(lambda y: weitzenbock_error(ingredients(f, y)), pts)
