@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .params import FD_TOL, HARMONIC_TOL, MetricParams
@@ -27,6 +28,19 @@ from .params import FD_TOL, HARMONIC_TOL, MetricParams
 
 def _fmt(v: float) -> str:
     return f"{float(v):.10g}"
+
+
+def _finite(key: str):
+    """The argparse type of a float-valued --key: a finite float, so nan and inf fail in the parser."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"{key} must be finite, got {text}")
+        return value
+
+    parse.__name__ = "float"  # argparse names the type in "invalid float value: 'x'"
+    return parse
 
 
 def _floats(text: str) -> list[float]:
@@ -95,6 +109,10 @@ def cmd_verify(args) -> int:
         fd=args.fd,
         h=args.h_fd,
     )
+    if args.json:
+        with open(args.json, "w") as fh:
+            fh.write(report.to_json())
+            fh.write("\n")
     print(
         f"family={report.family} n={report.n} epsilon={report.epsilon:+d} "
         f"(p, q)=({_fmt(report.p)}, {_fmt(report.q)})"
@@ -105,10 +123,6 @@ def cmd_verify(args) -> int:
         f"verdicts: harmonic={report.harmonic} preharmonic={report.preharmonic} "
         f"q_riemannian={report.q_riemannian}"
     )
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
     return 0 if report.harmonic else 1
 
 
@@ -174,13 +188,6 @@ def cmd_table(args) -> int:
         raise ValueError(f"unknown table {args.which!r}")
     ns = [n for n in range(5, args.max_n + 1, 2)]
     rows = solvers.table7(ns)
-    print("n  r  p  q               lambda0^2/4")
-    for row in rows:
-        print(
-            f"{row['n']:<2} {row['r']:<2} {row['p']:<2} "
-            f"{_fmt(row['q']):<15} {_fmt(row['lambda0_sq_over_4']):<15} "
-            f"[q = {row['q_exact']}, lambda0^2/4 = {row['lambda0_sq_over_4_exact']}]"
-        )
     if args.csv:
         import csv
 
@@ -191,6 +198,13 @@ def cmd_table(args) -> int:
                 writer.writerow(
                     [row["n"], row["r"], row["p"], _fmt(row["q"]), _fmt(row["lambda0_sq_over_4"])]
                 )
+    print("n  r  p  q               lambda0^2/4")
+    for row in rows:
+        print(
+            f"{row['n']:<2} {row['r']:<2} {row['p']:<2} "
+            f"{_fmt(row['q']):<15} {_fmt(row['lambda0_sq_over_4']):<15} "
+            f"[q = {row['q_exact']}, lambda0^2/4 = {row['lambda0_sq_over_4_exact']}]"
+        )
     return 0
 
 
@@ -215,7 +229,7 @@ def cmd_scan2d(args) -> int:
     omegas, taus, rrs, hs, ps, qs = (grid(k) for k in ("omega", "tau", "rr", "h", "p", "q"))
     s, t = value("s", str(args.s)), value("t", str(args.t))
     tol = None if args.exact else polyreduce.NUMERIC_ZERO_TOL
-    rows = []
+    rows, lines = [], []
     hits = 0
     for om, ta, rr, h in product(omegas, taus, rrs, hs):
         if not (om or ta or rr or h):
@@ -253,17 +267,18 @@ def cmd_scan2d(args) -> int:
                 }
             )
             tag = "HIT" if res.divisible else f"no (grade {res.failing_grade})"
-            print(
+            lines.append(
                 f"omega={_fmt(om)} tau={_fmt(ta)} rr={_fmt(rr)} h={_fmt(h)} "
                 f"p={_fmt(p)} q={_fmt(q)}: {tag}"
             )
-    print(f"{len(rows)} grid points, {hits} harmonic hits")
+    lines.append(f"{len(rows)} grid points, {hits} harmonic hits")
     if args.json:
         import json
 
         with open(args.json, "w") as fh:
             json.dump({"epsilon": args.epsilon, "hits": hits, "rows": rows}, fh, sort_keys=True, indent=2)
             fh.write("\n")
+    print("\n".join(lines))
     return 0
 
 
@@ -276,10 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="test a field for (p, q)-harmonicity")
     pv.add_argument("--spec", help="key=value file describing the field")
-    for key, kind in _FAMILY_KEYS.items():
-        pv.add_argument(f"--{key}", type=kind, choices=_CHOICES.get(key))
-    pv.add_argument("--p", type=float)
-    pv.add_argument("--q", type=float)
+    for key, kind in (*_FAMILY_KEYS.items(), ("p", float), ("q", float)):
+        pv.add_argument(f"--{key}", type=_finite(key) if kind is float else kind, choices=_CHOICES.get(key))
     pv.add_argument("--points", type=int, default=200)
     pv.add_argument("--seed", type=int, default=42)
     pv.add_argument("--tol", type=float, help=f"harmonic verdict threshold (default {HARMONIC_TOL:g}, {FD_TOL:g} with --fd)")
@@ -325,6 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # hvf's BLAS products have at most ~25 columns, so OpenBLAS's per-core thread pool gains nothing; starting
+    # it cost ~70 ms of CPU per process on 2 vCPUs. A caller that has already loaded numpy keeps its own pool.
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -212,6 +212,7 @@ class TensionReport:
 
     derivative_source names where the tension residual came from; preharmonic,
     weitzenbock_max_err and spinnaker_max_err are closed-form values either way.
+    tol is the threshold the harmonic verdict compared max_rel_residual with.
     to_dict turns the samples and their residuals and scales into per_point rows.
     """
 
@@ -224,6 +225,7 @@ class TensionReport:
     seed: int
     count: int
     max_rel_residual: float
+    tol: float
     harmonic: bool
     preharmonic: bool
     q_riemannian: bool
@@ -312,6 +314,7 @@ def verify(
         seed=seed,
         count=count,
         max_rel_residual=float(rel.max()),
+        tol=float(tol),
         harmonic=bool(rel.max() < tol),
         preharmonic=preharmonic(ing, zeta)[0],
         q_riemannian=q_riemannian(ing, mp.q),

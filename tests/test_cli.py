@@ -11,6 +11,7 @@ import pytest
 
 import hvf
 from hvf.cli import main
+from hvf.params import FD_TOL, HARMONIC_TOL
 from hvf.spaceform import SpaceForm
 
 
@@ -87,6 +88,11 @@ def test_verify_json_deterministic(tmp_path, capsys):
     assert doc["verdicts"]["harmonic"] is True
     assert set(doc) >= {"family", "params", "p", "q", "n", "epsilon", "seed", "count",
                         "max_rel_residual", "verdicts", "per_point"}
+    # the report records the threshold it judged against: the default, FD_TOL with --fd, or --tol
+    assert doc["tol"] == HARMONIC_TOL
+    for extra, tol in ((["--fd"], FD_TOL), (["--tol", "0.003"], 0.003)):
+        assert main(argv + extra + ["--json", str(out2)]) == 0
+        assert json.loads(out2.read_text())["tol"] == tol
     capsys.readouterr()
 
 
@@ -234,21 +240,25 @@ def test_scan2d_extreme_scales_keep_their_grade(mode, capsys):
     )
 
 
-# run one subcommand in a fresh process and report on stderr whether it imported numpy
+# run one subcommand in a fresh process and report on stderr whether it imported numpy, or with
+# _REPORT_BLAS the OpenBLAS thread count it ran with
 _REPORT_NUMPY = (
-    "import sys\n"
+    "import os, sys\n"
     "from hvf.cli import main\n"
     "code = main(sys.argv[1:])\n"
     "print('numpy' in sys.modules, file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
+_REPORT_BLAS = _REPORT_NUMPY.replace("'numpy' in sys.modules", "os.environ.get('OPENBLAS_NUM_THREADS')")
 
 
-def _fresh_process(argv):
+def _fresh_process(argv, script=_REPORT_NUMPY, **env):
+    # the child starts without this process's OPENBLAS_NUM_THREADS, so it sees the CLI's own default
     src = os.path.dirname(os.path.dirname(hvf.__file__))
+    child = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     return subprocess.run(
-        [sys.executable, "-c", _REPORT_NUMPY, *argv],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, env=dict(child, PYTHONPATH=src, **env), timeout=120,
     )
 
 
@@ -275,6 +285,45 @@ def test_verify_runs_in_a_fresh_process():
     fresh = _fresh_process("verify --family confgrad --n 3 --epsilon 1 --mu 1 --p 4 --q -1 --points 20".split())
     assert (fresh.returncode, fresh.stderr) == (0, "True\n")
     assert "harmonic=True" in fresh.stdout
+
+
+@pytest.mark.parametrize("env, threads", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3")], ids=["unset", "set"])
+def test_verify_process_defaults_to_one_blas_thread(env, threads):
+    argv = "verify --family confgrad --n 3 --epsilon 1 --mu 1 --p 4 --q -1 --points 20".split()
+    fresh = _fresh_process(argv, _REPORT_BLAS, **env)
+    assert (fresh.returncode, fresh.stderr) == (0, f"{threads}\n")
+
+
+def test_verify_in_a_process_with_numpy_leaves_the_environment_alone(monkeypatch, capsys):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    assert main("verify --family confgrad --n 3 --epsilon 1 --mu 1 --p 4 --q -1 --points 20".split()) == 0
+    assert dict(os.environ) == before
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag, value", [("scale", "inf"), ("scale", "nan"), ("q", "nan"), ("mu", "-inf")])
+def test_verify_non_finite_flag_fails_before_numpy_loads(flag, value):
+    argv = f"verify --family confgrad --n 3 --epsilon 1 --mu 1 --p 4 --q -1 --{flag}={value}".split()
+    fresh = _fresh_process(argv)
+    assert fresh.returncode == 2 and fresh.stdout == ""
+    error, loaded = fresh.stderr.splitlines()[-2:]
+    assert error.endswith(f"argument --{flag}: {flag} must be finite, got {value}") and loaded == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify --family confgrad --n 3 --epsilon 1 --mu 1 --p 4 --q -1 --points 20 --json {out}",
+        "scan2d --epsilon 1 --json {out}",
+        "table --csv {out}",
+    ],
+    ids=["verify", "scan2d", "table"],
+)
+def test_a_failed_output_write_prints_no_verdict(argv, tmp_path, capsys):
+    assert main(argv.format(out=tmp_path / "missing" / "out").split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_verify_help_names_both_default_tolerances(capsys):
