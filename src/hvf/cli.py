@@ -30,21 +30,21 @@ def _fmt(v: float) -> str:
     return f"{float(v):.10g}"
 
 
-def _finite(key: str):
-    """The argparse type of a float-valued --key: a finite float, so nan and inf fail in the parser."""
+def _finite(key: str, many: bool = False):
+    """The parser of a float-valued key, or with many of a comma-separated list: finite values only.
 
-    def parse(text: str) -> float:
-        value = float(text)
-        if not math.isfinite(value):
+    It is the argparse type of --key and reads the key's value in a spec file, so nan and inf
+    fail before the field is built.
+    """
+
+    def parse(text: str):
+        values = [float(v) for v in text.split(",") if v.strip() != ""] if many else [float(text)]
+        if not all(map(math.isfinite, values)):
             raise argparse.ArgumentTypeError(f"{key} must be finite, got {text}")
-        return value
+        return values if many else values[0]
 
     parse.__name__ = "float"  # argparse names the type in "invalid float value: 'x'"
     return parse
-
-
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in str(text).split(",") if v.strip() != ""]
 
 
 def _parse_spec_file(path: str) -> dict:
@@ -61,11 +61,11 @@ def _parse_spec_file(path: str) -> dict:
     return out
 
 
-# verify's field keys, each a --key option of this type; the str-typed keys hold comma-separated lists
-_FAMILY_KEYS = {
-    "family": None, "n": int, "epsilon": int, "mu": float, "pole": str, "r": float, "omega": float,
-    "twists": str, "tau": float, "lam": float, "eigenvalues": str, "rr": float, "s": float, "t": float,
-    "h": float, "scale": float,
+# verify's keys, each a --key option and a spec-file key read by the same parser; list keys are comma-separated
+_KEYS = {
+    "family": str, "n": int, "epsilon": int, "mu": float, "pole": list, "r": float, "omega": float,
+    "twists": list, "tau": float, "lam": float, "eigenvalues": list, "rr": float, "s": float, "t": float,
+    "h": float, "scale": float, "p": float, "q": float,
 }
 _CHOICES = {
     "family": ["confgrad", "killing", "hopf", "loxodromic", "dipole", "conformal2d", "quadratic"],
@@ -73,33 +73,34 @@ _CHOICES = {
 }
 
 
+def _parser(key: str):
+    kind = _KEYS[key]
+    return _finite(key, many=kind is list) if kind in (float, list) else kind
+
+
 def _collect_spec(args) -> dict:
+    """The spec file's keys, each read by its flag's parser, updated by the flags given."""
     doc: dict = {}
     if args.spec:
-        doc.update(_parse_spec_file(args.spec))
-    for key, kind in _FAMILY_KEYS.items():
-        val = getattr(args, key)
-        if val is not None:
-            doc[key] = val
-        if kind is str and isinstance(doc.get(key), str):
-            doc[key] = _floats(doc[key])
+        for key, text in _parse_spec_file(args.spec).items():
+            try:
+                doc[key] = _parser(key)(text) if key in _KEYS else text
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"spec key {key}: {exc}") from None
+    doc.update({key: getattr(args, key) for key in _KEYS if getattr(args, key) is not None})
     return doc
 
 
 def cmd_verify(args) -> int:
+    doc = _collect_spec(args)  # a bad value fails here, before numpy is loaded
+    p, q = doc.pop("p", None), doc.pop("q", None)
+    if p is None or q is None:
+        raise ValueError("metric parameters --p and --q are required")
     from .fields import build_field
     from .tension import verify
 
-    doc = _collect_spec(args)
-    file_p, file_q = doc.pop("p", None), doc.pop("q", None)
-    if args.p is None and file_p is not None:
-        args.p = float(file_p)
-    if args.q is None and file_q is not None:
-        args.q = float(file_q)
-    if args.p is None or args.q is None:
-        raise ValueError("metric parameters --p and --q are required")
     field = build_field(doc)
-    mp = MetricParams(args.p, args.q)
+    mp = MetricParams(p, q)
     report = verify(
         field,
         mp,
@@ -291,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="test a field for (p, q)-harmonicity")
     pv.add_argument("--spec", help="key=value file describing the field")
-    for key, kind in (*_FAMILY_KEYS.items(), ("p", float), ("q", float)):
-        pv.add_argument(f"--{key}", type=_finite(key) if kind is float else kind, choices=_CHOICES.get(key))
+    for key in _KEYS:
+        pv.add_argument(f"--{key}", type=_parser(key), choices=_CHOICES.get(key))
     pv.add_argument("--points", type=int, default=200)
     pv.add_argument("--seed", type=int, default=42)
     pv.add_argument("--tol", type=float, help=f"harmonic verdict threshold (default {HARMONIC_TOL:g}, {FD_TOL:g} with --fd)")

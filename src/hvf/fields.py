@@ -209,13 +209,14 @@ class AffineField:
         nabla* nabla sigma = eps P_x((n-1) K x + (n+3) S x + c) for the
         eta-skew part K and the trace-free eta-self-adjoint part S of L, so
         sigma is an eigenfield when its non-zero parts share one coefficient.
-        The zero field reports 0.
+        A part is zero below PART_TOL times the largest entry of (L, c), so
+        k sigma has the eigenvalue of sigma.  The zero field reports 0.
         """
         n, eps, L = self.space.n, self._eps, self.L
         K = 0.5 * (L - self._Ldag)
         S = 0.5 * (L + self._Ldag)
         S = S - np.trace(S) / (n + 1) * np.eye(n + 1)
-        tol = PART_TOL * max(1.0, np.abs(L).max(), np.abs(self.c).max())
+        tol = PART_TOL * max(np.abs(L).max(), np.abs(self.c).max())
         coeffs = {k for part, k in ((K, n - 1), (S, n + 3), (self.c, 1)) if np.abs(part).max() > tol}
         if len(coeffs) > 1:
             return None
@@ -648,8 +649,9 @@ class Conformal2DField(AffineField):
         """
         k_R, k_a, k_b = float(L[1, 0]), float(L[2, 0]), float(L[2, 1])
         c_a, c_b, c_w = (float(v) for v in c)
+        tol = PART_TOL * max(np.abs(L).max(), np.abs(c).max())  # relative, so k sigma keeps the form of sigma
         tau, phi = math.hypot(k_a, k_b), math.atan2(k_b, k_a)
-        if tau <= 1e-12:
+        if tau <= tol:
             tau, phi = 0.0, 0.0
         cos, sin = math.cos(phi), math.sin(phi)
         a, b = np.array([cos, sin, 0.0]), np.array([-sin, cos, 0.0])
@@ -657,7 +659,7 @@ class Conformal2DField(AffineField):
         if k_R < 0:
             b, k_R, c_b = -b, -k_R, -c_b
         rr = math.hypot(c_a, c_b)
-        if rr > 1e-12:
+        if rr > tol:
             s, t = c_a / rr, c_b / rr
         else:
             rr, s, t = 0.0, 0.0, 1.0
@@ -701,8 +703,7 @@ class QuadraticGradientField(AffineField):
 
     def _derive(self):
         self._spectrum = np.linalg.eigvalsh(self.L)
-        scale = max(1.0, np.abs(self._spectrum).max())
-        self._clusters = _cluster(self._spectrum, CLUSTER_TOL * scale)
+        self._clusters = _cluster(self._spectrum, CLUSTER_TOL * np.abs(self._spectrum).max())
 
     def xi(self, x, m: int = 1):
         """xi_m(x) = <Q^m x, x>."""

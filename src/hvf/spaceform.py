@@ -1,4 +1,4 @@
-"""The model spaces S^n and H^n and their finite-difference oracles.
+"""The model spaces S^n and H^n and their finite-difference oracle.
 
 Both spaces are realised as quadrics in R^{n+1}:
 
@@ -7,18 +7,18 @@ Both spaces are realised as quadrics in R^{n+1}:
 
 The covariant derivative of the induced metric is the Gauss formula
 nabla_X Y = D_X Y + eps <X, Y> x, with x the unit normal.  On top of the
-exact geodesics this module provides two finite-difference oracles for a
+exact geodesics this module provides one finite-difference oracle for a
 field sigma, used as an independent check of the closed-form field analyses:
-first central differences give nabla_X sigma, and one second-difference
-stencil gives both the rough Laplacian -tr nabla^2 sigma and Delta F for
-F = |sigma|^2 / 2.  They call nothing of the field but sigma.
+one +-h stencil along the frame gives, by central differences, the rows
+nabla_{E_i} sigma, the rough Laplacian -tr nabla^2 sigma and Delta F for
+F = |sigma|^2 / 2.  It calls nothing of the field but sigma.
 
 Points are arrays whose last axis has length m = n+1: inner, norm,
 tangent_project, normalize_point and complex_rotation accept one point of
 shape (m,) or a batch of shape (N, m) and keep the leading axes, and
 sample_points draws one (N, m) array, never point by point.  frame returns (..., n, m)
-from a closed formula, and the finite-difference oracles take a point or a batch
-too: each evaluates sigma at the points once and on the stencils of all points once.
+from a closed formula, and the oracle takes a point or a batch too: it evaluates
+sigma at the points once and on the stencils of all points once.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from .ambient import EUCLIDEAN, LORENTZIAN, Signature, as_vector
 
 POINT_TOL = 1e-10
 H_MAX_GEODESIC = 20.0  # cosh overflow guard on H^n
-DEFAULT_H_FIRST = 1e-4
-DEFAULT_H_SECOND = 1e-3
+DEFAULT_H = 5e-4
 
 
 def _expm(S: np.ndarray) -> np.ndarray:
@@ -219,33 +218,16 @@ class SpaceForm:
             w[..., -1] = -w[..., -1]
         return w
 
-    # -- finite-difference oracles ------------------------------------------
+    # -- finite-difference oracle -------------------------------------------
 
-    def covariant_derivative_fd(self, field, x, X, h: float = DEFAULT_H_FIRST) -> np.ndarray:
-        """Central-difference nabla_X sigma; O(h^2) accurate; x and X broadcast.
+    def derivatives_fd(self, field, x, h: float = DEFAULT_H):
+        """(sigma, rows nabla_{E_i} sigma, -sum_i nabla^2_{E_i, E_i} sigma, Delta F) at x of shape (..., m).
 
-        The ambient directional derivative D_X sigma is differenced along the
-        geodesic through x in direction X/|X|, then Gauss-corrected by
-        + eps <X, sigma(x)> x.  A zero direction gives 0.
-        """
-        _check_step(h)
-        s0 = field.sigma(x)
-        x, X = np.broadcast_arrays(as_vector(x), as_vector(X))
-        nrm = self.norm(X)
-        zero = nrm < 1e-14
-        u = X / np.where(zero, 1.0, nrm)[..., None]
-        if zero.any():  # any unit direction will do: its difference is discarded
-            u[zero] = self.frame(x[zero])[:, 0]
-        sp, sm = field.sigma(self.geodesic(x, np.array([u, -u]), h))  # the points at +h and -h
-        d = nrm[..., None] * (sp - sm) / (2.0 * h) + (self.eps * self.inner(X, s0))[..., None] * x
-        return np.where(zero[..., None], 0.0, d)
-
-    def laplacians_fd(self, field, x, h: float = DEFAULT_H_SECOND) -> tuple[np.ndarray, np.ndarray]:
-        """(-sum_i nabla^2_{E_i, E_i} sigma, Delta F) by second central differences at x of shape (..., m).
-
-        One frame and one +-h geodesic stencil serve both.  Along a unit-speed
-        geodesic gamma with gamma'(0) = E the velocity field is autoparallel, so
-        the second covariant derivative of sigma reduces to
+        One evaluation of sigma at x and one +-h geodesic stencil along the
+        frame E = frame(x) serve all of them, to O(h^2).  The first difference
+        is D_{E_i} sigma, Gauss-corrected by + eps <E_i, sigma(x)> x.  Along a
+        unit-speed geodesic gamma with gamma'(0) = E the velocity field is
+        autoparallel, so the second covariant derivative of sigma reduces to
 
             s''(0) + 2 eps <E, s'(0)> x + eps <E, sigma(x)> E,
 
@@ -256,16 +238,17 @@ class SpaceForm:
         _check_step(h)
         x = as_vector(x)
         E = self.frame(x)
-        s0 = field.sigma(x)[..., None, :]
+        s = field.sigma(x)
+        s0 = s[..., None, :]
         sp, sm = field.sigma(self.geodesic(x[..., None, :], np.array([E, -E]), h))  # (..., n, m)
         d1 = (sp - sm) / (2.0 * h)
         d2 = (sp - 2.0 * s0 + sm) / (h * h)
-        eps = self.eps
-        out = d2 + 2.0 * eps * self.inner(E, d1)[..., None] * x[..., None, :]
-        out += eps * self.inner(E, s0)[..., None] * E
+        eps, xr = self.eps, x[..., None, :]
+        gauss = eps * self.inner(E, s0)[..., None]
+        out = d2 + 2.0 * eps * self.inner(E, d1)[..., None] * xr + gauss * E
         Fp, F0, Fm = (0.5 * self.sig.norm_sq(v) for v in (sp, s0, sm))
         lap_F = -((Fp - 2.0 * F0 + Fm) / (h * h)).sum(axis=-1)
-        return self.tangent_project(x, -out.sum(axis=-2)), lap_F
+        return s, d1 + gauss * xr, self.tangent_project(x, -out.sum(axis=-2)), lap_F
 
 
 def sphere(n: int) -> SpaceForm:

@@ -22,9 +22,9 @@ There is one evaluation path.  ingredients() evaluates the closed forms or
 the finite-difference oracle at once on a point of shape (m,) or a batch of
 shape (N, m), m = n+1, and every tension, residual, check and grid scan is
 assembled from those arrays; results keep the leading axes.  The closed forms
-share one Jet of the field per call.  The oracle calls only sigma: first
-differences along the frame give nabla sigma, and SpaceForm.laplacians_fd
-takes the rough Laplacian and Delta F from one second-difference stencil.
+share one Jet of the field per call.  The oracle calls only sigma:
+SpaceForm.derivatives_fd takes nabla sigma along the frame, the rough
+Laplacian and Delta F from one +-h stencil with one step.
 A report keeps its per-point values as arrays until it is serialised.
 """
 
@@ -40,13 +40,13 @@ import numpy as np
 
 from .fields import AffineField
 from .params import FD_TOL, HARMONIC_TOL, MetricParams
-from .spaceform import DEFAULT_H_FIRST, DEFAULT_H_SECOND, SpaceForm
+from .spaceform import DEFAULT_H, SpaceForm
 
 ZERO_LENGTH = 1e-6  # samples with |sigma| <= ZERO_LENGTH * max |sigma| leave the spinnaker and preharmonic checks
 PREHARMONIC_TOL = 1e-8
-# peak working set of verify in (count, n+1) float arrays: 10-13 closed-form, plus 13-14 per
-# dimension n for the FD stencils (tracemalloc over the catalogue at 4000-20000 points)
-LIVE_ARRAYS, FD_LIVE_ARRAYS_PER_DIM = 14, 14
+# peak working set of verify in (count, n+1) float arrays: 10.4-13.4 closed-form, plus 8.2-10.6 per
+# dimension n for the one FD stencil (tracemalloc over the catalogue at 4000 and 20000 points)
+LIVE_ARRAYS, FD_LIVE_ARRAYS_PER_DIM = 14, 11
 
 
 @dataclass
@@ -75,26 +75,23 @@ class Ingredients:
 def ingredients(field: AffineField, x, fd: bool = False, h: float | None = None) -> Ingredients:
     """The operator inputs at x, of shape (m,) or (N, m), from closed forms or the FD oracle.
 
-    The oracle differences sigma along the frame E at every point at once:
-    grad F = sum <nabla_{E_i} sigma, sigma> E_i and, by linearity,
-    nabla_{grad F} sigma = sum <grad F, E_i> nabla_{E_i} sigma; the rough
-    Laplacian and Delta F come from one call of SpaceForm.laplacians_fd.
+    The oracle takes sigma, the rows nabla_{E_i} sigma along the frame E, the
+    rough Laplacian and Delta F from one call of SpaceForm.derivatives_fd, with
+    step h (DEFAULT_H when None).  E is orthonormal, so with
+    E_i F = <nabla_{E_i} sigma, sigma> = <grad F, E_i>, |grad F|^2 = sum (E_i F)^2
+    and, by linearity, nabla_{grad F} sigma = sum (E_i F) nabla_{E_i} sigma.
     """
     x = np.asarray(x, dtype=float)
     M = field.space
     if fd:
-        s = field.sigma(x)
-        h1, h2 = (h, h) if h is not None else (DEFAULT_H_FIRST, DEFAULT_H_SECOND)
-        E = M.frame(x)
-        D = M.covariant_derivative_fd(field, x[..., None, :], E, h1)  # rows nabla_{E_i} sigma
+        s, D, rough, lap = M.derivatives_fd(field, x, DEFAULT_H if h is None else h)
         c = M.inner(D, s[..., None, :])  # E_i F = <grad F, E_i>
-        gF, ngs = (c[..., None] * E).sum(axis=-2), (c[..., None] * D).sum(axis=-2)
+        gF_sq, ngs = (c * c).sum(axis=-1), (c[..., None] * D).sum(axis=-2)
         nsq = M.sig.norm_sq(D).sum(axis=-1)
-        rough, lap = M.laplacians_fd(field, x, h2)
     else:
         j = field.jet(x)
         s, gF = j.sigma, field.grad_F(j)
-        ngs, nsq = field.nabla(j, gF), field.nabla_norm_sq(j)
+        ngs, nsq, gF_sq = field.nabla(j, gF), field.nabla_norm_sq(j), M.sig.norm_sq(gF)
         rough, lap = field.rough_laplacian(j.x), field.lap_F(j)
     return Ingredients(
         space=M,
@@ -103,7 +100,7 @@ def ingredients(field: AffineField, x, fd: bool = False, h: float | None = None)
         rough=rough,
         nabla_gradF_sigma=ngs,
         nabla_sq=nsq,
-        gradF_sq=M.sig.norm_sq(gF),
+        gradF_sq=gF_sq,
         lap_F=lap,
     )
 

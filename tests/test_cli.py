@@ -312,6 +312,25 @@ def test_verify_non_finite_flag_fails_before_numpy_loads(flag, value):
 
 
 @pytest.mark.parametrize(
+    "line, argv",
+    [
+        ("p = nan", "--q -1"),
+        ("scale = inf", "--p 4 --q -1"),
+        ("twists = 1,nan", "--p 4 --q -1"),
+    ],
+    ids=["p-nan", "scale-inf", "twists-nan"],
+)
+def test_verify_non_finite_spec_value_fails_before_numpy_loads(line, argv, tmp_path):
+    family = "killing\nn = 4" if "twists" in line else "confgrad\nn = 3\nmu = 1"
+    spec = tmp_path / "field.spec"
+    spec.write_text(f"family = {family}\nepsilon = 1\n{line}\n")
+    fresh = _fresh_process(["verify", "--spec", str(spec), *argv.split()])
+    key, value = (part.strip() for part in line.split("="))
+    assert (fresh.returncode, fresh.stdout) == (2, "")
+    assert fresh.stderr.splitlines() == [f"error: spec key {key}: {key} must be finite, got {value}", "False"]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         "verify --family confgrad --n 3 --epsilon 1 --mu 1 --p 4 --q -1 --points 20 --json {out}",
@@ -342,7 +361,7 @@ def test_verify_fd_override(capsys):
 
 @pytest.mark.parametrize("q, code", [("-1", 0), ("-0.9", 1)])
 def test_verify_fd_default_tolerance(q, code, capsys):
-    # without --tol, --fd judges against FD_TOL: the oracle's noise here (~1e-7) is above HARMONIC_TOL
+    # without --tol, --fd judges against FD_TOL: the oracle's noise here (~7.5e-8) leaves no margin below HARMONIC_TOL
     argv = "verify --family confgrad --n 3 --epsilon 1 --mu 1 --p 4 --fd --q".split()
     assert main(argv + [q]) == code
     assert f"harmonic={code == 0}" in capsys.readouterr().out

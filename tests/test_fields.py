@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from hvf.ambient import lorentz_pairing
+from hvf.ambient import as_vector, lorentz_pairing
 from hvf.fields import (
     AffineField,
     Conformal2DField,
@@ -468,6 +468,24 @@ def test_circle_action_endpoints():
         assert np.allclose(fpi.sigma(x), -f.sigma(x), atol=1e-12)
 
 
+def test_circle_action_keeps_a_tiny_field():
+    # the canonical form's zero tests are relative to the field, so a 1e-13 field keeps its translation and pole
+    f = scale_field(Conformal2DField(hyperbolic(2), 0.8, 0.3, 0.5, 0.6, 0.8, 1.1), 1e-13)
+    g = f.circle_action(0.0)
+    assert np.abs(g.L - f.L).max() <= 1e-12 * np.abs(f.L).max()
+    assert np.abs(g.c - f.c).max() <= 1e-12 * np.abs(f.c).max()
+
+
+def test_tiny_fields_keep_their_rough_laplacian_eigenvalue():
+    M = sphere(3)
+    dipole = DipoleDeformationField(M.base_point(), np.eye(4)[0], 1.3, 0.6, M)
+    quad = quadratic_two_eigenvalue(3, 1.0, sphere(5))
+    assert (dipole.nu, quad.nu) == (None, 8.0)
+    assert scale_field(dipole, 1e-13).nu is None
+    assert scale_field(quad, 1e-12).nu == 8.0
+    assert scale_field(quad, 0.0).nu == 0.0  # the zero field
+
+
 def test_circle_action_pointwise_rotation():
     M = hyperbolic(2)
     f = Conformal2DField(M, 0.8, 0.3, 0.5, 0.6, 0.8, 1.1)
@@ -765,6 +783,12 @@ def random_tangent(M, x, rng):
     """A random unit tangent vector of M at the point x."""
     v = M.tangent_project(x, rng.standard_normal(M.ambient_dim))
     return v / M.norm(v)
+
+
+def nabla_fd(M, field, x, X, h):
+    """The oracle's nabla_X sigma: its frame rows contracted with X, sum_i <X, E_i> nabla_{E_i} sigma."""
+    D = M.derivatives_fd(field, x, h)[1]
+    return (M.inner(M.frame(x), as_vector(X)[..., None, :])[..., None] * D).sum(axis=-2)
 
 
 def random_frame(M, x, rng):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from hvf.fields import AffineField
+from hvf.params import FD_TOL, MetricParams
+from hvf.solvers import harmonic_catalogue
 from hvf.spaceform import hyperbolic, sphere
-from hvf.tension import ingredients, weitzenbock_error
-from test_fields import TANGENT_TOL, _batch_fields, assert_batch_equals_rows, random_tangent, sample_fields
+from hvf.tension import ingredients, verify, weitzenbock_error
+from test_fields import TANGENT_TOL, _batch_fields, assert_batch_equals_rows, nabla_fd, random_tangent, sample_fields
 
 COV_TOL = 1e-5
 GRADF_TOL = 1e-5
@@ -24,7 +26,7 @@ def test_covariant_derivative_agreement(field):
     rng = np.random.default_rng(0)
     for x in M.sample_points(15, 1):
         X = random_tangent(M, x, rng)
-        fd = M.covariant_derivative_fd(field, x, X, 1e-4)
+        fd = nabla_fd(M, field, x, X, 1e-4)
         exact = field.nabla(x, X)
         assert _rel(M.norm(fd - exact), M.norm(exact)) < COV_TOL
 
@@ -46,7 +48,7 @@ def test_grad_F_agreement(field):
 def test_rough_laplacian_agreement(field):
     M = field.space
     for x in M.sample_points(15, 3):
-        fd = M.laplacians_fd(field, x, 1e-3)[0]
+        fd = M.derivatives_fd(field, x, 1e-3)[2]
         exact = field.rough_laplacian(x)
         assert _rel(M.norm(fd - exact), M.norm(exact)) < ROUGH_TOL
 
@@ -55,7 +57,7 @@ def test_rough_laplacian_agreement(field):
 def test_lap_F_agreement(field):
     M = field.space
     for x in M.sample_points(15, 4):
-        fd = M.laplacians_fd(field, x, 1e-3)[1]
+        fd = M.derivatives_fd(field, x, 1e-3)[3]
         assert _rel(abs(fd - field.lap_F(x)), abs(fd)) < LAPF_TOL
 
 
@@ -72,11 +74,11 @@ def test_second_order_convergence_rate():
         total = 0.0
         for x in pts:
             X = random_tangent(M, x, np.random.default_rng(4))
-            total += M.norm(M.covariant_derivative_fd(f, x, X, h) - f.nabla(x, X))
+            total += M.norm(nabla_fd(M, f, x, X, h) - f.nabla(x, X))
         return total
 
     def rough_err(h):
-        return sum(M.norm(M.laplacians_fd(f, x, h)[0] - f.rough_laplacian(x)) for x in pts)
+        return sum(M.norm(M.derivatives_fd(f, x, h)[2] - f.rough_laplacian(x)) for x in pts)
 
     assert 3.5 < cov_err(2e-4) / cov_err(1e-4) < 4.5
     assert 3.5 < rough_err(2e-3) / rough_err(1e-3) < 4.5
@@ -101,13 +103,13 @@ def test_general_affine_field_against_oracle(space):
         assert abs(M.inner(s, x)) <= TANGENT_TOL * (1.0 + M.norm(s))
         X = random_tangent(M, x, rng)
         exact = field.nabla(x, X)
-        fd = M.covariant_derivative_fd(field, x, X, h)
+        fd = nabla_fd(M, field, x, X, h)
         assert _rel(M.norm(fd - exact), M.norm(exact)) < COV_TOL
         gF = field.grad_F(x)
         for E in M.frame(x):
             fd = (field.F(M.geodesic(x, E, h)) - field.F(M.geodesic(x, E, -h))) / (2 * h)
             assert _rel(abs(M.inner(gF, E) - fd), abs(fd)) < GRADF_TOL
-        rough_fd, lap_fd = M.laplacians_fd(field, x, 1e-3)
+        rough_fd, lap_fd = M.derivatives_fd(field, x, 1e-3)[2:]
         assert _rel(abs(lap_fd - field.lap_F(x)), abs(lap_fd)) < LAPF_TOL
         exact = field.rough_laplacian(x)
         assert _rel(M.norm(rough_fd - exact), M.norm(exact)) < ROUGH_TOL
@@ -116,18 +118,13 @@ def test_general_affine_field_against_oracle(space):
 
 @pytest.mark.parametrize("size", ["m", 7])
 def test_fd_oracle_batch_equals_rows(size):
-    """The frame, both oracles and ingredients(fd=True) on a batch equal the stack of their rows."""
-    rng = np.random.default_rng(60)
+    """The frame, the oracle and ingredients(fd=True) on a batch equal the stack of their rows."""
     for f in _batch_fields():
         M = f.space
         pts = M.sample_points(M.ambient_dim if size == "m" else size, 61)
         assert_batch_equals_rows(M.frame, pts)
-        X = M.tangent_project(pts, rng.standard_normal(pts.shape))
-        got = M.covariant_derivative_fd(f, pts, X)
-        rows = np.array([M.covariant_derivative_fd(f, x, v) for x, v in zip(pts, X)])
-        assert np.all(np.abs(got - rows) <= 1e-12 * (1.0 + np.abs(rows)))
-        assert_batch_equals_rows(lambda y: M.laplacians_fd(f, y)[0], pts)
-        assert_batch_equals_rows(lambda y: M.laplacians_fd(f, y)[1], pts)
+        for k in range(4):  # sigma, the rows nabla_{E_i} sigma, the rough Laplacian, Delta F
+            assert_batch_equals_rows(lambda y: M.derivatives_fd(f, y)[k], pts)
         batch, per_row = ingredients(f, pts, fd=True), [ingredients(f, x, fd=True) for x in pts]
         for name in ("sigma", "sigma_sq", "rough", "nabla_gradF_sigma", "nabla_sq", "gradF_sq", "lap_F"):
             want = np.array([getattr(r, name) for r in per_row])
@@ -136,11 +133,10 @@ def test_fd_oracle_batch_equals_rows(size):
 
 
 def test_fd_ingredients_evaluate_sigma_once_per_stencil(monkeypatch):
-    """ingredients(fd=True) evaluates sigma on N(3 + 4n) points in five calls.
+    """ingredients(fd=True) evaluates sigma on N(1 + 2n) points in two calls.
 
-    sigma at x is taken once by ingredients and once by each oracle, and each
-    oracle evaluates one +-h stencil of 2n points per sample; a second
-    stencil for Delta F would make it N(4 + 6n).
+    The oracle takes sigma at x once and on one +-h stencil of 2n points per
+    sample, and every derivative comes from those values.
     """
     sizes = []
     sigma = AffineField.sigma
@@ -155,5 +151,15 @@ def test_fd_ingredients_evaluate_sigma_once_per_stencil(monkeypatch):
         pts = M.sample_points(N, 70)
         sizes.clear()
         ingredients(f, pts, fd=True)
-        assert sum(sizes) == N * (3 + 4 * M.n), f.family
-        assert len(sizes) == 5, f.family
+        assert sum(sizes) == N * (1 + 2 * M.n), f.family
+        assert len(sizes) == 2, f.family
+
+
+@pytest.mark.parametrize("entry", harmonic_catalogue(), ids=lambda e: e.label)
+def test_fd_verify_confirms_and_refutes_the_catalogue(entry):
+    """At the default step the oracle confirms every entry ten times inside FD_TOL and refutes q +- 0.05."""
+    assert verify(entry.field, entry.mp, count=200, fd=True).max_rel_residual <= FD_TOL / 10
+    if not entry.constant_length:  # constant-length (Hopf) fields are (2, q)-harmonic for every q
+        for dq in (0.05, -0.05):
+            shifted = MetricParams(entry.mp.p, entry.mp.q + dq)
+            assert not verify(entry.field, shifted, count=200, fd=True).harmonic

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hvf.cli import _FAMILY_KEYS, _collect_spec
+from hvf.cli import _KEYS, _collect_spec
 from hvf.exactnum import QuadExt
 from hvf.fields import build_field
 from hvf.polyreduce import TriPoly, quadric, vanishes_mod_quadric
@@ -23,7 +23,7 @@ TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=
 NUMBERS = ("0", "1", "-1", "2", "3", "2.5", "0.6", "1e200", "-1e200", "1e-320", "nan", "inf", "1/0", "1,2", "1,2,3,4", "")
 VALUES = st.one_of(TEXT, st.sampled_from(NUMBERS), st.floats().map(str), st.integers(-5, 12).map(str))
 # any key but "n": the dimension stays in 1..9, since a huge n allocates an n x n operator
-KEYS = st.one_of(st.sampled_from([k for k in _FAMILY_KEYS if k != "n"]), TEXT).filter(
+KEYS = st.one_of(st.sampled_from([k for k in _KEYS if k != "n"]), TEXT).filter(
     lambda k: k.split("#", 1)[0].strip() != "n"
 )
 DOCS = st.fixed_dictionaries(
@@ -58,7 +58,7 @@ def spec_path(tmp_path_factory):
 def test_spec_file_raises_only_value_error(spec_path, doc, junk):
     lines = [f"{k} = {v}" for k, v in doc.items()] + junk
     spec_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    args = argparse.Namespace(spec=str(spec_path), **{k: None for k in _FAMILY_KEYS})
+    args = argparse.Namespace(spec=str(spec_path), **{k: None for k in _KEYS})
     try:
         parsed = _collect_spec(args)
     except ValueError:

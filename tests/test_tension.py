@@ -144,9 +144,9 @@ def _preharmonic_scale_cases():
 
 @pytest.mark.parametrize("field, mp", _preharmonic_scale_cases())
 def test_preharmonic_verdict_is_scale_invariant(field, mp):
-    """k sigma is preharmonic exactly when sigma is, from 1e-6 to 1e6."""
+    """k sigma is preharmonic exactly when sigma is, from 1e-12 to 1e6."""
     want = verify(field, mp, count=50, seed=3).preharmonic
-    for k in (1e-6, 1e-3, 1e3, 1e6):
+    for k in (1e-12, 1e-9, 1e-6, 1e-3, 1e3, 1e6):
         assert verify(scale_field(field, k), mp, count=50, seed=3).preharmonic == want, k
 
 
