@@ -17,7 +17,7 @@ from importlib import import_module
 _SUBMODULE = {
     name: module
     for module, names in {
-        "ambient": ("EUCLIDEAN", "LORENTZIAN", "Signature", "lorentz_pairing"),
+        "ambient": ("lorentz_pairing",),
         "fields": (
             "AffineField",
             "Conformal2DField",

@@ -71,6 +71,8 @@ _CHOICES = {
     "family": ["confgrad", "killing", "hopf", "loxodromic", "dipole", "conformal2d", "quadratic"],
     "epsilon": [1, -1],
 }
+# argparse reads a value such as -1,0 as an option, so a list that starts with '-' needs the = form
+_LIST_HELP = "a list that starts with '-' needs the = form, as in --{}=-1,0"
 
 
 def _parser(key: str):
@@ -293,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="test a field for (p, q)-harmonicity")
     pv.add_argument("--spec", help="key=value file describing the field")
     for key in _KEYS:
-        pv.add_argument(f"--{key}", type=_parser(key), choices=_CHOICES.get(key))
+        pv.add_argument(f"--{key}", type=_parser(key), choices=_CHOICES.get(key),
+                        help="comma-separated; " + _LIST_HELP.format(key) if _KEYS[key] is list else None)
     pv.add_argument("--points", type=int, default=200)
     pv.add_argument("--seed", type=int, default=42)
     pv.add_argument("--tol", type=float, help=f"harmonic verdict threshold (default {HARMONIC_TOL:g}, {FD_TOL:g} with --fd)")
@@ -321,14 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("scan2d", help="mod-quadric sweep over conformal fields on M^2")
     pc.add_argument("--epsilon", type=int, choices=[1, -1], required=True)
-    pc.add_argument("--omega", default="0.5,1,2")
-    pc.add_argument("--tau", default="0")
-    pc.add_argument("--rr", default="0.5,1,2")
-    pc.add_argument("--h", default="0.5,1,2")
-    pc.add_argument("--s", default="0")
-    pc.add_argument("--t", default="1")
-    pc.add_argument("--p", default="2,3,4,5")
-    pc.add_argument("--q", default="-2,-1,-0.5,-0.1")
+    for key, grid in (("omega", "0.5,1,2"), ("tau", "0"), ("rr", "0.5,1,2"), ("h", "0.5,1,2"), ("s", "0"),
+                      ("t", "1"), ("p", "2,3,4,5"), ("q", "-2,-1,-0.5,-0.1")):
+        pc.add_argument(f"--{key}", default=grid, help="comma-separated grid (default %(default)s); " + _LIST_HELP.format(key))
     pc.add_argument("--exact", dest="exact", action="store_true", default=True,
                     help="exact rational coefficients (the default)")
     pc.add_argument("--numeric", dest="exact", action="store_false",

@@ -54,7 +54,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .ambient import Signature, as_vector, check_symmetric
+from .ambient import as_vector, check_symmetric
 from .spaceform import SpaceForm, hyperbolic
 
 TANGENT_TOL = 1e-10
@@ -73,7 +73,7 @@ def _finite(value, name: str):
 
 def _pair_operator(a, b, space: SpaceForm) -> np.ndarray:
     """The skew operator x -> <a, x> b - <b, x> a of the pair (a, b)."""
-    eta = space.sig.eta(space.ambient_dim)
+    eta = space.eta
     return np.outer(b, eta @ a) - np.outer(a, eta @ b)
 
 
@@ -112,8 +112,8 @@ class AffineField:
             raise ValueError("operator and vector entries must be finite")
         self.space, self.L, self.c = space, L, c
         self._eps = space.eps
-        self._eta = np.diag(space.sig.eta(m))
-        self._Ldag = space.sig.adjoint(L)
+        self._eta = np.diag(space.eta)
+        self._Ldag = space.adjoint(L)
         self._rough = m * L + 2.0 * self._Ldag
         with np.errstate(over="ignore"):  # the tension is cubic in L, the Killing test <L^3, L> quartic
             size4 = (m * np.abs(L).max()) ** 4
@@ -234,7 +234,7 @@ class AffineField:
     def transform(self, g) -> "AffineField":
         """The congruent field g.sigma(g^{-1} x) for an isometry g: (g L g^-1, g c)."""
         g = np.asarray(g, dtype=float)
-        g_inv = self.space.sig.adjoint(g)  # isometries satisfy g^{-1} = eta g^T eta
+        g_inv = self.space.adjoint(g)  # isometries satisfy g^{-1} = eta g^T eta
         moved = {name: getattr(self, name) @ g.T for name in self._vectors}
         moved.update({name: g @ getattr(self, name) @ g_inv for name in self._operators})
         return self._with(g @ self.L @ g_inv, g @ self.c, **moved)
@@ -249,7 +249,7 @@ class AffineField:
         space, L, c = self.space, self.L, self.c
         if space.n != 2 or space.eps != -1:
             raise ValueError("circle action is defined on the hyperbolic plane")
-        if not space.sig.is_skew(L):
+        if not space.is_skew(L):
             raise ValueError("circle action needs a conformal field: L must be eta-skew")
         cx = np.array([[0.0, -c[2], c[1]], [c[2], 0.0, -c[0]], [-c[1], c[0], 0.0]])
         JL, Jc = -self._eta[:, None] * cx, -self._eps * _axial(self._eta[:, None] * L)
@@ -343,7 +343,7 @@ class KillingField(AffineField):
     _operators = ("A",)
 
     def __init__(self, A, space: SpaceForm, base=None):
-        self.A = space.sig.check_skew(_finite(A, "operator"))
+        self.A = space.check_skew(_finite(A, "operator"))
         if self.A.shape != (space.ambient_dim,) * 2:
             raise ValueError("operator has wrong dimension")
         self.base = space.base_point() if base is None else space.check_point(base)
@@ -366,7 +366,7 @@ class KillingField(AffineField):
             rot = self._twists_from_squares(np.linalg.eigvalsh(-L2), op_scale)
         else:
             w = self.base
-            eta = space.sig.eta(space.ambient_dim)
+            eta = space.eta
             v = L @ w
             tau = float(space.norm(v))
             T = np.outer(w, eta @ v) - np.outer(v, eta @ w)
@@ -470,10 +470,9 @@ class LoxodromicField(AffineField):
 
     L = sum_i omega_i K_i where K_i is the elementary Killing operator of the
     orthonormal pair (a_i, b_i), and c is a pole orthogonal to every a_i,
-    b_i.  Properly loxodromic means R balanced and n = 2r; only then (and
-    only for n = 2) is the field preharmonic, with
-    zeta = eps*(mu + eps*omega^2 - |sigma|^2), where mu = <c, c> and
-    omega^2 = -tr(L^2)/2.
+    b_i.  Properly loxodromic means R balanced and n = 2r; only then is the
+    field preharmonic, with zeta = eps*(mu + eps*omega^2 - |sigma|^2), where
+    mu = <c, c> and omega^2 = -tr(L^2)/(2r) is the common squared twist.
     """
 
     family = "loxodromic"
@@ -488,7 +487,7 @@ class LoxodromicField(AffineField):
         if any(w <= 0 for w in self.omegas):
             raise ValueError("twists must be positive (drop trivial planes)")
         vecs = self.pairs.reshape(2 * len(self.pairs), -1)
-        eta = space.sig.eta(space.ambient_dim)
+        eta = space.eta
         if np.abs(vecs @ eta @ vecs.T - np.eye(len(vecs))).max() > tol:
             raise ValueError("rotation-plane vectors must be spacelike orthonormal")
         if np.abs(vecs @ eta @ self.pole).max() > tol * (1.0 + abs(self.pole).max()):
@@ -504,10 +503,10 @@ class LoxodromicField(AffineField):
         super().__init__(L, self.pole, space)
 
     def spinnaker(self, x):
-        if not (self.properly and self.space.n == 2):
+        if not self.properly:
             return None
         mu = self.space.inner(self.c, self.c)
-        return self._eps * (mu - self.sigma_sq(x)) - 0.5 * float(np.sum(self.L * self.L.T))
+        return self._eps * (mu - self.sigma_sq(x)) - 0.5 * float(np.sum(self.L * self.L.T)) / self.rank
 
     def _params(self):
         return {
@@ -556,7 +555,7 @@ class DipoleDeformationField(AffineField):
     def __init__(self, w, a, tau: float, r: float, space: SpaceForm):
         self.w = space.check_point(w)
         a = space.check_tangent(self.w, a, tol=1e-12)
-        if abs(space.sig.norm_sq(a) - 1.0) > 1e-12:
+        if abs(space.norm_sq(a) - 1.0) > 1e-12:
             raise ValueError("dipole direction must be a unit tangent vector")
         self.a = a
         self.tau = _finite(tau, "tau")
@@ -614,8 +613,8 @@ class Conformal2DField(AffineField):
         for u in (self.a, self.b):
             space.check_tangent(self.w, u, tol=1e-12)
         if (
-            abs(space.sig.norm_sq(self.a) - 1.0) > 1e-12
-            or abs(space.sig.norm_sq(self.b) - 1.0) > 1e-12
+            abs(space.norm_sq(self.a) - 1.0) > 1e-12
+            or abs(space.norm_sq(self.b) - 1.0) > 1e-12
             or abs(space.inner(self.a, self.b)) > 1e-12
         ):
             raise ValueError("(a, b) must be an orthonormal tangent frame at w")
@@ -750,7 +749,7 @@ def build_field(doc: dict) -> AffineField:
         eps = int(d.pop("epsilon"))
     except KeyError as exc:
         raise ValueError(f"missing required key {exc}") from exc
-    space = SpaceForm(n, Signature(eps))
+    space = SpaceForm(n, eps)
 
     def num(key, default=None):
         if default is None and key not in d:

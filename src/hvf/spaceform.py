@@ -5,6 +5,9 @@ Both spaces are realised as quadrics in R^{n+1}:
     S^n = { x : <x, x> = 1 }            (Euclidean inner product)
     H^n = { x : <x, x> = -1, x_{n+1} > 0 }   (Lorentzian, upper sheet)
 
+SpaceForm(n, eps) is the one geometry object: it owns eps, the Gram matrix
+eta, the inner product, the metric adjoint, the skewness and isometry tests.
+
 The covariant derivative of the induced metric is the Gauss formula
 nabla_X Y = D_X Y + eps <X, Y> x, with x the unit normal.  On top of the
 exact geodesics this module provides one finite-difference oracle for a
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import EUCLIDEAN, LORENTZIAN, Signature, as_vector
+from .ambient import SKEW_TOL, as_vector
 
 POINT_TOL = 1e-10
 H_MAX_GEODESIC = 20.0  # cosh overflow guard on H^n
@@ -55,29 +58,69 @@ def _check_step(h) -> None:
 
 @dataclass(frozen=True)
 class SpaceForm:
-    """The space form of dimension n with indicator sig.epsilon."""
+    """The space form of dimension n: the quadric <x, x> = eps in R^{n+1}, eps = +1 or -1.
+
+    <x, y> = x_1 y_1 + ... + x_n y_n + eps x_{n+1} y_{n+1}: Euclidean for the
+    sphere, Lorentzian for the hyperbolic space.
+    """
 
     n: int
-    sig: Signature
+    eps: int
 
     def __post_init__(self):
+        if self.eps not in (1, -1):
+            raise ValueError(f"epsilon must be +1 or -1, got {self.eps}")
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
-
-    @property
-    def eps(self) -> int:
-        return self.sig.epsilon
 
     @property
     def ambient_dim(self) -> int:
         return self.n + 1
 
+    @property
+    def eta(self) -> np.ndarray:
+        """Gram matrix diag(1, ..., 1, eps)."""
+        g = np.eye(self.ambient_dim)
+        g[-1, -1] = self.eps
+        return g
+
     def inner(self, x, y):
-        return self.sig.inner(x, y)
+        """<x, y> over the last axis; leading axes broadcast, so (N, m) rows give N values."""
+        x, y = as_vector(x), as_vector(y)
+        if x.shape[-1:] != y.shape[-1:]:
+            raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
+        return np.vecdot(x[..., :-1], y[..., :-1]) + self.eps * (x[..., -1] * y[..., -1])
+
+    def norm_sq(self, x):
+        return self.inner(x, x)
 
     def norm(self, v):
         """Length of a tangent vector (tangent spaces are spacelike)."""
-        return np.sqrt(np.maximum(self.sig.norm_sq(v), 0.0))
+        return np.sqrt(np.maximum(self.norm_sq(v), 0.0))
+
+    # -- operators on the ambient space ----------------------------------------
+
+    def adjoint(self, A) -> np.ndarray:
+        """Metric adjoint A† = eta A^T eta."""
+        A = np.asarray(A, dtype=float)
+        At = A.T.copy()
+        At[-1, :] *= self.eps
+        At[:, -1] *= self.eps
+        return At
+
+    def is_skew(self, A, tol: float = SKEW_TOL) -> bool:
+        """<A x, y> = -<x, A y>, i.e. A† = -A, up to tol relative to |A|."""
+        A = np.asarray(A, dtype=float)
+        scale = 1.0 + np.abs(A).max()
+        return np.abs(self.adjoint(A) + A).max() <= tol * scale
+
+    def check_skew(self, A, tol: float = SKEW_TOL) -> np.ndarray:
+        A = np.asarray(A, dtype=float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError(f"operator must be square, got shape {A.shape}")
+        if not self.is_skew(A, tol):
+            raise ValueError("operator is not skew-symmetric for this signature")
+        return A
 
     # -- points and tangents ---------------------------------------------
 
@@ -93,7 +136,7 @@ class SpaceForm:
         x = as_vector(x)
         if x.shape != (self.ambient_dim,):
             return False
-        if abs(self.sig.norm_sq(x) - self.eps) > tol * (1.0 + float(x @ x)):
+        if abs(self.norm_sq(x) - self.eps) > tol * (1.0 + float(x @ x)):
             return False
         return self.eps == 1 or x[-1] > 0
 
@@ -117,7 +160,7 @@ class SpaceForm:
     def normalize_point(self, x) -> np.ndarray:
         """Rescale onto the quadric (suppresses floating-point drift)."""
         x = as_vector(x)
-        s = self.eps * self.sig.norm_sq(x)
+        s = self.eps * self.norm_sq(x)
         if (s <= 0).any():
             raise ValueError("cannot normalize: wrong causal type")
         return x / np.sqrt(s)[..., None]
@@ -178,7 +221,7 @@ class SpaceForm:
             pts = np.empty((0, m))
             while len(pts) < count:  # redraw the (measure-zero) near-zero Gaussians
                 g = rng.standard_normal((count - len(pts), m))
-                s = self.sig.norm_sq(g)
+                s = self.norm_sq(g)
                 pts = np.concatenate([pts, g[s > 1e-12] / np.sqrt(s[s > 1e-12])[:, None]])
             return pts
         base = self.base_point()
@@ -193,17 +236,16 @@ class SpaceForm:
         """Random isometry in the identity component (preserves the upper sheet)."""
         m = self.ambient_dim
         B = rng.standard_normal((m, m))
-        S = 0.5 * (B - self.sig.adjoint(B))
+        S = 0.5 * (B - self.adjoint(B))
         S *= rng.uniform(0.3, 1.2) / max(np.abs(S).max(), 1e-12)
         return _expm(S)
 
     def is_isometry(self, g, tol: float = 1e-9) -> bool:
-        g = np.asarray(g, dtype=float)
-        if not self.sig.is_form_preserving(g, tol):
+        """g^T eta g = eta (g preserves the inner product), and g keeps the upper sheet of H^n."""
+        g, eta = np.asarray(g, dtype=float), self.eta
+        if np.abs(g.T @ eta @ g - eta).max() > tol * (1.0 + np.abs(g).max() ** 2):
             return False
-        if self.eps == -1 and (g @ self.base_point())[-1] <= 0:
-            return False
-        return True
+        return self.eps == 1 or (g @ self.base_point())[-1] > 0
 
     def complex_rotation(self, x, v) -> np.ndarray:
         """J: rotation by +pi/2 in T_x M, for the two-dimensional space forms.
@@ -246,14 +288,14 @@ class SpaceForm:
         eps, xr = self.eps, x[..., None, :]
         gauss = eps * self.inner(E, s0)[..., None]
         out = d2 + 2.0 * eps * self.inner(E, d1)[..., None] * xr + gauss * E
-        Fp, F0, Fm = (0.5 * self.sig.norm_sq(v) for v in (sp, s0, sm))
+        Fp, F0, Fm = (0.5 * self.norm_sq(v) for v in (sp, s0, sm))
         lap_F = -((Fp - 2.0 * F0 + Fm) / (h * h)).sum(axis=-1)
         return s, d1 + gauss * xr, self.tangent_project(x, -out.sum(axis=-2)), lap_F
 
 
 def sphere(n: int) -> SpaceForm:
-    return SpaceForm(n, EUCLIDEAN)
+    return SpaceForm(n, 1)
 
 
 def hyperbolic(n: int) -> SpaceForm:
-    return SpaceForm(n, LORENTZIAN)
+    return SpaceForm(n, -1)

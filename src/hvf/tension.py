@@ -87,16 +87,16 @@ def ingredients(field: AffineField, x, fd: bool = False, h: float | None = None)
         s, D, rough, lap = M.derivatives_fd(field, x, DEFAULT_H if h is None else h)
         c = M.inner(D, s[..., None, :])  # E_i F = <grad F, E_i>
         gF_sq, ngs = (c * c).sum(axis=-1), (c[..., None] * D).sum(axis=-2)
-        nsq = M.sig.norm_sq(D).sum(axis=-1)
+        nsq = M.norm_sq(D).sum(axis=-1)
     else:
         j = field.jet(x)
         s, gF = j.sigma, field.grad_F(j)
-        ngs, nsq, gF_sq = field.nabla(j, gF), field.nabla_norm_sq(j), M.sig.norm_sq(gF)
+        ngs, nsq, gF_sq = field.nabla(j, gF), field.nabla_norm_sq(j), M.norm_sq(gF)
         rough, lap = field.rough_laplacian(j.x), field.lap_F(j)
     return Ingredients(
         space=M,
         sigma=s,
-        sigma_sq=M.sig.norm_sq(s),
+        sigma_sq=M.norm_sq(s),
         rough=rough,
         nabla_gradF_sigma=ngs,
         nabla_sq=nsq,

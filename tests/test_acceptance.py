@@ -162,7 +162,7 @@ def test_criterion_6_identity_suites():
             ing = ingredients(field, x)
             if weitzenbock_error(ing) > 1e-8:
                 failures.append((field.family, M.n, idx, "weitzenbock"))
-            if M.sig.norm_sq(field.sigma(x)) > 1e-12:
+            if M.norm_sq(field.sigma(x)) > 1e-12:
                 err = spinnaker_error(ing, field.spinnaker(x))
                 if err is not None and err > 1e-8:
                     failures.append((field.family, M.n, idx, "spinnaker"))
@@ -209,11 +209,11 @@ def test_criterion_6_identity_suites():
     rng = np.random.default_rng(1)
     H4 = hyperbolic(4)
     B1, B2 = rng.standard_normal((2, 5, 5))
-    A1 = 0.5 * (B1 - H4.sig.adjoint(B1))
-    A2 = 0.5 * (B2 - H4.sig.adjoint(B2))
+    A1 = 0.5 * (B1 - H4.adjoint(B1))
+    A2 = 0.5 * (B2 - H4.adjoint(B2))
     from hvf.ambient import lorentz_pairing
 
-    expected = lorentz_pairing(A1, A2, H4.sig)
+    expected = lorentz_pairing(A1, A2, H4)
     for seed in range(5):
         w = H4.sample_points(1, seed)[0]
         frame = random_frame(H4, w, np.random.default_rng(seed))

@@ -96,6 +96,23 @@ def test_verify_json_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_list_values_that_start_with_a_minus_take_the_equals_form(tmp_path, capsys):
+    # after a space argparse reads "-1,0,0,2" as an option; after "=" it is the value
+    out = tmp_path / "r.json"
+    verify = "verify --family confgrad --n 3 --epsilon -1 --p 3 --q -0.5 --points 20".split()
+    assert main(verify + ["--pole", "-1,0,0,2"]) == 2
+    assert "argument --pole: expected one argument" in capsys.readouterr().err
+    assert main(verify + ["--pole=-1,0,0,2", "--json", str(out)]) == 1
+    assert "harmonic=False" in capsys.readouterr().out
+    assert json.loads(out.read_text())["params"] == {"mu": -3.0, "pole": [-1.0, 0.0, 0.0, 2.0]}
+    assert main("scan2d --epsilon -1 --omega=-1,1 --rr 0 --h 0.8 --p 3 --q=-0.5".split()) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "omega=-1 tau=0 rr=0 h=0.8 p=3 q=-0.5: no (grade 2)",
+        "omega=1 tau=0 rr=0 h=0.8 p=3 q=-0.5: no (grade 2)",
+        "2 grid points, 0 harmonic hits",
+    ]
+
+
 def test_solve_killing(capsys):
     assert main("solve --family killing --n 4 --r 2 --epsilon 1".split()) == 0
     out = capsys.readouterr().out

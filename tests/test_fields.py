@@ -104,7 +104,7 @@ def test_hopf_field_on_s3():
         assert f.sigma_sq(x) == pytest.approx(1.0, abs=1e-12)
         assert M.norm(f.grad_F(x)) <= 1e-12
         assert f.lap_F(x) == pytest.approx(0.0, abs=1e-12)
-    assert lorentz_pairing(f.L, f.L, M.sig) == pytest.approx(4.0)
+    assert lorentz_pairing(f.L, f.L, M) == pytest.approx(4.0)
     assert f.twists == (1.0, 1.0) and f.balanced
 
 
@@ -205,7 +205,7 @@ def test_killing_congruence_invariant_base_independent():
     M = hyperbolic(4)
     rng = np.random.default_rng(7)
     B = rng.standard_normal((5, 5))
-    A = 0.5 * (B - M.sig.adjoint(B))
+    A = 0.5 * (B - M.adjoint(B))
     vals = []
     for seed in range(4):
         w = M.sample_points(1, seed)[0]
@@ -213,7 +213,7 @@ def test_killing_congruence_invariant_base_independent():
         vals.append(sum(t * t for t in f.twists) - f.tau**2)
     for v in vals[1:]:
         assert v == pytest.approx(vals[0], rel=1e-8)
-    assert vals[0] == pytest.approx(0.5 * lorentz_pairing(f.L, f.L, M.sig), rel=1e-8)
+    assert vals[0] == pytest.approx(0.5 * lorentz_pairing(f.L, f.L, M), rel=1e-8)
 
 
 def test_killing_twists_at_other_base_point():
@@ -270,7 +270,7 @@ def test_loxodromic_spinnaker_at_vertex():
     # spinnaker consistency with |sigma|^2 zeta = |grad F|^2 near the vertex
     for x in M.sample_points(10, 5):
         zeta = f.spinnaker(x)
-        assert f.sigma_sq(x) * zeta == pytest.approx(M.sig.norm_sq(f.grad_F(x)), rel=1e-10)
+        assert f.sigma_sq(x) * zeta == pytest.approx(M.norm_sq(f.grad_F(x)), rel=1e-10)
 
 
 def test_loxodromic_constructor_guards():
@@ -333,6 +333,17 @@ def test_properly_loxodromic_identities():
         assert np.allclose(
             mu * f.grad_F(x), -M.eps * (mu + M.eps * om**2) * g * C, atol=1e-12 * (1 + abs(g))
         )
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("make", [sphere, hyperbolic])
+def test_properly_loxodromic_spinnaker_beyond_the_plane(make, n):
+    # r = n/2 balanced twists: zeta = eps(mu + eps omega^2 - |sigma|^2) with omega^2 = -tr(L^2)/(2r)
+    M, e = make(n), np.eye(n + 1)
+    f = LoxodromicField([(e[i], e[i + 1]) for i in range(0, n, 2)], [0.9] * (n // 2), 1.3 * e[n], M)
+    pts = M.sample_points(200, 12)
+    err = spinnaker_error(ingredients(f, pts), f.spinnaker(pts))
+    assert f.properly and err is not None and err.max() < 1e-12
 
 
 def test_associate_family_member():
@@ -692,7 +703,7 @@ def test_closed_form_length_and_gradient():
     for f in sample_fields():
         M = f.space
         for x in M.sample_points(25, 22):
-            s_sq = M.sig.norm_sq(f.sigma(x))
+            s_sq = M.norm_sq(f.sigma(x))
             assert f.sigma_sq(x) == pytest.approx(s_sq, abs=1e-12 * (1 + s_sq))
             assert f.F(x) == pytest.approx(0.5 * s_sq, abs=1e-12 * (1 + s_sq))
             # grad F is the metric dual of dF: <grad F, X> = <nabla_X sigma, sigma>

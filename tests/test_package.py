@@ -25,8 +25,8 @@ def test_every_public_name_is_its_submodule_attribute():
 def test_public_names_are_pinned():
     assert hvf.__all__ == [
         "AffineField", "BoundCheck", "Classification", "Conformal2DField", "ConformalGradientField",
-        "DipoleDeformationField", "EUCLIDEAN", "GeneralizedHopfField", "KillingField", "LORENTZIAN",
-        "LoxodromicField", "MetricParams", "QuadraticGradientField", "Signature", "SpaceForm",
+        "DipoleDeformationField", "GeneralizedHopfField", "KillingField", "LoxodromicField",
+        "MetricParams", "QuadraticGradientField", "SpaceForm",
         "TensionReport", "TriPoly", "associate_family_member", "bounds_report", "build_classified_field",
         "build_field", "build_harmonicity_poly", "conformal_gradient_classification", "elementary_killing",
         "harmonic_catalogue", "harmonicity_remainders", "hyperbolic", "hyperbolic_translation",

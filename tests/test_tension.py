@@ -198,7 +198,7 @@ def test_ingredients_equal_the_public_closed_forms():
         pairs = [
             (ing.sigma, f.sigma(pts)),
             (ing.sigma_sq, f.sigma_sq(pts)),
-            (ing.gradF_sq, M.sig.norm_sq(gF)),
+            (ing.gradF_sq, M.norm_sq(gF)),
             (ing.nabla_gradF_sigma, f.nabla(pts, gF)),
             (ing.nabla_sq, f.nabla_norm_sq(pts)),
             (ing.lap_F, f.lap_F(pts)),
