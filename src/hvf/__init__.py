@@ -54,7 +54,6 @@ _SUBMODULE = {
             "loxodromic_classification",
             "quadratic_classification",
             "table7",
-            "twist_roots",
             "twist_roots_exact",
         ),
         "spaceform": ("SpaceForm", "hyperbolic", "sphere"),

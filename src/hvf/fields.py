@@ -20,7 +20,8 @@ of shape (N, m), m = n+1, and keeps the leading axes: vectors come back
 as (m,) or (N, m), scalars as a number or (N,).
 The scalars |nabla sigma|^2 and Delta F are per-point traces, so a batch
 costs O(N m) memory.  grad_F, nabla, nabla_norm_sq and lap_F also take the
-Jet they all start from, so several of them share its one evaluation.
+Jet they all start from, so several of them share its one evaluation,
+and spinnaker takes |sigma|^2 from that evaluation as its sigma_sq.
 
 The six classified families are subclasses.  Each one only builds its
 (L, c), validates its own parameters and keeps its metadata: params(),
@@ -199,7 +200,12 @@ class AffineField:
         x = as_vector(x)
         return self._eps * self.space.tangent_project(x, x @ self._rough.T + self.c)
 
-    def spinnaker(self, x) -> float | None:
+    def spinnaker(self, x, sigma_sq=None) -> float | None:
+        """zeta with nabla_{grad F} sigma = zeta sigma at x, or None when sigma is not preharmonic.
+
+        sigma_sq is |sigma(x)|^2 when the caller has it already; the families
+        whose zeta involves it evaluate sigma only when it is None.
+        """
         return None
 
     @property
@@ -299,8 +305,10 @@ class ConformalGradientField(AffineField):
             raise ValueError("timelike pole must be future-oriented")
         super().__init__(np.zeros((space.ambient_dim,) * 2), self.a, space)
 
-    def spinnaker(self, x):
-        return self._eps * (self.space.inner(self.c, self.c) - self.sigma_sq(x))
+    def spinnaker(self, x, sigma_sq=None):
+        """zeta = eps*(<c, c> - |sigma|^2), from sigma_sq = |sigma(x)|^2 when given."""
+        s_sq = self.sigma_sq(x) if sigma_sq is None else sigma_sq
+        return self._eps * (self.space.inner(self.c, self.c) - s_sq)
 
     def _params(self):
         return {"pole": self.a.tolist(), "mu": self.mu}
@@ -401,10 +409,12 @@ class KillingField(AffineField):
                 twists.extend([math.sqrt(mean)] * (count // 2))
         return tuple(sorted(twists, reverse=True))
 
-    def spinnaker(self, x):
+    def spinnaker(self, x, sigma_sq=None):
+        """zeta = -(lambda + eps*|sigma|^2), from sigma_sq = |sigma(x)|^2 when given."""
         if self.preharmonic_lambda is None:
             return None
-        return -(self.preharmonic_lambda + self._eps * self.sigma_sq(x))
+        s_sq = self.sigma_sq(x) if sigma_sq is None else sigma_sq
+        return -(self.preharmonic_lambda + self._eps * s_sq)
 
     def _params(self):
         return {"operator": self.A.tolist()}
@@ -502,11 +512,13 @@ class LoxodromicField(AffineField):
         L = sum(w * _pair_operator(a, b, space) for w, (a, b) in zip(self.omegas, self.pairs))
         super().__init__(L, self.pole, space)
 
-    def spinnaker(self, x):
+    def spinnaker(self, x, sigma_sq=None):
+        """zeta = eps*(mu - |sigma|^2) + omega^2, from sigma_sq = |sigma(x)|^2 when given."""
         if not self.properly:
             return None
         mu = self.space.inner(self.c, self.c)
-        return self._eps * (mu - self.sigma_sq(x)) - 0.5 * float(np.sum(self.L * self.L.T)) / self.rank
+        s_sq = self.sigma_sq(x) if sigma_sq is None else sigma_sq
+        return self._eps * (mu - s_sq) - 0.5 * float(np.sum(self.L * self.L.T)) / self.rank
 
     def _params(self):
         return {
@@ -562,9 +574,11 @@ class DipoleDeformationField(AffineField):
         self.r = _finite(r, "r")
         super().__init__(self.tau * _pair_operator(self.a, self.w, space), self.r * self.a, space)
 
-    def spinnaker(self, x):
+    def spinnaker(self, x, sigma_sq=None):
+        """zeta = eps*(r^2 + tau^2 - 2 r tau psi - |sigma|^2), from sigma_sq = |sigma(x)|^2 when given."""
         L, c = self.L, self.c
-        twisted = self.space.inner(c, c) - 2.0 * self.space.inner(L @ c, as_vector(x)) - self.sigma_sq(x)
+        s_sq = self.sigma_sq(x) if sigma_sq is None else sigma_sq
+        twisted = self.space.inner(c, c) - 2.0 * self.space.inner(L @ c, as_vector(x)) - s_sq
         return self._eps * twisted - 0.5 * float(np.sum(L * L.T))
 
     def _params(self):
@@ -631,7 +645,7 @@ class Conformal2DField(AffineField):
         c = rr * s * self.a + rr * t * self.b + h * self.w
         super().__init__(L, c, space)
 
-    def spinnaker(self, x):
+    def spinnaker(self, x, sigma_sq=None):
         x = as_vector(x)
         twist = (self._eta * x) @ _axial(self._eta[:, None] * self.L)
         gamma = self.space.inner(self.c, x)
@@ -709,7 +723,7 @@ class QuadraticGradientField(AffineField):
         x = as_vector(x)
         return ((x @ np.linalg.matrix_power(self.L, m)) * x).sum(axis=-1)
 
-    def spinnaker(self, x):
+    def spinnaker(self, x, sigma_sq=None):
         if len(self._clusters) == 1:
             return np.zeros(np.shape(x)[:-1])  # sigma is identically zero
         if len(self._clusters) != 2:

@@ -10,9 +10,9 @@ for balanced Killing fields, the quartic
     (r-2) L^4 + 2 (r^2-5) L^2 - 8 (r+1) = 0
 
 for two-eigenvalue quadratic gradient fields, and linear conditions for
-conformal gradients.  Roots are produced both as floats (via the
-cancellation-free quadratic formula) and as exact surds in Q(sqrt(d)),
-together with the metric parameters (p, q) and the classified bound chains.
+conformal gradients.  Roots are produced as exact surds in Q(sqrt(d)),
+whose floats do not cancel (QuadExt.__float__), together with the metric
+parameters (p, q) and the classified bound chains.
 """
 
 from __future__ import annotations
@@ -70,24 +70,8 @@ def _validate_twist_input(n: int, r: int, epsilon: int):
         raise ValueError("the rank-1 twist equation has no solution on the sphere")
 
 
-def twist_roots(n: int, r: int, epsilon: int) -> float:
-    """The unique positive root w0^2 of the twist equation.
-
-    Solved by the cancellation-free quadratic formula: the root of larger
-    magnitude first, the other via the product of roots.
-    """
-    _validate_twist_input(n, r, epsilon)
-    if r == 1:
-        return 1.0  # epsilon = -1 here; the equation is linear with root 1
-    a, b, c0 = _twist_coeffs(n, r, epsilon)
-    disc = b * b - 4 * a * c0
-    big = -(b + math.copysign(math.sqrt(disc), b)) / 2.0
-    u1, u2 = big / a, c0 / big
-    return u1 if u1 > 0 else u2
-
-
 def twist_roots_exact(n: int, r: int, epsilon: int) -> QuadExt:
-    """w0^2 as an exact element of Q(sqrt(d))."""
+    """The unique positive root w0^2 of the twist equation, as an exact element of Q(sqrt(d))."""
     _validate_twist_input(n, r, epsilon)
     if r == 1:
         return QuadExt(1)

@@ -19,7 +19,8 @@ F = |sigma|^2 / 2.  It calls nothing of the field but sigma.
 Points are arrays whose last axis has length m = n+1: inner, norm,
 tangent_project, normalize_point and complex_rotation accept one point of
 shape (m,) or a batch of shape (N, m) and keep the leading axes, and
-sample_points draws one (N, m) array, never point by point.  frame returns (..., n, m)
+sample_points draws one read-only (N, m) array, never point by point, and keeps it
+for the next call with the same key.  frame returns (..., n, m)
 from a closed formula, and the oracle takes a point or a batch too: it evaluates
 sigma at the points once and on the stencils of all points once.
 """
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +38,9 @@ from .ambient import SKEW_TOL, as_vector
 POINT_TOL = 1e-10
 H_MAX_GEODESIC = 20.0  # cosh overflow guard on H^n
 DEFAULT_H = 5e-4
+SAMPLE_CACHE_BYTES = 2**20  # cap on the bytes of samples sample_points keeps per process
+
+_samples: dict[tuple, np.ndarray] = {}  # (n, eps, count, seed) -> read-only sample, oldest first
 
 
 def _expm(S: np.ndarray) -> np.ndarray:
@@ -77,11 +82,12 @@ class SpaceForm:
     def ambient_dim(self) -> int:
         return self.n + 1
 
-    @property
+    @cached_property
     def eta(self) -> np.ndarray:
-        """Gram matrix diag(1, ..., 1, eps)."""
+        """Gram matrix diag(1, ..., 1, eps), built once per space form and read-only."""
         g = np.eye(self.ambient_dim)
         g[-1, -1] = self.eps
+        g.flags.writeable = False
         return g
 
     def inner(self, x, y):
@@ -204,7 +210,7 @@ class SpaceForm:
     # -- sampling ----------------------------------------------------------
 
     def sample_points(self, count: int, seed: int) -> np.ndarray:
-        """Deterministic (count, n+1) sample; Gaussian on S^n, geodesic shots on H^n.
+        """Deterministic read-only (count, n+1) sample; Gaussian on S^n, geodesic shots on H^n.
 
         Hyperbolic points are geodesic(base, random unit tangent, t) with t
         uniform on [0, 3], keeping cosh well conditioned while exercising
@@ -212,20 +218,38 @@ class SpaceForm:
         (count, n+1) block of normals of the stream seeded by seed, the radii
         from a second stream seeded by [seed, 1], so each stream is read in
         point order and a smaller count gives a prefix of a larger one.
+
+        Each draw is kept per process under (n, eps, count, seed), so a repeated
+        call returns the same array.  The kept draws hold at most
+        SAMPLE_CACHE_BYTES (1 MiB) together: the oldest leave first, and a draw
+        larger than that is returned without being kept.
         """
         if count < 1:
             raise ValueError("count must be >= 1")
+        key = (self.n, self.eps, count, seed)
+        pts = _samples.get(key)
+        if pts is None:
+            pts = self._draw(count, seed)
+            pts.flags.writeable = False
+            if pts.nbytes <= SAMPLE_CACHE_BYTES:
+                _samples[key] = pts
+                while sum(a.nbytes for a in _samples.values()) > SAMPLE_CACHE_BYTES:
+                    del _samples[next(iter(_samples))]
+        return pts
+
+    def _draw(self, count: int, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
         m = self.ambient_dim
         if self.eps == 1:
-            pts = np.empty((0, m))
-            while len(pts) < count:  # redraw the (measure-zero) near-zero Gaussians
-                g = rng.standard_normal((count - len(pts), m))
+            g = rng.standard_normal((count, m))
+            s = self.norm_sq(g)
+            while (small := s <= 1e-12).any():  # redraw the (measure-zero) near-zero Gaussians, in order
+                g = np.concatenate([g[~small], rng.standard_normal((int(small.sum()), m))])
                 s = self.norm_sq(g)
-                pts = np.concatenate([pts, g[s > 1e-12] / np.sqrt(s[s > 1e-12])[:, None]])
-            return pts
+            return g / np.sqrt(s)[:, None]
         base = self.base_point()
-        u = self.tangent_project(base, rng.standard_normal((count, m)))
+        u = rng.standard_normal((count, m))
+        u[:, -1] = 0.0  # the tangent projection at the base point
         u /= self.norm(u)[:, None]
         t = 3.0 * np.random.default_rng([seed, 1]).random(count)[:, None]
         return self.normalize_point(np.cosh(t) * base + np.sinh(t) * u)

@@ -11,8 +11,9 @@ points, measures the relative residual against a per-point scale, and also
 runs the checks preharmonic, spinnaker_error, weitzenbock_error and
 q_riemannian (q|sigma|^2 >= -1).  Each check is a function of one
 Ingredients, which records its space form, and verify passes the one
-evaluation it makes to all of them.  For preharmonic eigenfields the
-scalar reduction
+evaluation it makes to all of them and to the spinnaker, which takes
+|sigma|^2 from it: a closed-form verify evaluates sigma once.  For
+preharmonic eigenfields the scalar reduction
 
     (p + q + 2qF) Delta F + 2p (1 + qF) zeta + nu (1 + 2(1 - p)F) = 0
 
@@ -35,6 +36,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -55,6 +57,8 @@ class Ingredients:
 
     Vectors have shape (..., m) and scalars shape (...), with the leading
     axes of the points they were evaluated at, on the space form `space`.
+    rough_norm and nabla_gradF_sigma_norm are the lengths of rough and
+    nabla_gradF_sigma, taken once for the tension scale and the checks.
     """
 
     space: SpaceForm
@@ -65,6 +69,8 @@ class Ingredients:
     nabla_sq: np.ndarray
     gradF_sq: np.ndarray
     lap_F: np.ndarray
+    rough_norm: np.ndarray
+    nabla_gradF_sigma_norm: np.ndarray
 
     def __getitem__(self, index) -> "Ingredients":
         """The ingredients at the selected points (an index, slice or mask)."""
@@ -102,6 +108,8 @@ def ingredients(field: AffineField, x, fd: bool = False, h: float | None = None)
         nabla_sq=nsq,
         gradF_sq=gF_sq,
         lap_F=lap,
+        rough_norm=M.norm(rough),
+        nabla_gradF_sigma_norm=M.norm(ngs),
     )
 
 
@@ -111,14 +119,13 @@ def _assemble(ing: Ingredients, p, q) -> tuple[np.ndarray, np.ndarray]:
     The scale (1 + |s|^2)(1 + |rough| + |nabla_gradF s| + |phi||s|) keeps
     the relative residual dimensionally sane for fields of unbounded length.
     """
-    M = ing.space
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     one = 1.0 + ing.sigma_sq
     phi = p * ing.nabla_sq - p * q * ing.gradF_sq - q * one * ing.lap_F
     Tp = one[..., None] * ing.rough + 2.0 * p[..., None] * ing.nabla_gradF_sigma
     t = Tp - phi[..., None] * ing.sigma
     s_norm = np.sqrt(np.maximum(ing.sigma_sq, 0.0))
-    scale = one * (1.0 + M.norm(ing.rough) + M.norm(ing.nabla_gradF_sigma) + np.abs(phi) * s_norm)
+    scale = one * (1.0 + ing.rough_norm + ing.nabla_gradF_sigma_norm + np.abs(phi) * s_norm)
     return t, scale
 
 
@@ -130,10 +137,11 @@ def tension(field: AffineField, x, mp: MetricParams, fd: bool = False) -> np.nda
 def reduced_pde_residual(field: AffineField, x, mp: MetricParams):
     """Scalar residual of the reduced harmonicity equation for preharmonic eigenfields."""
     nu = field.nu
-    zeta = field.spinnaker(x)
+    s_sq = field.sigma_sq(x)
+    zeta = field.spinnaker(x, s_sq)
     if nu is None or zeta is None:
         raise ValueError("field is not a preharmonic rough-Laplacian eigenfunction")
-    F = field.F(x)
+    F = 0.5 * s_sq
     dF = field.lap_F(x)
     p, q = mp.p, mp.q
     return (p + q + 2.0 * q * F) * dF + 2.0 * p * (1.0 + q * F) * zeta + nu * (
@@ -142,8 +150,12 @@ def reduced_pde_residual(field: AffineField, x, mp: MetricParams):
 
 
 def _kept(ing: Ingredients):
-    """The samples with |sigma| > ZERO_LENGTH * max |sigma|: those the preharmonic and spinnaker checks judge."""
-    return ing.sigma_sq > ZERO_LENGTH**2 * ing.sigma_sq.max(initial=0.0)
+    """Index of the samples with |sigma| > ZERO_LENGTH * max |sigma|: those the preharmonic and spinnaker checks judge.
+
+    A mask when a sample is dropped, else ... (every sample), so that indexing copies nothing.
+    """
+    keep = ing.sigma_sq > ZERO_LENGTH**2 * ing.sigma_sq.max(initial=0.0)
+    return ... if keep.all() else keep
 
 
 def preharmonic(ing: Ingredients, zeta) -> tuple[bool, float]:
@@ -161,7 +173,7 @@ def preharmonic(ing: Ingredients, zeta) -> tuple[bool, float]:
     keep = _kept(ing)
     s_sq, ngs = ing.sigma_sq[keep], ing.nabla_gradF_sigma[keep]
     zeta = ing.gradF_sq[keep] / s_sq if zeta is None else zeta[keep]
-    scale = M.norm(ngs) + np.abs(zeta) * np.sqrt(s_sq) + top_sq ** 1.5
+    scale = ing.nabla_gradF_sigma_norm[keep] + np.abs(zeta) * np.sqrt(s_sq) + top_sq ** 1.5
     err = M.norm(ngs - zeta[..., None] * ing.sigma[keep]) / scale
     worst = float(err.max(initial=0.0))
     return worst < PREHARMONIC_TOL, worst
@@ -244,12 +256,18 @@ class TensionReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
+@cache
+def _physical_memory() -> int:
+    """Bytes of physical memory, read once per process; 0 when unknown."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or it does not know these names
+        return 0
+
+
 def _check_fits(count: int, m: int, arrays: int) -> None:
     """Raise ValueError when `arrays` float arrays of shape (count, m) exceed the physical memory."""
-    try:
-        phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):  # no sysconf, or it does not know these names
-        return
+    phys = _physical_memory()
     need = count * m * 8 * arrays
     if 0 < phys < need:
         raise ValueError(
@@ -298,9 +316,9 @@ def verify(
     if not finite.all():
         raise ValueError(f"non-finite tension residual or ingredient at sample {np.argmin(finite)}")
     rel = res / scale
-    zeta = field.spinnaker(samples)
+    zeta = field.spinnaker(samples, ing.sigma_sq)
     sp_err = spinnaker_error(ing, zeta)
-    keep = _kept(ing)
+    judged = None if sp_err is None else sp_err[_kept(ing)]
     return TensionReport(
         family=field.family,
         params=field.params(),
@@ -316,7 +334,7 @@ def verify(
         preharmonic=preharmonic(ing, zeta)[0],
         q_riemannian=q_riemannian(ing, mp.q),
         weitzenbock_max_err=float(weitzenbock_error(ing).max()),
-        spinnaker_max_err=float(sp_err[keep].max()) if sp_err is not None and keep.any() else None,
+        spinnaker_max_err=float(judged.max()) if judged is not None and judged.size else None,
         derivative_source="finite-difference" if fd else "closed-form",
         samples=samples,
         residuals=res,

@@ -25,7 +25,7 @@ from hvf.solvers import (
     killing_classification,
     quadratic_classification,
     table7,
-    twist_roots,
+    twist_roots_exact,
 )
 from hvf.spaceform import hyperbolic, sphere
 from hvf.tension import (
@@ -56,8 +56,8 @@ def test_criterion_1_exact_twist_roots():
     failures = []
     s73 = math.sqrt(73)
     checks = [
-        (twist_roots(4, 2, 1), (s73 - 7) / 4, "w0^2 S^4"),
-        (twist_roots(4, 2, -1), (s73 + 7) / 4, "w0^2 H^4"),
+        (float(twist_roots_exact(4, 2, 1)), (s73 - 7) / 4, "w0^2 S^4"),
+        (float(twist_roots_exact(4, 2, -1)), (s73 + 7) / 4, "w0^2 H^4"),
         (killing_classification(4, 2, 1).metric_params[0].q, (s73 - 13) / 8, "q S^4"),
         (killing_classification(4, 2, -1).metric_params[0].q, -(s73 + 13) / 8, "q H^4"),
     ]

@@ -33,7 +33,7 @@ def test_public_names_are_pinned():
         "isometry_equivariance_check", "killing_classification", "killing_from_twists", "lorentz_pairing",
         "loxodromic_classification", "metric_grid_scan", "quadratic_classification",
         "quadratic_two_eigenvalue", "quadric", "reduced_pde_residual", "scale_field", "sphere", "table7",
-        "twist_roots", "twist_roots_exact", "vanishes_mod_quadric", "verify",
+        "twist_roots_exact", "vanishes_mod_quadric", "verify",
     ]
 
 

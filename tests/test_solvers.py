@@ -14,38 +14,48 @@ from hvf.solvers import (
     quadratic_classification,
     quadratic_roots_exact,
     table7,
-    twist_roots,
     twist_roots_exact,
 )
 from hvf.tension import verify
 
 
+def _twist_root_reference(n, r, eps):
+    """w0^2 by the cancellation-free quadratic formula: the root of larger magnitude, the other from the product."""
+    if r == 1:
+        return 1.0  # eps = -1 here; the equation is linear with root 1
+    c, k = n + 1 - 2 * r, r - 1
+    a, b, c0 = 2 * c * k, eps * (2 * n * k - c), 1 - n
+    big = -(b + math.copysign(math.sqrt(b * b - 4 * a * c0), b)) / 2.0
+    u1, u2 = big / a, c0 / big
+    return u1 if u1 > 0 else u2
+
+
 def test_twist_roots_worked_values():
-    assert twist_roots(4, 2, 1) == pytest.approx((math.sqrt(73) - 7) / 4, abs=1e-12)
-    assert twist_roots(4, 2, -1) == pytest.approx((math.sqrt(73) + 7) / 4, abs=1e-12)
-    assert twist_roots(2, 1, -1) == 1.0
+    assert float(twist_roots_exact(4, 2, 1)) == pytest.approx((math.sqrt(73) - 7) / 4, abs=1e-12)
+    assert float(twist_roots_exact(4, 2, -1)) == pytest.approx((math.sqrt(73) + 7) / 4, abs=1e-12)
+    assert float(twist_roots_exact(2, 1, -1)) == 1.0
     assert twist_roots_exact(4, 2, 1) == QuadExt(Fraction(-7, 4), Fraction(1, 4), 73)
     assert twist_roots_exact(4, 2, -1) == QuadExt(Fraction(7, 4), Fraction(1, 4), 73)
 
 
 def test_exact_twist_root_floats_without_cancellation():
-    # twist_roots is the cancellation-free float reference; float(QuadExt) must not lose digits to it
+    # _twist_root_reference is the cancellation-free float reference; float(QuadExt) must not lose digits to it
     for n in range(2, 200):
         for r in range(1, (n + 1) // 2 + 1):
             for eps in (1, -1):
                 if 2 * r >= n + 1 or (r == 1 and eps == 1):
                     continue
-                want = twist_roots(n, r, eps)
+                want = _twist_root_reference(n, r, eps)
                 assert abs(float(twist_roots_exact(n, r, eps)) - want) <= 1e-15 * abs(want), (n, r, eps)
 
 
 def test_twist_roots_guards():
     with pytest.raises(ValueError):
-        twist_roots(4, 1, 1)  # rank 1 has no spherical solution
+        twist_roots_exact(4, 1, 1)  # rank 1 has no spherical solution
     with pytest.raises(ValueError):
-        twist_roots(4, 3, 1)  # 2r >= n+1
+        twist_roots_exact(4, 3, 1)  # 2r >= n+1
     with pytest.raises(ValueError):
-        twist_roots(4, 0, -1)
+        twist_roots_exact(4, 0, -1)
 
 
 def test_twist_root_residual_up_to_rank_50():
@@ -55,7 +65,7 @@ def test_twist_root_residual_up_to_rank_50():
             a = 2 * (n + 1 - 2 * r) * (r - 1)
             b = eps * (2 * n * (r - 1) - (n + 1 - 2 * r))
             c = 1 - n
-            u = twist_roots(n, r, eps)
+            u = _twist_root_reference(n, r, eps)
             assert u > 0
             # the optimal twist sits below 1 on spheres, above 1 on H^n
             assert (u < 1.0) if eps == 1 else (u > 1.0)

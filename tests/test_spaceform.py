@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import hvf
+from hvf import spaceform
 from hvf.fields import ConformalGradientField, GeneralizedHopfField, QuadraticGradientField
 from hvf.spaceform import hyperbolic, sphere
 from test_fields import nabla_fd, random_tangent
@@ -126,6 +127,38 @@ def test_sample_points_deterministic_and_valid():
             assert M.is_point(x)
     with pytest.raises(ValueError):
         sphere(2).sample_points(0, 1)
+
+
+def test_sample_points_are_kept_read_only(monkeypatch):
+    monkeypatch.setattr(spaceform, "_samples", {})
+    for M in (sphere(3), hyperbolic(3)):
+        a = M.sample_points(40, 5)
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+        assert np.array_equal(M.sample_points(40, 5), a)
+    # sphere(3) and hyperbolic(3) draw under their own keys
+    assert sorted(spaceform._samples) == [(3, -1, 40, 5), (3, 1, 40, 5)]
+    assert not np.array_equal(sphere(3).sample_points(40, 5), hyperbolic(3).sample_points(40, 5))
+    kept = {key: a.copy() for key, a in spaceform._samples.items()}
+    spaceform._samples.clear()
+    for M in (sphere(3), hyperbolic(3)):
+        assert np.array_equal(M.sample_points(40, 5), kept[M.n, M.eps, 40, 5])
+
+
+def test_sample_cache_holds_at_most_its_byte_cap(monkeypatch):
+    monkeypatch.setattr(spaceform, "_samples", {})
+    cap, M = spaceform.SAMPLE_CACHE_BYTES, sphere(3)
+    per_point = 8 * M.ambient_dim
+    big = M.sample_points(cap // per_point + 1, 1)  # one point over the cap
+    assert big.nbytes > cap and not big.flags.writeable
+    assert spaceform._samples == {}
+    assert np.array_equal(M.sample_points(len(big), 1), big)
+    half = cap // (2 * per_point)  # two such draws fit, a third evicts the oldest
+    for seed in range(3):
+        M.sample_points(half, seed)
+        assert sum(a.nbytes for a in spaceform._samples.values()) <= cap
+    assert list(spaceform._samples) == [(3, 1, half, 1), (3, 1, half, 2)]
 
 
 def test_sample_points_symmetry_monte_carlo():

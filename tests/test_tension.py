@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hvf.fields import (
+    AffineField,
     ConformalGradientField,
     DipoleDeformationField,
     GeneralizedHopfField,
@@ -31,6 +32,7 @@ from hvf.tension import (
     preharmonic,
     q_riemannian,
     reduced_pde_residual,
+    spinnaker_error,
     tension,
     verify,
     weitzenbock_error,
@@ -339,3 +341,47 @@ def test_tension_and_weitzenbock_batch_equals_rows(size):
         pts = f.space.sample_points(f.space.ambient_dim if size == "m" else size, 50)
         assert_batch_equals_rows(lambda y: tension(f, y, mp), pts)
         assert_batch_equals_rows(lambda y: weitzenbock_error(ingredients(f, y)), pts)
+
+
+def _one_sigma_cases():
+    cases = [pytest.param(e.field, e.mp, id=e.label) for e in harmonic_catalogue()]
+    M = sphere(4)
+    cases.append(pytest.param(killing_from_twists([1.0, 2.0], M), MetricParams(5.0, -1.0), id="no spinnaker"))
+    return cases
+
+
+@pytest.mark.parametrize("field, mp", _one_sigma_cases())
+def test_closed_form_verify_evaluates_sigma_once(monkeypatch, field, mp):
+    shapes = []
+    parts = AffineField._parts
+
+    def counted(self, x):
+        shapes.append(np.shape(x))
+        return parts(self, x)
+
+    monkeypatch.setattr(AffineField, "_parts", counted)
+    verify(field, mp, count=30, seed=3)
+    assert shapes == [(30, field.space.ambient_dim)]
+
+
+@pytest.mark.parametrize(
+    "field, zero",
+    [
+        (ConformalGradientField([0.0, 0.0, 0.0, 1.0], sphere(3)), [0.0, 0.0, 0.0, 1.0]),
+        (quadratic_two_eigenvalue(2, 1.3, sphere(4)), [1.0, 0.0, 0.0, 0.0, 0.0]),
+    ],
+    ids=["confgrad", "quadratic"],
+)
+def test_an_exact_zero_of_sigma_leaves_the_checks_unchanged(monkeypatch, field, zero):
+    M, mp = field.space, MetricParams(4.0, -1.0)
+    pts = M.sample_points(30, 8)
+    with_zero = np.insert(pts, 10, zero, axis=0)
+    assert field.sigma_sq(with_zero[10]) == 0.0
+    checks = []
+    for x in (pts, with_zero):
+        ing, zeta = ingredients(field, x), field.spinnaker(x)
+        monkeypatch.setattr(type(M), "sample_points", lambda self, count, seed, x=x: x)
+        rep = verify(field, mp, count=len(x), seed=0)
+        err = spinnaker_error(ing, zeta)
+        checks.append((preharmonic(ing, zeta), err.max(), rep.preharmonic, rep.spinnaker_max_err))
+    assert checks[0] == checks[1]
