@@ -269,7 +269,12 @@ def cmd_scan2d(args) -> int:
                     "approximate": res.approximate,
                 }
             )
-            tag = "HIT" if res.divisible else f"no (grade {res.failing_grade})"
+            if res.divisible:
+                tag = "HIT"
+            elif res.failing_grade is None:
+                tag = f"no ({res.detail})"
+            else:
+                tag = f"no (grade {res.failing_grade})"
             lines.append(
                 f"omega={_fmt(om)} tau={_fmt(ta)} rr={_fmt(rr)} h={_fmt(h)} "
                 f"p={_fmt(p)} q={_fmt(q)}: {tag}"

@@ -23,7 +23,13 @@ every (p, q), as a sweep over metric parameters needs.
 Coefficients are exact (Fraction, or QuadExt for one square-root extension);
 a numeric double-precision fallback with a zero threshold relative to the
 largest coefficient is available for irrational parameter scans and is
-flagged as approximate in its result.
+flagged as approximate in its result.  When every parameter is rational,
+both builders clear the denominators once (A and zeta are homogeneous of
+degree 2 in the field's five parameters), compute every coefficient on
+Python ints and divide by one common denominator at the end, so no Fraction
+is normalised before the last step; floats and QuadExt values run through
+the same formulas with unit scales.  The reduction of vanishes_mod_quadric
+stays on Fractions.
 """
 
 from __future__ import annotations
@@ -188,11 +194,31 @@ def quadric(eps: int) -> TriPoly:
 # ---------------------------------------------------------------------------
 
 
-def _length_and_spinnaker(eps, conv, omega, tau, rr, s, t, h):
+def _on_integers(*groups):
+    """(groups, scales, rational): each group times the lcm of its denominators, when every value is rational.
+
+    The scaled values are Python ints and scales holds the lcms.  When any
+    value is a float or a QuadExt, every group comes back unchanged with unit
+    scales and rational False, so it runs through the same formulas.
+    """
+    if all(isinstance(v, Fraction) for g in groups for v in g):
+        scales = [math.lcm(*(v.denominator for v in g)) for g in groups]
+        return [[v.numerator * (D // v.denominator) for v in g] for g, D in zip(groups, scales)], scales, True
+    return groups, [1] * len(groups), False
+
+
+def _tripoly(terms: dict, den: int, rational: bool) -> TriPoly:
+    """TriPoly(terms / den): one Fraction per non-zero integer coefficient when rational, else terms as given."""
+    if not rational:
+        return TriPoly(terms)
+    return TriPoly({m: Fraction(c, den) for m, c in terms.items() if c})
+
+
+def _length_and_spinnaker(eps, om, ta, rs, rt, h):
     """(eps, A, zeta): the squared length A = 2F = |sigma|^2 and the spinnaker zeta
     of the conformal field K + C, as dicts over the monomials of degree <= 2.
 
-    conv coerces each parameter.  With rs = rr*s and rt = rr*t,
+    With rs = rr*s and rt = rr*t,
 
         A    = (omega^2 + eps tau^2 - eps rs^2) alpha^2 + (omega^2 - eps rt^2) beta^2
                + (tau^2 - eps h^2) psi^2 - 2 eps rs rt alpha beta - 2 eps rs h alpha psi
@@ -202,13 +228,13 @@ def _length_and_spinnaker(eps, conv, omega, tau, rr, s, t, h):
                + 2 rs rt alpha beta + 2 rs h alpha psi + (2 rt h - 2 eps omega tau) beta psi.
 
     A is expanded from the pairwise inner products of the component fields,
-    so no quadric relation is consumed.
+    so no quadric relation is consumed.  Every coefficient is homogeneous of
+    degree 2 in (omega, tau, rs, rt, h), so scaling those five by D scales
+    A and zeta by D^2.
     """
     eps = int(eps)
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
-    om, ta, r, s, t, h = (conv(v) for v in (omega, tau, rr, s, t, h))
-    rs, rt = r * s, r * t
     A = {
         (2, 0, 0): om * om + eps * ta * ta - eps * rs * rs,
         (0, 2, 0): om * om - eps * rt * rt,
@@ -257,19 +283,30 @@ def build_harmonicity_poly(eps, omega, tau, rr, s, t, h, p, q, exact: bool = Tru
           = eps + eps (1 + q) A - 2q zeta + A B,  B = eps q A + q (p - 2) zeta,
 
     and A B is the one product, taken over the non-zero coefficients only.
-    The result agrees with the reduced closed form modulo the quadric.
+    When every parameter is rational, omega, tau, rs, rt and h are scaled by
+    D, the lcm of their denominators, and p = P'/E, q = Q/E; the assembly
+
+        D^4 E^2 P = eps D^4 E^2 + eps E (E + Q) D^2 A' - 2 Q E D^2 zeta' + A' B',
+        B' = eps Q E A' + Q (P' - 2E) zeta',
+
+    with A' = D^2 A and zeta' = D^2 zeta, runs on Python ints, and each
+    coefficient is divided by D^4 E^2 once.  Floats and QuadExt values take
+    the same formulas with D = E = 1.  The result agrees with the reduced
+    closed form modulo the quadric.
     """
     conv = _to_exact if exact else float
-    eps, A, zeta = _length_and_spinnaker(eps, conv, omega, tau, rr, s, t, h)
-    p, q = conv(p), conv(q)
+    om, ta, r, s, t, h, p, q = (conv(v) for v in (omega, tau, rr, s, t, h, p, q))
     if not q:
         raise ValueError("harmonicity forces q != 0 for conformal fields on M^2")
+    (five, (p, q)), (D, E), rational = _on_integers((om, ta, r * s, r * t, h), (p, q))
+    eps, A, zeta = _length_and_spinnaker(eps, *five)
 
-    uA, uZ, vA, vZ = eps * q, q * (p - 2), eps * (1 + q), -2 * q
+    DD = D * D
+    uA, uZ, vA, vZ = eps * q * E, q * (p - 2 * E), eps * E * (E + q) * DD, -2 * q * E * DD
     out = {m: vA * a + vZ * zeta.get(m, 0) for m, a in A.items()}
-    out[0, 0, 0] += eps
+    out[0, 0, 0] += eps * DD * DD * E * E
     _add_product(out, A, {m: uA * a + uZ * zeta.get(m, 0) for m, a in A.items()})
-    return TriPoly(out)
+    return _tripoly(out, DD * DD * E * E, rational)
 
 
 def harmonicity_remainders(eps, omega, tau, rr, s, t, h) -> tuple[TriPoly, TriPoly, TriPoly]:
@@ -284,17 +321,24 @@ def harmonicity_remainders(eps, omega, tau, rr, s, t, h) -> tuple[TriPoly, TriPo
     otherwise its total degree is vanishes_mod_quadric's failing grade.
     Parameters are coerced as in exact mode (floats keep their exact binary
     value); in floating point the split would round differently from P.
+    Rational fields are scaled as in build_harmonicity_poly: D^2 X and
+    D^4 Y, D^4 Z are built and divided by the quadric on ints, and each
+    remainder coefficient is divided by D^2 or D^4 once.
     """
-    eps, A, zeta = _length_and_spinnaker(eps, _to_exact, omega, tau, rr, s, t, h)
+    om, ta, r, s, t, h = (_to_exact(v) for v in (omega, tau, rr, s, t, h))
+    (five,), (D,), rational = _on_integers((om, ta, r * s, r * t, h))
+    eps, A, zeta = _length_and_spinnaker(eps, *five)
+    DD = D * D
     X = {m: eps * a for m, a in A.items()}
-    X[0, 0, 0] += eps
-    Y = {m: eps * a - 2 * zeta.get(m, 0) for m, a in A.items()}  # W = eps A - 2 zeta; Y = W + A W
-    _add_product(Y, A, dict(Y))
+    X[0, 0, 0] += eps * DD
+    W = {m: eps * a - 2 * zeta.get(m, 0) for m, a in A.items()}  # W = eps A - 2 zeta; Y = W + A W
+    Y = {m: DD * w for m, w in W.items()}
+    _add_product(Y, A, W)
     Z = {}
     _add_product(Z, A, zeta)
     for part in (X, Y, Z):
         _divide_by_quadric(part, eps)
-    return TriPoly(X), TriPoly(Y), TriPoly(Z)
+    return _tripoly(X, DD, rational), _tripoly(Y, DD * DD, rational), _tripoly(Z, DD * DD, rational)
 
 
 # ---------------------------------------------------------------------------

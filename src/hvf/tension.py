@@ -342,6 +342,12 @@ def verify(
     )
 
 
+def _require_samples(samples) -> None:
+    """Raise ValueError for an empty sample set, over which every maximum is undefined."""
+    if len(samples) == 0:
+        raise ValueError("samples is empty: the checks take a maximum over at least one point")
+
+
 def metric_grid_scan(field: AffineField, ps, qs, samples) -> np.ndarray:
     """Max relative tension residual over samples, for every (p, q) on the grid.
 
@@ -349,6 +355,7 @@ def metric_grid_scan(field: AffineField, ps, qs, samples) -> np.ndarray:
     residual is then broadcast over the (len(ps), len(qs)) grid, so the
     working set stays at one grid of vectors.
     """
+    _require_samples(samples)
     M = field.space
     P = np.asarray(ps, dtype=float)[:, None]
     Q = np.asarray(qs, dtype=float)[None, :]
@@ -362,6 +369,7 @@ def metric_grid_scan(field: AffineField, ps, qs, samples) -> np.ndarray:
 
 def isometry_equivariance_check(field: AffineField, g, mp: MetricParams, samples) -> float:
     """max over samples of |g tau(sigma)(x) - tau(g.sigma)(g x)| / scale."""
+    _require_samples(samples)
     M = field.space
     g = np.asarray(g, dtype=float)
     if not M.is_isometry(g):
@@ -378,6 +386,7 @@ def circle_equivariance_check(field: AffineField, t: float, mp: MetricParams, sa
     turned pointwise by SpaceForm.complex_rotation, on the right the field is
     turned first by AffineField.circle_action, the linear map on (L, c).
     """
+    _require_samples(samples)
     M = field.space
     v, scale = _assemble(ingredients(field, samples), mp.p, mp.q)
     lhs = np.cos(t) * v + np.sin(t) * M.complex_rotation(samples, v)

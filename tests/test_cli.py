@@ -232,6 +232,21 @@ def test_scan2d_json_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("mode", ["--exact", "--numeric"])
+def test_scan2d_q_zero_cells_name_the_reason(mode, tmp_path, capsys):
+    out_json = tmp_path / "scan.json"
+    argv = f"scan2d --epsilon -1 --omega 0.6 --rr 0 --h 0.8 --p 3 --q=0,-0.5 {mode} --json {out_json}"
+    assert main(argv.split()) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "omega=0.6 tau=0 rr=0 h=0.8 p=3 q=0: no (q = 0)",
+        "omega=0.6 tau=0 rr=0 h=0.8 p=3 q=-0.5: HIT",
+        "2 grid points, 1 harmonic hits",
+    ]
+    rows = json.loads(out_json.read_text())["rows"]
+    assert [(row["q"], row["harmonic"], row["failing_grade"]) for row in rows] == [(0.0, False, None), (-0.5, True, None)]
+
+
 def test_scan2d_numeric_mode(capsys):
     code = main("scan2d --epsilon -1 --numeric --omega 0.6 --rr 0 --h 0.8 --p 3 --q=-0.5".split())
     assert code == 0

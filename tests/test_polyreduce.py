@@ -10,6 +10,7 @@ from hvf.fields import Conformal2DField
 from hvf.polyreduce import (
     NUMERIC_ZERO_TOL,
     TriPoly,
+    _divide_by_quadric,
     build_harmonicity_poly,
     harmonicity_remainders,
     quadric,
@@ -287,7 +288,7 @@ def test_quartic_equals_ring_expansion_in_a_quadratic_extension():
 
 def test_quartic_build_performs_no_tripoly_ring_operation(monkeypatch):
     def refuse(*_):
-        raise AssertionError("TriPoly ring operation in build_harmonicity_poly")
+        raise AssertionError("TriPoly ring operation in build_harmonicity_poly or harmonicity_remainders")
 
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__", "__pow__"):
         monkeypatch.setattr(TriPoly, name, refuse)
@@ -295,6 +296,40 @@ def test_quartic_build_performs_no_tripoly_ring_operation(monkeypatch):
     assert build_harmonicity_poly(-1, Fraction(3, 5), 0, 0, 0, 1, Fraction(4, 5), 3, Fraction(-1, 2)).terms
     assert build_harmonicity_poly(-1, s22, 1, 2, 3, 4, s22, 3, Fraction(-1, 2)).terms
     assert build_harmonicity_poly(1, 0.5, 0.25, 1.0, 0.6, 0.8, 2.0, 3.0, -0.5, exact=False).terms
+    assert all(R.terms for R in harmonicity_remainders(1, Fraction(1, 3), 2, Fraction(-5, 7), 0.6, 0.8, 2))
+    assert all(R.terms for R in harmonicity_remainders(-1, s22, 1, 2, 3, 4, s22))
+
+
+# rationals with unrelated denominators, zero and negative values, and floats taken at their exact
+# binary value from the subnormal to the largest finite double: every scale D and E the integer
+# build clears, and every power of D and E it folds into the assembly
+EXTREME_FLOATS = (1e-300, 1e308, 5e-324, -1e-300, -1e308, -5e-324, 0.0)
+MIXED = st.one_of(
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6),
+    st.integers(-3, 3),
+    st.sampled_from(EXTREME_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _reference_remainders(eps, omega, tau, rr, s, t, h):
+    """(R_X, R_Y, R_Z) from the ring expansion: X, Y and Z read off P = X + qY + pqZ at three (p, q)."""
+    X = _reference_quartic(eps, omega, tau, rr, s, t, h, 0, 0)
+    XY = _reference_quartic(eps, omega, tau, rr, s, t, h, 0, 1)
+    XYZ = _reference_quartic(eps, omega, tau, rr, s, t, h, 1, 1)
+    parts = [dict(part.terms) for part in (X, XY - X, XYZ - XY)]
+    for part in parts:
+        _divide_by_quadric(part, eps)
+    return tuple(TriPoly(part).terms for part in parts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((1, -1)), st.lists(MIXED, min_size=7, max_size=7), MIXED.filter(bool))
+def test_integer_build_equals_ring_expansion_on_mixed_scales(eps, params, q):
+    args = (eps, *params, q)
+    assert build_harmonicity_poly(*args).terms == _reference_quartic(*args).terms
+    field = args[:7]
+    assert tuple(R.terms for R in harmonicity_remainders(*field)) == _reference_remainders(*field)
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,22 @@ def test_circle_equivariance():
         assert circle_equivariance_check(loop, t, MetricParams(3.0, -0.5), pts) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda f, pts: metric_grid_scan(f, [3.0, 4.0], [-0.5], pts),
+        lambda f, pts: isometry_equivariance_check(f, np.eye(5), MetricParams(3.0, -0.5), pts),
+        lambda f, pts: circle_equivariance_check(f, 0.5, MetricParams(3.0, -0.5), pts),
+    ],
+    ids=["metric_grid_scan", "isometry_equivariance_check", "circle_equivariance_check"],
+)
+def test_checks_refuse_an_empty_sample_set(check):
+    # an empty grid would read as harmonic at every (p, q); the maxima are undefined
+    f = build_classified_field(killing_classification(4, 2, 1))
+    with pytest.raises(ValueError, match="samples"):
+        check(f, np.empty((0, 5)))
+
+
 @pytest.mark.parametrize("size", ["m", 6])
 def test_tension_and_weitzenbock_batch_equals_rows(size):
     from test_fields import _batch_fields, assert_batch_equals_rows
