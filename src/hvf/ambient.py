@@ -27,12 +27,12 @@ def lorentz_pairing(A1, A2, space) -> float:
     return float(np.trace(A1 @ space.adjoint(A2)))
 
 
-def check_symmetric(Q, tol: float = SKEW_TOL) -> np.ndarray:
+def check_symmetric(Q) -> np.ndarray:
     """Validate a Euclidean-symmetric operator (spherical case only)."""
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError(f"operator must be square, got shape {Q.shape}")
     scale = 1.0 + np.abs(Q).max()
-    if np.abs(Q - Q.T).max() > tol * scale:
+    if np.abs(Q - Q.T).max() > SKEW_TOL * scale:
         raise ValueError("operator is not symmetric")
     return Q

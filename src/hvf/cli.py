@@ -187,8 +187,6 @@ def cmd_solve(args) -> int:
 def cmd_table(args) -> int:
     from . import solvers
 
-    if args.which != "table7":
-        raise ValueError(f"unknown table {args.which!r}")
     ns = [n for n in range(5, args.max_n + 1, 2)]
     rows = solvers.table7(ns)
     if args.csv:
@@ -322,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(fn=cmd_solve)
 
     pt = sub.add_parser("table", help="quadratic-gradient classification table")
-    pt.add_argument("--which", default="table7")
     pt.add_argument("--max-n", dest="max_n", type=int, default=9)
     pt.add_argument("--csv", help="write the table as CSV")
     pt.set_defaults(fn=cmd_table)

@@ -24,9 +24,11 @@ Jet they all start from, so several of them share its one evaluation,
 and spinnaker takes |sigma|^2 from that evaluation as its sigma_sq.
 
 The six classified families are subclasses.  Each one only builds its
-(L, c), validates its own parameters and keeps its metadata: params(),
-twists and kind, and the spinnaker zeta of a preharmonic field
-(nabla_{grad F} sigma = zeta sigma).
+(L, c), validates its own parameters and declares its metadata: twists and
+kind, _param_keys (the params() key of each parameter attribute) and
+_zeta(x, sigma_sq), the spinnaker zeta of a preharmonic field
+(nabla_{grad F} sigma = zeta sigma).  AffineField.params() and spinnaker()
+do the rest; the block rotations check their rank in one place.
 
 * conformal gradient fields  sigma = grad <a, .>  with pole a;
 * Killing fields  sigma(x) = A(x)  for a skew operator A, including the
@@ -36,7 +38,8 @@ twists and kind, and the spinnaker zeta of a preharmonic field
   whose pole is orthogonal to the rotation planes;
 * dipole deformation fields  tau*T + r*A  built from a point and a unit
   tangent vector;
-* general conformal fields on the 2-dimensional space forms, K + C;
+* general conformal fields on the 2-dimensional space forms, K + C, in
+  the standard frame (e_1, e_2, base point);
 * quadratic gradient fields  sigma = (1/2) grad <Q x, x>  on spheres.
 
 scale_field and transform keep the family and its parameters and replace
@@ -79,7 +82,11 @@ def _pair_operator(a, b, space: SpaceForm) -> np.ndarray:
 
 
 def _block_rotation(twists, space: SpaceForm) -> np.ndarray:
-    """Rotation of the coordinate planes (1,2), (3,4), ... with the given speeds."""
+    """Rotation of the coordinate planes (1,2), (3,4), ... with the given speeds; r planes need 2r <= n+1 on S^n, 2r < n+1 on H^n."""
+    r, n = len(twists), space.n
+    if 2 * r > n + (space.eps == 1):
+        rule = "2r <= n+1 on S^n" if space.eps == 1 else "2r < n+1 on H^n"
+        raise ValueError(f"need {rule}, got r={r}, n={n}")
     A = np.zeros((space.ambient_dim,) * 2)
     for i, w in enumerate(twists):
         A[2 * i + 1, 2 * i] = w
@@ -103,6 +110,7 @@ class AffineField:
     scale_factor = None  # set by scale_field
     _vectors: tuple[str, ...] = ()  # metadata vectors (points, frames, poles) moved by transform
     _operators: tuple[str, ...] = ()  # metadata operators conjugated by transform
+    _param_keys = {"L": "L", "c": "c"}  # params() key -> attribute; arrays are reported as lists
 
     def __init__(self, L, c, space: SpaceForm):
         m = space.ambient_dim
@@ -203,9 +211,13 @@ class AffineField:
     def spinnaker(self, x, sigma_sq=None) -> float | None:
         """zeta with nabla_{grad F} sigma = zeta sigma at x, or None when sigma is not preharmonic.
 
-        sigma_sq is |sigma(x)|^2 when the caller has it already; the families
-        whose zeta involves it evaluate sigma only when it is None.
+        sigma_sq is |sigma(x)|^2 when the caller has it already; sigma is
+        evaluated only when it is None.
         """
+        return self._zeta(as_vector(x), self.sigma_sq(x) if sigma_sq is None else sigma_sq)
+
+    def _zeta(self, x, sigma_sq):
+        """The family's spinnaker at x, given |sigma(x)|^2; None when it has none."""
         return None
 
     @property
@@ -263,13 +275,13 @@ class AffineField:
         return Conformal2DField.from_operator(space, cos * L + sin * JL, cos * c + sin * Jc)
 
     def params(self) -> dict:
-        out = self._params()
+        out = {}
+        for key, name in self._param_keys.items():
+            value = getattr(self, name)
+            out[key] = value.tolist() if isinstance(value, np.ndarray) else value
         if self.scale_factor is not None:
             out["scale_factor"] = self.scale_factor
         return out
-
-    def _params(self) -> dict:
-        return {"L": self.L.tolist(), "c": self.c.tolist()}
 
 
 def scale_field(field: AffineField, factor: float) -> AffineField:
@@ -295,6 +307,7 @@ class ConformalGradientField(AffineField):
 
     family = "confgrad"
     _vectors = ("a",)
+    _param_keys = {"pole": "a", "mu": "mu"}
 
     def __init__(self, a, space: SpaceForm):
         self.a = _finite(a, "pole")
@@ -305,13 +318,9 @@ class ConformalGradientField(AffineField):
             raise ValueError("timelike pole must be future-oriented")
         super().__init__(np.zeros((space.ambient_dim,) * 2), self.a, space)
 
-    def spinnaker(self, x, sigma_sq=None):
-        """zeta = eps*(<c, c> - |sigma|^2), from sigma_sq = |sigma(x)|^2 when given."""
-        s_sq = self.sigma_sq(x) if sigma_sq is None else sigma_sq
-        return self._eps * (self.space.inner(self.c, self.c) - s_sq)
-
-    def _params(self):
-        return {"pole": self.a.tolist(), "mu": self.mu}
+    def _zeta(self, x, sigma_sq):
+        """zeta = eps*(<c, c> - |sigma|^2)."""
+        return self._eps * (self.space.inner(self.c, self.c) - sigma_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +358,7 @@ class KillingField(AffineField):
     family = "killing"
     _vectors = ("base",)
     _operators = ("A",)
+    _param_keys = {"operator": "A"}
 
     def __init__(self, A, space: SpaceForm, base=None):
         self.A = space.check_skew(_finite(A, "operator"))
@@ -409,15 +419,11 @@ class KillingField(AffineField):
                 twists.extend([math.sqrt(mean)] * (count // 2))
         return tuple(sorted(twists, reverse=True))
 
-    def spinnaker(self, x, sigma_sq=None):
-        """zeta = -(lambda + eps*|sigma|^2), from sigma_sq = |sigma(x)|^2 when given."""
+    def _zeta(self, x, sigma_sq):
+        """zeta = -(lambda + eps*|sigma|^2)."""
         if self.preharmonic_lambda is None:
             return None
-        s_sq = self.sigma_sq(x) if sigma_sq is None else sigma_sq
-        return -(self.preharmonic_lambda + self._eps * s_sq)
-
-    def _params(self):
-        return {"operator": self.A.tolist()}
+        return -(self.preharmonic_lambda + self._eps * sigma_sq)
 
 
 class GeneralizedHopfField(KillingField):
@@ -429,20 +435,14 @@ class GeneralizedHopfField(KillingField):
     """
 
     family = "hopf"
+    _param_keys = {"r": "block_rank", "scale": "scale"}
 
     def __init__(self, r: int, scale: float, space: SpaceForm):
         if r < 1:
             raise ValueError("rotational rank must be >= 1")
-        if space.eps == 1 and 2 * r > space.n + 1:
-            raise ValueError(f"need 2r <= n+1 on S^n, got r={r}, n={space.n}")
-        if space.eps == -1 and 2 * r >= space.n + 1:
-            raise ValueError(f"need 2r < n+1 on H^n, got r={r}, n={space.n}")
         self.block_rank = r
         self.scale = _finite(scale, "scale")
         super().__init__(_block_rotation([self.scale] * r, space), space)
-
-    def _params(self):
-        return {"r": self.block_rank, "scale": self.scale}
 
 
 def elementary_killing(a, b, space: SpaceForm) -> KillingField:
@@ -464,10 +464,7 @@ def hyperbolic_translation(tau: float, space: SpaceForm, direction=None) -> Kill
 
 def killing_from_twists(twists, space: SpaceForm) -> KillingField:
     """Block-diagonal Killing field with the given rotation frequencies."""
-    twists = _finite(list(twists), "twists")
-    if 2 * len(twists) > space.n + (1 if space.eps == 1 else 0):
-        raise ValueError("too many rotation blocks for this dimension")
-    return KillingField(_block_rotation(twists, space), space)
+    return KillingField(_block_rotation(_finite(list(twists), "twists"), space), space)
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +484,11 @@ class LoxodromicField(AffineField):
 
     family = "loxodromic"
     _vectors = ("pairs", "pole")
+    _param_keys = {"pairs": "pairs", "omegas": "omegas", "pole": "pole", "mu": "mu"}
 
-    def __init__(self, pairs, omegas, c, space: SpaceForm, tol: float = TANGENT_TOL):
+    def __init__(self, pairs, omegas, c, space: SpaceForm):
         self.pairs = _finite([list(p) for p in pairs], "rotation planes")
-        self.omegas = [_finite(w, "omega") for w in omegas]
+        self.omegas = np.array([_finite(w, "omega") for w in omegas])
         self.pole = _finite(c, "pole")
         if len(self.pairs) != len(self.omegas) or not len(self.pairs):
             raise ValueError("need one twist per rotation plane, and at least one plane")
@@ -498,9 +496,9 @@ class LoxodromicField(AffineField):
             raise ValueError("twists must be positive (drop trivial planes)")
         vecs = self.pairs.reshape(2 * len(self.pairs), -1)
         eta = space.eta
-        if np.abs(vecs @ eta @ vecs.T - np.eye(len(vecs))).max() > tol:
+        if np.abs(vecs @ eta @ vecs.T - np.eye(len(vecs))).max() > TANGENT_TOL:
             raise ValueError("rotation-plane vectors must be spacelike orthonormal")
-        if np.abs(vecs @ eta @ self.pole).max() > tol * (1.0 + abs(self.pole).max()):
+        if np.abs(vecs @ eta @ self.pole).max() > TANGENT_TOL * (1.0 + abs(self.pole).max()):
             raise ValueError("conformal pole must be orthogonal to the rotation planes")
         self.mu = space.inner(self.pole, self.pole)
         if not np.abs(self.pole).max() > 0:
@@ -512,37 +510,27 @@ class LoxodromicField(AffineField):
         L = sum(w * _pair_operator(a, b, space) for w, (a, b) in zip(self.omegas, self.pairs))
         super().__init__(L, self.pole, space)
 
-    def spinnaker(self, x, sigma_sq=None):
-        """zeta = eps*(mu - |sigma|^2) + omega^2, from sigma_sq = |sigma(x)|^2 when given."""
+    def _zeta(self, x, sigma_sq):
+        """zeta = eps*(mu - |sigma|^2) + omega^2."""
         if not self.properly:
             return None
         mu = self.space.inner(self.c, self.c)
-        s_sq = self.sigma_sq(x) if sigma_sq is None else sigma_sq
-        return self._eps * (mu - s_sq) - 0.5 * float(np.sum(self.L * self.L.T)) / self.rank
-
-    def _params(self):
-        return {
-            "pairs": self.pairs.tolist(),
-            "omegas": list(self.omegas),
-            "pole": self.pole.tolist(),
-            "mu": self.mu,
-        }
+        return self._eps * (mu - sigma_sq) - 0.5 * float(np.sum(self.L * self.L.T)) / self.rank
 
 
-def associate_family_member(t: float, space: SpaceForm | None = None) -> LoxodromicField:
+def associate_family_member(t: float) -> LoxodromicField:
     """The loxodromic field sin(t)*sigma_0 + cos(t)*sigma_1 on H^2.
 
     sigma_0 is the unit-twist rotation about (0,0,1) and sigma_1 the
     conformal gradient with pole (0,0,1); degenerate t (multiples of pi/2)
     are rejected since the endpoints leave the loxodromic class.
     """
-    space = space or hyperbolic(2)
     s, c = math.sin(t), math.cos(t)
     if abs(s) < 1e-12 or abs(c) < 1e-12:
         raise ValueError("t too close to a pure-rotation or pure-gradient endpoint")
     e1, e2, e3 = np.eye(3)
     pair = (e1, e2) if s > 0 else (e2, e1)
-    return LoxodromicField([pair], [abs(s)], c * e3, space)
+    return LoxodromicField([pair], [abs(s)], c * e3, hyperbolic(2))
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +551,7 @@ class DipoleDeformationField(AffineField):
 
     family = "dipole"
     _vectors = ("w", "a")
+    _param_keys = {"w": "w", "a": "a", "tau": "tau", "r": "r"}
 
     def __init__(self, w, a, tau: float, r: float, space: SpaceForm):
         self.w = space.check_point(w)
@@ -574,15 +563,11 @@ class DipoleDeformationField(AffineField):
         self.r = _finite(r, "r")
         super().__init__(self.tau * _pair_operator(self.a, self.w, space), self.r * self.a, space)
 
-    def spinnaker(self, x, sigma_sq=None):
-        """zeta = eps*(r^2 + tau^2 - 2 r tau psi - |sigma|^2), from sigma_sq = |sigma(x)|^2 when given."""
+    def _zeta(self, x, sigma_sq):
+        """zeta = eps*(r^2 + tau^2 - 2 r tau psi - |sigma|^2)."""
         L, c = self.L, self.c
-        s_sq = self.sigma_sq(x) if sigma_sq is None else sigma_sq
-        twisted = self.space.inner(c, c) - 2.0 * self.space.inner(L @ c, as_vector(x)) - s_sq
+        twisted = self.space.inner(c, c) - 2.0 * self.space.inner(L @ c, x) - sigma_sq
         return self._eps * twisted - 0.5 * float(np.sum(L * L.T))
-
-    def _params(self):
-        return {"w": self.w.tolist(), "a": self.a.tolist(), "tau": self.tau, "r": self.r}
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +580,9 @@ class Conformal2DField(AffineField):
 
     K = omega*R + tau*T with R the rotation about w and T the translation
     through w along a; C is the conformal gradient with pole located
-    cylindrically as c = rr*s*a + rr*t*b + h*w.  On the sphere w can be
-    taken on the axis of K, so tau = 0 there.  Every such field is
+    cylindrically as c = rr*s*a + rr*t*b + h*w, in the standard frame
+    (a, b, w) = (e_1, e_2, base point).  On the sphere w can be taken on the
+    axis of K, so tau = 0 there.  Every such field is
     preharmonic: nabla sigma = a I + b J pointwise, with a = -eps <c, x>
     and the twist b = <m, eta x> for the axial vector m of the
     antisymmetric matrix eta L, so zeta = a^2 + b^2.
@@ -604,34 +590,12 @@ class Conformal2DField(AffineField):
 
     family = "conformal2d"
     _vectors = ("w", "a", "b")
+    _param_keys = {k: k for k in ("omega", "tau", "rr", "s", "t", "h")}
 
-    def __init__(
-        self,
-        space: SpaceForm,
-        omega: float,
-        tau: float,
-        rr: float,
-        s: float,
-        t: float,
-        h: float,
-        w=None,
-        a=None,
-        b=None,
-    ):
+    def __init__(self, space: SpaceForm, omega: float, tau: float, rr: float, s: float, t: float, h: float):
         if space.n != 2:
             raise ValueError("Conformal2DField requires a 2-dimensional space form")
-        self.w = space.base_point() if w is None else space.check_point(w)
-        e = np.eye(space.ambient_dim)
-        self.a = e[0] if a is None else as_vector(a)
-        self.b = e[1] if b is None else as_vector(b)
-        for u in (self.a, self.b):
-            space.check_tangent(self.w, u, tol=1e-12)
-        if (
-            abs(space.norm_sq(self.a) - 1.0) > 1e-12
-            or abs(space.norm_sq(self.b) - 1.0) > 1e-12
-            or abs(space.inner(self.a, self.b)) > 1e-12
-        ):
-            raise ValueError("(a, b) must be an orthonormal tangent frame at w")
+        self.a, self.b, self.w = np.eye(3)
         names = ("omega", "tau", "rr", "s", "t", "h")
         omega, tau, rr, s, t, h = (_finite(v, k) for v, k in zip((omega, tau, rr, s, t, h), names))
         if abs(s * s + t * t - 1.0) > 1e-12:
@@ -645,20 +609,21 @@ class Conformal2DField(AffineField):
         c = rr * s * self.a + rr * t * self.b + h * self.w
         super().__init__(L, c, space)
 
-    def spinnaker(self, x, sigma_sq=None):
-        x = as_vector(x)
+    def _zeta(self, x, sigma_sq):
+        """zeta = a^2 + b^2."""
         twist = (self._eta * x) @ _axial(self._eta[:, None] * self.L)
         gamma = self.space.inner(self.c, x)
         return twist * twist + gamma * gamma
 
     @classmethod
     def from_operator(cls, space: SpaceForm, L, c) -> "Conformal2DField":
-        """The field P_x(L x + c) for an eta-skew L, in canonical form.
+        """The field P_x(L x + c) for an eta-skew L, with its canonical parameters.
 
         Reads L = k_R R + k_a T_a + k_b T_b and c = c_a a + c_b b + c_w w in the
         standard frame (a, b, w) = (e_1, e_2, base point), where R is the pair
         operator of (a, b) and T_u that of (u, w); then turns the frame so that
-        k_b = 0 and flips b so that k_R >= 0.
+        k_b = 0 and flips b so that k_R >= 0.  The field keeps (L, c) as given
+        and carries the turned frame and the parameters in it.
         """
         k_R, k_a, k_b = float(L[1, 0]), float(L[2, 0]), float(L[2, 1])
         c_a, c_b, c_w = (float(v) for v in c)
@@ -676,17 +641,10 @@ class Conformal2DField(AffineField):
             s, t = c_a / rr, c_b / rr
         else:
             rr, s, t = 0.0, 0.0, 1.0
-        return cls(space, k_R, tau, rr, s, t, c_w, a=a, b=b)
-
-    def _params(self):
-        return {
-            "omega": self.omega,
-            "tau": self.tau,
-            "rr": self.rr,
-            "s": self.s,
-            "t": self.t,
-            "h": self.h,
-        }
+        field = cls.__new__(cls)
+        field.__dict__.update(omega=k_R, tau=tau, rr=rr, s=s, t=t, h=c_w, w=space.base_point(), a=a, b=b)
+        AffineField.__init__(field, L, c, space)
+        return field
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +662,7 @@ class QuadraticGradientField(AffineField):
     """
 
     family = "quadratic"
+    _param_keys = {"eigenvalues": "eigenvalues"}
 
     def __init__(self, Q, space: SpaceForm):
         if space.eps != 1:
@@ -723,7 +682,8 @@ class QuadraticGradientField(AffineField):
         x = as_vector(x)
         return ((x @ np.linalg.matrix_power(self.L, m)) * x).sum(axis=-1)
 
-    def spinnaker(self, x, sigma_sq=None):
+    def _zeta(self, x, sigma_sq):
+        """zeta = (hi + lo - 2 xi)^2."""
         if len(self._clusters) == 1:
             return np.zeros(np.shape(x)[:-1])  # sigma is identically zero
         if len(self._clusters) != 2:
@@ -731,9 +691,6 @@ class QuadraticGradientField(AffineField):
         (lo, _), (hi, _) = self._clusters
         d = hi + lo - 2.0 * self.xi(x)
         return d * d
-
-    def _params(self):
-        return {"eigenvalues": self.eigenvalues.tolist()}
 
 
 def quadratic_two_eigenvalue(r: int, lam: float, space: SpaceForm) -> QuadraticGradientField:

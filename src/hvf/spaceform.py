@@ -114,17 +114,17 @@ class SpaceForm:
         At[:, -1] *= self.eps
         return At
 
-    def is_skew(self, A, tol: float = SKEW_TOL) -> bool:
-        """<A x, y> = -<x, A y>, i.e. A† = -A, up to tol relative to |A|."""
+    def is_skew(self, A) -> bool:
+        """<A x, y> = -<x, A y>, i.e. A† = -A, up to SKEW_TOL relative to |A|."""
         A = np.asarray(A, dtype=float)
         scale = 1.0 + np.abs(A).max()
-        return np.abs(self.adjoint(A) + A).max() <= tol * scale
+        return np.abs(self.adjoint(A) + A).max() <= SKEW_TOL * scale
 
-    def check_skew(self, A, tol: float = SKEW_TOL) -> np.ndarray:
+    def check_skew(self, A) -> np.ndarray:
         A = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"operator must be square, got shape {A.shape}")
-        if not self.is_skew(A, tol):
+        if not self.is_skew(A):
             raise ValueError("operator is not skew-symmetric for this signature")
         return A
 
@@ -136,19 +136,19 @@ class SpaceForm:
         x[-1] = 1.0
         return x
 
-    def is_point(self, x, tol: float = POINT_TOL) -> bool:
+    def is_point(self, x) -> bool:
         # tolerance is relative to the coordinate scale: far out on H^n the
         # constraint is a cancellation of terms of size |x|^2
         x = as_vector(x)
         if x.shape != (self.ambient_dim,):
             return False
-        if abs(self.norm_sq(x) - self.eps) > tol * (1.0 + float(x @ x)):
+        if abs(self.norm_sq(x) - self.eps) > POINT_TOL * (1.0 + float(x @ x)):
             return False
         return self.eps == 1 or x[-1] > 0
 
-    def check_point(self, x, tol: float = POINT_TOL) -> np.ndarray:
+    def check_point(self, x) -> np.ndarray:
         x = as_vector(x)
-        if not self.is_point(x, tol):
+        if not self.is_point(x):
             raise ValueError(f"{x} is not a point of this space form")
         return x
 

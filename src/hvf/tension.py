@@ -129,9 +129,9 @@ def _assemble(ing: Ingredients, p, q) -> tuple[np.ndarray, np.ndarray]:
     return t, scale
 
 
-def tension(field: AffineField, x, mp: MetricParams, fd: bool = False) -> np.ndarray:
-    """The tension tau_{p,q}(sigma) at x; zero exactly for harmonic fields."""
-    return _assemble(ingredients(field, x, fd=fd), mp.p, mp.q)[0]
+def tension(field: AffineField, x, mp: MetricParams) -> np.ndarray:
+    """The closed-form tension tau_{p,q}(sigma) at x; zero exactly for harmonic fields."""
+    return _assemble(ingredients(field, x), mp.p, mp.q)[0]
 
 
 def reduced_pde_residual(field: AffineField, x, mp: MetricParams):

@@ -524,9 +524,9 @@ def test_circle_action_in_moved_and_mirrored_frames():
     base = Conformal2DField(M, 0.8, 0.3, 0.5, 0.6, 0.8, 1.1)
     rng = np.random.default_rng(6)
     g = M.random_isometry(rng)
-    mirrored = Conformal2DField(
-        M, base.omega, 0.0, base.rr, base.s, base.t, base.h, w=base.w, a=base.b, b=base.a
-    )
+    swap = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])  # frame (b, a, w): orientation reversed
+    mirrored = Conformal2DField(M, base.omega, 0.0, base.rr, base.s, base.t, base.h).transform(swap)
+    assert np.array_equal(mirrored.a, base.b) and np.array_equal(mirrored.b, base.a)
     t = 0.9
     for f in (base.transform(g), mirrored):
         rotated = f.circle_action(t)
