@@ -116,16 +116,23 @@ def ingredients(field: AffineField, x, fd: bool = False, h: float | None = None)
 def _assemble(ing: Ingredients, p, q) -> tuple[np.ndarray, np.ndarray]:
     """(tension, residual scale), broadcasting over the points of ing and over p and q.
 
-    The scale (1 + |s|^2)(1 + |rough| + |nabla_gradF s| + |phi||s|) keeps
-    the relative residual dimensionally sane for fields of unbounded length.
+    The scale is the sum of the sizes of the terms the tension adds up,
+
+        (1 + |s|^2)|rough| + 2|p||nabla_gradF s| + (|p||nabla s|^2 + |pq||grad F|^2 + |q|(1 + |s|^2)|Delta F|)|s|,
+
+    with phi taken as its three parts, so the relative residual does not
+    depend on the size of the field and a cancellation inside phi is not
+    mistaken for a small tension.
     """
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     one = 1.0 + ing.sigma_sq
-    phi = p * ing.nabla_sq - p * q * ing.gradF_sq - q * one * ing.lap_F
+    parts = p * ing.nabla_sq, p * q * ing.gradF_sq, q * one * ing.lap_F
+    phi = parts[0] - parts[1] - parts[2]
     Tp = one[..., None] * ing.rough + 2.0 * p[..., None] * ing.nabla_gradF_sigma
     t = Tp - phi[..., None] * ing.sigma
     s_norm = np.sqrt(np.maximum(ing.sigma_sq, 0.0))
-    scale = one * (1.0 + ing.rough_norm + ing.nabla_gradF_sigma_norm + np.abs(phi) * s_norm)
+    phi_size = np.abs(parts[0]) + np.abs(parts[1]) + np.abs(parts[2])
+    scale = one * ing.rough_norm + 2.0 * np.abs(p) * ing.nabla_gradF_sigma_norm + phi_size * s_norm
     return t, scale
 
 
@@ -174,13 +181,14 @@ def preharmonic(ing: Ingredients, zeta) -> tuple[bool, float]:
     s_sq, ngs = ing.sigma_sq[keep], ing.nabla_gradF_sigma[keep]
     zeta = ing.gradF_sq[keep] / s_sq if zeta is None else zeta[keep]
     scale = ing.nabla_gradF_sigma_norm[keep] + np.abs(zeta) * np.sqrt(s_sq) + top_sq ** 1.5
-    err = M.norm(ngs - zeta[..., None] * ing.sigma[keep]) / scale
+    with np.errstate(divide="ignore", invalid="ignore"):  # a scale that underflowed gives NaN: not preharmonic
+        err = M.norm(ngs - zeta[..., None] * ing.sigma[keep]) / scale
     worst = float(err.max(initial=0.0))
     return worst < PREHARMONIC_TOL, worst
 
 
 def _relative(err, size):
-    """err / size per point, with 0/0 read as 0; both scale alike, so k sigma gets the value of sigma."""
+    """err / size per point, with 0/0 read as 0: the relative residuals and identity errors of every check."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(err == 0, 0.0, err / size)[()]
 
@@ -294,7 +302,8 @@ def verify(
     neither; spinnaker_max_err skips the samples that preharmonic skips.
     tol defaults to HARMONIC_TOL, or to FD_TOL with fd=True.  A count whose arrays cannot
     fit in physical memory is rejected before any point is drawn, and so is a seed that is
-    not a non-negative integer.
+    not a non-negative integer.  A non-zero field whose tension terms all underflow to 0 at
+    every sample raises ValueError: it is too small to analyse, while the zero field is harmonic.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -315,7 +324,9 @@ def verify(
     finite = np.isfinite(t).all(axis=-1) & np.isfinite(res) & np.isfinite(scale)
     if not finite.all():
         raise ValueError(f"non-finite tension residual or ingredient at sample {np.argmin(finite)}")
-    rel = res / scale
+    if not scale.any() and (field.L.any() or field.c.any()):
+        raise ValueError("field too small to analyse: every term of its tension underflows to 0 at every sample")
+    rel = _relative(res, scale)
     zeta = field.spinnaker(samples, ing.sigma_sq)
     sp_err = spinnaker_error(ing, zeta)
     judged = None if sp_err is None else sp_err[_kept(ing)]
@@ -363,7 +374,7 @@ def metric_grid_scan(field: AffineField, ps, qs, samples) -> np.ndarray:
     out = np.zeros((P.size, Q.size))
     for i in range(len(ing.sigma_sq)):
         t, scale = _assemble(ing[i], P, Q)
-        out = np.maximum(out, M.norm(t) / scale)
+        out = np.maximum(out, _relative(M.norm(t), scale))
     return out
 
 
@@ -376,7 +387,7 @@ def isometry_equivariance_check(field: AffineField, g, mp: MetricParams, samples
         raise ValueError("g does not preserve the signature form (and sheet)")
     t, scale = _assemble(ingredients(field, samples), mp.p, mp.q)
     moved = tension(field.transform(g), M.normalize_point(samples @ g.T), mp)
-    return float((M.norm(t @ g.T - moved) / scale).max())
+    return float(_relative(M.norm(t @ g.T - moved), scale).max())
 
 
 def circle_equivariance_check(field: AffineField, t: float, mp: MetricParams, samples) -> float:
@@ -391,4 +402,4 @@ def circle_equivariance_check(field: AffineField, t: float, mp: MetricParams, sa
     v, scale = _assemble(ingredients(field, samples), mp.p, mp.q)
     lhs = np.cos(t) * v + np.sin(t) * M.complex_rotation(samples, v)
     rhs = tension(field.circle_action(t), samples, mp)
-    return float((M.norm(lhs - rhs) / scale).max())
+    return float(_relative(M.norm(lhs - rhs), scale).max())

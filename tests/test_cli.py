@@ -471,3 +471,35 @@ def test_scan2d_rejects_bad_grid_values(argv, message, capsys):
     assert main(argv.split()) == 2
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "spec, code",
+    [
+        ("--family killing --n 4 --epsilon 1 --twists 1,2 --p 5 --q -1 --scale 1e-8", 1),
+        ("--family confgrad --n 3 --epsilon 1 --mu 1 --p 4 --q -0.5 --scale 1e-9", 1),
+        ("--family confgrad --n 3 --epsilon 1 --mu 1 --p 4 --q -0.5 --scale 1e6", 1),
+        ("--family killing --n 3 --epsilon 1 --twists 1,1 --p 2 --q 1 --scale 1e4", 1),  # Hopf: harmonic at k = 1 only
+        ("--family killing --n 2 --epsilon -1 --r 1 --omega 1e-300 --p 3 --q -0.5", 2),  # every term underflows
+    ],
+)
+def test_scaled_fields_are_not_harmonic(spec, code, capsys):
+    # none of these fields is harmonic: the residual scale is the size of the terms the tension sums
+    assert main(["verify", *spec.split()]) == code
+    out, err = capsys.readouterr()
+    if code == 1:
+        assert "harmonic=False" in out
+    else:
+        assert out == "" and "too small to analyse" in err
+
+
+def test_verify_of_a_tiny_field_prints_no_warning():
+    # the preharmonic scale of this field underflows to 0: its NaN error reads "not preharmonic", silently
+    argv = "verify --family killing --n 4 --epsilon 1 --twists 1,2 --p 5 --q -1 --scale 1e-140".split()
+    src = os.path.dirname(os.path.dirname(hvf.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hvf.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert "harmonic=False preharmonic=False" in proc.stdout

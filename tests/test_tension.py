@@ -401,3 +401,18 @@ def test_an_exact_zero_of_sigma_leaves_the_checks_unchanged(monkeypatch, field, 
         err = spinnaker_error(ing, zeta)
         checks.append((preharmonic(ing, zeta), err.max(), rep.preharmonic, rep.spinnaker_max_err))
     assert checks[0] == checks[1]
+
+
+@pytest.mark.parametrize("entry", harmonic_catalogue(), ids=lambda e: e.label)
+def test_no_scaled_catalogue_field_is_harmonic(entry):
+    # tau(k sigma)/k = T_1 + k^2 T_3 + k^4 T_5 with T_1 = nabla* nabla sigma != 0 on a non-flat space form, so
+    # k sigma is harmonic at the catalogue's (p, q) for k = 1 only; below k ~ 1e-160 every term underflows
+    for j in range(-300, 29, 2):
+        if j == 0:
+            continue
+        try:
+            rep = verify(scale_field(entry.field, 10.0**j), entry.mp, count=50, seed=0)
+        except ValueError as exc:
+            assert j < -150 and "too small to analyse" in str(exc), (j, str(exc))
+            continue
+        assert rep.harmonic is False and rep.max_rel_residual > 1e-2, (j, rep.max_rel_residual)
