@@ -83,10 +83,9 @@ def _pair_operator(a, b, space: SpaceForm) -> np.ndarray:
 
 def _block_rotation(twists, space: SpaceForm) -> np.ndarray:
     """Rotation of the coordinate planes (1,2), (3,4), ... with the given speeds; r planes need 2r <= n+1 on S^n, 2r < n+1 on H^n."""
-    r, n = len(twists), space.n
-    if 2 * r > n + (space.eps == 1):
+    if 2 * len(twists) > space.n + (space.eps == 1):
         rule = "2r <= n+1 on S^n" if space.eps == 1 else "2r < n+1 on H^n"
-        raise ValueError(f"need {rule}, got r={r}, n={n}")
+        raise ValueError(f"need {rule}, got r={len(twists)}, n={space.n}")
     A = np.zeros((space.ambient_dim,) * 2)
     for i, w in enumerate(twists):
         A[2 * i + 1, 2 * i] = w
@@ -631,6 +630,8 @@ class Conformal2DField(AffineField):
         tau, phi = math.hypot(k_a, k_b), math.atan2(k_b, k_a)
         if tau <= tol:
             tau, phi = 0.0, 0.0
+        elif space.eps == 1:
+            raise ValueError("on the sphere take w on the axis of K, so tau = 0")
         cos, sin = math.cos(phi), math.sin(phi)
         a, b = np.array([cos, sin, 0.0]), np.array([-sin, cos, 0.0])
         c_a, c_b = cos * c_a + sin * c_b, cos * c_b - sin * c_a

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 HARMONIC_TOL = 1e-7  # closed forms: catalogue residuals stay below ~1e-13
-FD_TOL = 1e-5  # FD oracle at its default step: catalogue residuals reach ~5.5e-7, q +- 0.05 refutations stay above ~3.6e-3
+FD_TOL = 1e-5  # FD oracle at its default step: catalogue residuals reach ~2.1e-7, q +- 0.05 refutations stay above ~3.5e-3
 
 
 @dataclass(frozen=True)

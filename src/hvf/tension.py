@@ -116,24 +116,16 @@ def ingredients(field: AffineField, x, fd: bool = False, h: float | None = None)
 def _assemble(ing: Ingredients, p, q) -> tuple[np.ndarray, np.ndarray]:
     """(tension, residual scale), broadcasting over the points of ing and over p and q.
 
-    The scale is the sum of the sizes of the terms the tension adds up,
-
-        (1 + |s|^2)|rough| + 2|p||nabla_gradF s| + (|p||nabla s|^2 + |pq||grad F|^2 + |q|(1 + |s|^2)|Delta F|)|s|,
-
-    with phi taken as its three parts, so the relative residual does not
-    depend on the size of the field and a cancellation inside phi is not
-    mistaken for a small tension.
+    The scale is the sum of the sizes of the terms the tension adds up, with the three parts of phi apart:
+    (1 + |s|^2)|rough| + 2|p||nabla_gradF s| + (|p||nabla s|^2 + |pq||grad F|^2 + |q|(1 + |s|^2)|Delta F|)|s|.
+    So k sigma is judged like sigma, and a cancellation inside phi does not pass for a small tension.
     """
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     one = 1.0 + ing.sigma_sq
-    parts = p * ing.nabla_sq, p * q * ing.gradF_sq, q * one * ing.lap_F
-    phi = parts[0] - parts[1] - parts[2]
-    Tp = one[..., None] * ing.rough + 2.0 * p[..., None] * ing.nabla_gradF_sigma
-    t = Tp - phi[..., None] * ing.sigma
-    s_norm = np.sqrt(np.maximum(ing.sigma_sq, 0.0))
-    phi_size = np.abs(parts[0]) + np.abs(parts[1]) + np.abs(parts[2])
-    scale = one * ing.rough_norm + 2.0 * np.abs(p) * ing.nabla_gradF_sigma_norm + phi_size * s_norm
-    return t, scale
+    a, b, c = p * ing.nabla_sq, p * q * ing.gradF_sq, q * one * ing.lap_F  # phi = a - b - c
+    t = one[..., None] * ing.rough + 2.0 * p[..., None] * ing.nabla_gradF_sigma - (a - b - c)[..., None] * ing.sigma
+    size_phi = (np.abs(a) + np.abs(b) + np.abs(c)) * np.sqrt(np.maximum(ing.sigma_sq, 0.0))
+    return t, one * ing.rough_norm + 2.0 * np.abs(p) * ing.nabla_gradF_sigma_norm + size_phi
 
 
 def tension(field: AffineField, x, mp: MetricParams) -> np.ndarray:
@@ -189,6 +181,8 @@ def preharmonic(ing: Ingredients, zeta) -> tuple[bool, float]:
 
 def _relative(err, size):
     """err / size per point, with 0/0 read as 0: the relative residuals and identity errors of every check."""
+    if (size > 0).all():  # nothing to read as 0/0, and no warning to silence
+        return err / size
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(err == 0, 0.0, err / size)[()]
 
@@ -302,8 +296,7 @@ def verify(
     neither; spinnaker_max_err skips the samples that preharmonic skips.
     tol defaults to HARMONIC_TOL, or to FD_TOL with fd=True.  A count whose arrays cannot
     fit in physical memory is rejected before any point is drawn, and so is a seed that is
-    not a non-negative integer.  A non-zero field whose tension terms all underflow to 0 at
-    every sample raises ValueError: it is too small to analyse, while the zero field is harmonic.
+    not a non-negative integer.  A non-zero field whose tension terms all underflow is rejected as too small.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
