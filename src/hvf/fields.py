@@ -203,15 +203,18 @@ class AffineField:
         xJx = ip(Sx, Lx) - eps * (eps * beta + dax * ip(s, x) + alpha * ip(Sx, x))
         return -(tr_J - eps * xJx)
 
+    def rough_operand(self, x) -> np.ndarray:
+        """eps (R x + c) for R = m L + 2 L†: the ambient vector whose tangent part is the rough Laplacian."""
+        return self._eps * (as_vector(x) @ self._rough.T + self.c)
+
     def rough_laplacian(self, x) -> np.ndarray:
-        x = as_vector(x)
-        return self._eps * self.space.tangent_project(x, x @ self._rough.T + self.c)
+        return self.space.tangent_project(x, self.rough_operand(x))
 
     def spinnaker(self, x, sigma_sq=None) -> float | None:
         """zeta with nabla_{grad F} sigma = zeta sigma at x, or None when sigma is not preharmonic.
 
         sigma_sq is |sigma(x)|^2 when the caller has it already; sigma is
-        evaluated only when it is None.
+        evaluated only when it is None, also for families whose zeta does not read it.
         """
         return self._zeta(as_vector(x), self.sigma_sq(x) if sigma_sq is None else sigma_sq)
 
@@ -487,7 +490,7 @@ class LoxodromicField(AffineField):
 
     def __init__(self, pairs, omegas, c, space: SpaceForm):
         self.pairs = _finite([list(p) for p in pairs], "rotation planes")
-        self.omegas = np.array([_finite(w, "omega") for w in omegas])
+        self.omegas = [_finite(w, "omega") for w in omegas]
         self.pole = _finite(c, "pole")
         if len(self.pairs) != len(self.omegas) or not len(self.pairs):
             raise ValueError("need one twist per rotation plane, and at least one plane")
@@ -621,8 +624,8 @@ class Conformal2DField(AffineField):
         Reads L = k_R R + k_a T_a + k_b T_b and c = c_a a + c_b b + c_w w in the
         standard frame (a, b, w) = (e_1, e_2, base point), where R is the pair
         operator of (a, b) and T_u that of (u, w); then turns the frame so that
-        k_b = 0 and flips b so that k_R >= 0.  The field keeps (L, c) as given
-        and carries the turned frame and the parameters in it.
+        k_b = 0 and flips b so that k_R >= 0.  The constructor checks those
+        parameters; the field then keeps (L, c) as given and the turned frame.
         """
         k_R, k_a, k_b = float(L[1, 0]), float(L[2, 0]), float(L[2, 1])
         c_a, c_b, c_w = (float(v) for v in c)
@@ -630,8 +633,6 @@ class Conformal2DField(AffineField):
         tau, phi = math.hypot(k_a, k_b), math.atan2(k_b, k_a)
         if tau <= tol:
             tau, phi = 0.0, 0.0
-        elif space.eps == 1:
-            raise ValueError("on the sphere take w on the axis of K, so tau = 0")
         cos, sin = math.cos(phi), math.sin(phi)
         a, b = np.array([cos, sin, 0.0]), np.array([-sin, cos, 0.0])
         c_a, c_b = cos * c_a + sin * c_b, cos * c_b - sin * c_a
@@ -642,10 +643,7 @@ class Conformal2DField(AffineField):
             s, t = c_a / rr, c_b / rr
         else:
             rr, s, t = 0.0, 0.0, 1.0
-        field = cls.__new__(cls)
-        field.__dict__.update(omega=k_R, tau=tau, rr=rr, s=s, t=t, h=c_w, w=space.base_point(), a=a, b=b)
-        AffineField.__init__(field, L, c, space)
-        return field
+        return cls(space, k_R, tau, rr, s, t, c_w)._with(L, c, a=a, b=b)
 
 
 # ---------------------------------------------------------------------------

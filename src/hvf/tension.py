@@ -23,7 +23,7 @@ There is one evaluation path.  ingredients() evaluates the closed forms or
 the finite-difference oracle at once on a point of shape (m,) or a batch of
 shape (N, m), m = n+1, and every tension, residual, check and grid scan is
 assembled from those arrays; results keep the leading axes.  The closed forms
-share one Jet of the field per call.  The oracle calls only sigma:
+share one Jet of the field per call.  The oracle's derivatives call only sigma:
 SpaceForm.derivatives_fd takes nabla sigma along the frame, the rough
 Laplacian and Delta F from one +-h stencil with one step.
 A report keeps its per-point values as arrays until it is serialised.
@@ -57,8 +57,9 @@ class Ingredients:
 
     Vectors have shape (..., m) and scalars shape (...), with the leading
     axes of the points they were evaluated at, on the space form `space`.
-    rough_norm and nabla_gradF_sigma_norm are the lengths of rough and
-    nabla_gradF_sigma, taken once for the tension scale and the checks.
+    rough_size is the length of field.rough_operand(x), whose tangent part is
+    rough, in both modes; nabla_gradF_sigma_norm is the length of
+    nabla_gradF_sigma.  Both are taken once for the tension scale and the checks.
     """
 
     space: SpaceForm
@@ -69,7 +70,7 @@ class Ingredients:
     nabla_sq: np.ndarray
     gradF_sq: np.ndarray
     lap_F: np.ndarray
-    rough_norm: np.ndarray
+    rough_size: np.ndarray
     nabla_gradF_sigma_norm: np.ndarray
 
     def __getitem__(self, index) -> "Ingredients":
@@ -89,6 +90,9 @@ def ingredients(field: AffineField, x, fd: bool = False, h: float | None = None)
     """
     x = np.asarray(x, dtype=float)
     M = field.space
+    u = field.rough_operand(x)
+    along = M.inner(u, x)
+    u_tan = u - (M.eps * along)[..., None] * x  # M.tangent_project(x, u), keeping <u, x> for rough_size
     if fd:
         s, D, rough, lap = M.derivatives_fd(field, x, DEFAULT_H if h is None else h)
         c = M.inner(D, s[..., None, :])  # E_i F = <grad F, E_i>
@@ -98,7 +102,7 @@ def ingredients(field: AffineField, x, fd: bool = False, h: float | None = None)
         j = field.jet(x)
         s, gF = j.sigma, field.grad_F(j)
         ngs, nsq, gF_sq = field.nabla(j, gF), field.nabla_norm_sq(j), M.norm_sq(gF)
-        rough, lap = field.rough_laplacian(j.x), field.lap_F(j)
+        rough, lap = u_tan, field.lap_F(j)
     return Ingredients(
         space=M,
         sigma=s,
@@ -108,7 +112,7 @@ def ingredients(field: AffineField, x, fd: bool = False, h: float | None = None)
         nabla_sq=nsq,
         gradF_sq=gF_sq,
         lap_F=lap,
-        rough_norm=M.norm(rough),
+        rough_size=np.sqrt(np.maximum(M.norm_sq(u_tan), 0.0) + along * along),
         nabla_gradF_sigma_norm=M.norm(ngs),
     )
 
@@ -117,15 +121,16 @@ def _assemble(ing: Ingredients, p, q) -> tuple[np.ndarray, np.ndarray]:
     """(tension, residual scale), broadcasting over the points of ing and over p and q.
 
     The scale is the sum of the sizes of the terms the tension adds up, with the three parts of phi apart:
-    (1 + |s|^2)|rough| + 2|p||nabla_gradF s| + (|p||nabla s|^2 + |pq||grad F|^2 + |q|(1 + |s|^2)|Delta F|)|s|.
-    So k sigma is judged like sigma, and a cancellation inside phi does not pass for a small tension.
+    (1 + |s|^2)|rough operand| + 2|p||nabla_gradF s| + (|p||nabla s|^2 + |pq||grad F|^2 + |q|(1 + |s|^2)|Delta F|)|s|.
+    So k sigma is judged like sigma, a cancellation inside phi is no small tension, and noise of an
+    identically zero P_x(L x + c), such as P_x(lambda x), is judged against the unprojected operand.
     """
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     one = 1.0 + ing.sigma_sq
     a, b, c = p * ing.nabla_sq, p * q * ing.gradF_sq, q * one * ing.lap_F  # phi = a - b - c
     t = one[..., None] * ing.rough + 2.0 * p[..., None] * ing.nabla_gradF_sigma - (a - b - c)[..., None] * ing.sigma
     size_phi = (np.abs(a) + np.abs(b) + np.abs(c)) * np.sqrt(np.maximum(ing.sigma_sq, 0.0))
-    return t, one * ing.rough_norm + 2.0 * np.abs(p) * ing.nabla_gradF_sigma_norm + size_phi
+    return t, one * ing.rough_size + 2.0 * np.abs(p) * ing.nabla_gradF_sigma_norm + size_phi
 
 
 def tension(field: AffineField, x, mp: MetricParams) -> np.ndarray:
@@ -181,10 +186,18 @@ def preharmonic(ing: Ingredients, zeta) -> tuple[bool, float]:
 
 def _relative(err, size):
     """err / size per point, with 0/0 read as 0: the relative residuals and identity errors of every check."""
-    if (size > 0).all():  # nothing to read as 0/0, and no warning to silence
-        return err / size
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(err == 0, 0.0, err / size)[()]
+
+
+def _sampled(field: AffineField, samples) -> Ingredients:
+    """Closed-form ingredients over samples; ValueError for none, or when (L, c) != 0 underflows at all of them."""
+    if len(samples) == 0:
+        raise ValueError("samples is empty: the checks take a maximum over at least one point")
+    ing = ingredients(field, samples)
+    if not ing.rough_size.any() and (field.L.any() or field.c.any()):
+        raise ValueError("field too small to analyse: every term of its tension underflows to 0 at every sample")
+    return ing
 
 
 def spinnaker_error(ing: Ingredients, zeta):
@@ -310,15 +323,13 @@ def verify(
     _check_fits(count, M.ambient_dim, LIVE_ARRAYS + (FD_LIVE_ARRAYS_PER_DIM * M.n if fd else 0))
     samples = M.sample_points(count, seed)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        ing = ingredients(field, samples)
+        ing = _sampled(field, samples)
         t, scale = _assemble(ingredients(field, samples, fd=True, h=h) if fd else ing, mp.p, mp.q)
         res = M.norm(t)
     # a non-finite ingredient makes the tension t non-finite too
     finite = np.isfinite(t).all(axis=-1) & np.isfinite(res) & np.isfinite(scale)
     if not finite.all():
         raise ValueError(f"non-finite tension residual or ingredient at sample {np.argmin(finite)}")
-    if not scale.any() and (field.L.any() or field.c.any()):
-        raise ValueError("field too small to analyse: every term of its tension underflows to 0 at every sample")
     rel = _relative(res, scale)
     zeta = field.spinnaker(samples, ing.sigma_sq)
     sp_err = spinnaker_error(ing, zeta)
@@ -346,12 +357,6 @@ def verify(
     )
 
 
-def _require_samples(samples) -> None:
-    """Raise ValueError for an empty sample set, over which every maximum is undefined."""
-    if len(samples) == 0:
-        raise ValueError("samples is empty: the checks take a maximum over at least one point")
-
-
 def metric_grid_scan(field: AffineField, ps, qs, samples) -> np.ndarray:
     """Max relative tension residual over samples, for every (p, q) on the grid.
 
@@ -359,11 +364,10 @@ def metric_grid_scan(field: AffineField, ps, qs, samples) -> np.ndarray:
     residual is then broadcast over the (len(ps), len(qs)) grid, so the
     working set stays at one grid of vectors.
     """
-    _require_samples(samples)
     M = field.space
     P = np.asarray(ps, dtype=float)[:, None]
     Q = np.asarray(qs, dtype=float)[None, :]
-    ing = ingredients(field, samples)
+    ing = _sampled(field, samples)
     out = np.zeros((P.size, Q.size))
     for i in range(len(ing.sigma_sq)):
         t, scale = _assemble(ing[i], P, Q)
@@ -373,12 +377,12 @@ def metric_grid_scan(field: AffineField, ps, qs, samples) -> np.ndarray:
 
 def isometry_equivariance_check(field: AffineField, g, mp: MetricParams, samples) -> float:
     """max over samples of |g tau(sigma)(x) - tau(g.sigma)(g x)| / scale."""
-    _require_samples(samples)
+    ing = _sampled(field, samples)
     M = field.space
     g = np.asarray(g, dtype=float)
     if not M.is_isometry(g):
         raise ValueError("g does not preserve the signature form (and sheet)")
-    t, scale = _assemble(ingredients(field, samples), mp.p, mp.q)
+    t, scale = _assemble(ing, mp.p, mp.q)
     moved = tension(field.transform(g), M.normalize_point(samples @ g.T), mp)
     return float(_relative(M.norm(t @ g.T - moved), scale).max())
 
@@ -390,9 +394,8 @@ def circle_equivariance_check(field: AffineField, t: float, mp: MetricParams, sa
     turned pointwise by SpaceForm.complex_rotation, on the right the field is
     turned first by AffineField.circle_action, the linear map on (L, c).
     """
-    _require_samples(samples)
     M = field.space
-    v, scale = _assemble(ingredients(field, samples), mp.p, mp.q)
+    v, scale = _assemble(_sampled(field, samples), mp.p, mp.q)
     lhs = np.cos(t) * v + np.sin(t) * M.complex_rotation(samples, v)
     rhs = tension(field.circle_action(t), samples, mp)
     return float(_relative(M.norm(lhs - rhs), scale).max())

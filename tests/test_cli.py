@@ -493,6 +493,13 @@ def test_scaled_fields_are_not_harmonic(spec, code, capsys):
         assert out == "" and "too small to analyse" in err
 
 
+def test_a_quadratic_field_with_one_eigenvalue_is_harmonic(capsys):
+    # Q = I gives sigma = P_x(x) = 0: its rounding noise is judged against the size of Q, not read as a tension
+    argv = "verify --family quadratic --n 5 --epsilon 1 --eigenvalues 1,1,1,1,1,1 --p 2 --q 1".split()
+    assert main(argv) == 0
+    assert "harmonic=True" in capsys.readouterr().out
+
+
 def test_verify_of_a_tiny_field_prints_no_warning():
     # the preharmonic scale of this field underflows to 0: its NaN error reads "not preharmonic", silently
     argv = "verify --family killing --n 4 --epsilon 1 --twists 1,2 --p 5 --q -1 --scale 1e-140".split()

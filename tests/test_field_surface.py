@@ -127,7 +127,7 @@ def test_one_rotation_rank_rule(eps):
 
 
 def test_from_operator_keeps_the_sphere_rule():
-    # from_operator no longer goes through the constructor, so it keeps the constructor's tau = 0 rule on S^2
+    # from_operator builds through the constructor, so the constructor's tau = 0 rule on S^2 holds there too
     M = spaceform.sphere(2)
     e = np.eye(3)
     tilted = np.outer(e[2], e[0]) - np.outer(e[0], e[2])
@@ -136,3 +136,8 @@ def test_from_operator_keeps_the_sphere_rule():
     f = Conformal2DField(M, 0.7, 0.0, 0.5, 0.6, 0.8, 1.1)
     g = Conformal2DField.from_operator(M, f.L, f.c)
     assert json.dumps(g.params()) == json.dumps(f.params()) and np.array_equal(g.L, f.L)
+
+
+def test_loxodromic_flags_are_plain_bools():
+    f = fields.associate_family_member(0.7)
+    assert (type(f.balanced), type(f.properly), type(f.omegas)) == (bool, bool, list)

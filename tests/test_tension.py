@@ -10,6 +10,7 @@ from hvf.fields import (
     DipoleDeformationField,
     GeneralizedHopfField,
     KillingField,
+    QuadraticGradientField,
     associate_family_member,
     hyperbolic_translation,
     killing_from_twists,
@@ -416,3 +417,35 @@ def test_no_scaled_catalogue_field_is_harmonic(entry):
             assert j < -150 and "too small to analyse" in str(exc), (j, str(exc))
             continue
         assert rep.harmonic is False and rep.max_rel_residual > 1e-2, (j, rep.max_rel_residual)
+
+
+@pytest.mark.parametrize("fd", [False, True], ids=["closed-form", "fd"])
+@pytest.mark.parametrize(
+    "field",
+    [
+        QuadraticGradientField(np.eye(4), sphere(3)),
+        AffineField(-3.0 * np.eye(6), np.zeros(6), sphere(5)),
+        AffineField(2.0 * np.eye(4), np.zeros(4), hyperbolic(3)),
+    ],
+    ids=["quadratic-one-cluster", "S5", "H3"],
+)
+def test_a_field_that_vanishes_identically_is_harmonic(field, fd):
+    # sigma = P_x(lambda x) = 0 with (L, c) != 0: every term is rounding noise, judged against the size of (L, c)
+    assert verify(field, MetricParams(2.0, 1.0), fd=fd).harmonic is True
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda f, pts: verify(f, MetricParams(3.0, -0.5), count=len(pts)),
+        lambda f, pts: metric_grid_scan(f, [3.0, 4.0], [-0.5], pts),
+        lambda f, pts: isometry_equivariance_check(f, np.eye(3), MetricParams(3.0, -0.5), pts),
+        lambda f, pts: circle_equivariance_check(f, 0.5, MetricParams(3.0, -0.5), pts),
+    ],
+    ids=["verify", "metric_grid_scan", "isometry_equivariance_check", "circle_equivariance_check"],
+)
+def test_checks_refuse_a_field_whose_terms_all_underflow(check):
+    # every tension term of this non-zero field is 0 at every sample: 0/0 read as 0 would pass it as harmonic
+    f = scale_field(associate_family_member(0.7), 1e-200)
+    with pytest.raises(ValueError, match="too small to analyse"):
+        check(f, f.space.sample_points(20, 3))
