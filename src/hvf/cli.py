@@ -217,9 +217,12 @@ def cmd_scan2d(args) -> int:
 
     def value(name, text):
         try:
-            v = Fraction(text.strip()) if args.exact else float(text)
-            if math.isfinite(float(v)):
-                return v
+            try:
+                v = float(text)  # overflow gives inf at once, before an exact mode expands a large exponent
+            except ValueError:
+                v = float(Fraction(text.strip()))  # the a/b form, whose parts are plain integers
+            if math.isfinite(v):
+                return Fraction(text.strip()) if args.exact else v
         except (ValueError, ArithmeticError):
             pass
         raise ValueError(f"--{name}: {text.strip()!r} is not a finite number")

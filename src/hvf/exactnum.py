@@ -4,7 +4,9 @@ Every number is stored as a + b*sqrt(d) with rational a, b and a squarefree
 integer radicand d >= 0.  This is enough to carry all closed-form parameter
 values produced by the solvers (roots of quadratics with rational
 coefficients) and to do exact zero-testing in the polynomial reduction,
-with no tolerance debate.
+with no tolerance debate.  Products, quotients, signs and str share one
+integer normal form, (an + bn*sqrt(d))/den with den the lcm of the
+denominators of a and b, so each part of a result is one Fraction(num, den).
 
 Mixing two irrational numbers with different radicands is an error; mixing
 with rationals (int / Fraction) is always fine.
@@ -12,6 +14,7 @@ with rationals (int / Fraction) is always fine.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -35,6 +38,23 @@ def _squarefree_split(d: int) -> tuple[int, int]:
     return (s * r, d0) if r * r == d else (s, d0 * d)
 
 
+def _binary(op):
+    """op(self, other, d) as a binary method: an int or Fraction other becomes a rational QuadExt,
+    any other type gives NotImplemented, and d is the radicand the two operands share."""
+
+    def method(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = QuadExt(other)
+        elif not isinstance(other, QuadExt):
+            return NotImplemented
+        if self.d and other.d and self.d != other.d:
+            raise ValueError(f"mixed radicands {self.d} and {other.d}")
+        return op(self, other, self.d or other.d)
+
+    return method
+
+
+@functools.total_ordering
 class QuadExt:
     """An element a + b*sqrt(d) of Q(sqrt(d)), with exact rational a, b."""
 
@@ -64,28 +84,22 @@ class QuadExt:
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
 
-    # -- coercion -------------------------------------------------------
+    def _integers(self) -> tuple[int, int, int]:
+        """The normal form: (an, bn, den) with self = (an + bn*sqrt(d))/den, den the lcm of the denominators."""
+        a, b = self.a, self.b
+        den = math.lcm(a.denominator, b.denominator)
+        return a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
 
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, QuadExt):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return QuadExt(x)
-        return None
-
-    def _common_radicand(self, other: "QuadExt") -> int:
-        if self.d and other.d and self.d != other.d:
-            raise ValueError(f"mixed radicands {self.d} and {other.d}")
-        return self.d or other.d
+    def _times(self, an: int, bn: int, num: int, den: int, d: int) -> "QuadExt":
+        """self * (an + bn*sqrt(d)) * num/den, each part of it one Fraction(num, den)."""
+        xa, xb, xden = self._integers()
+        den *= xden
+        return QuadExt._trusted(Fraction((xa * an + xb * bn * d) * num, den), Fraction((xa * bn + xb * an) * num, den), d)
 
     # -- ring operations ------------------------------------------------
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        d = self._common_radicand(other)
+    @_binary
+    def __add__(self, other, d):
         return QuadExt._trusted(self.a + other.a, self.b + other.b, d)
 
     __radd__ = __add__
@@ -93,48 +107,31 @@ class QuadExt:
     def __neg__(self):
         return QuadExt._trusted(-self.a, -self.b, self.d)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+    @_binary
+    def __sub__(self, other, d):
+        return QuadExt._trusted(self.a - other.a, self.b - other.b, d)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+    @_binary
+    def __rsub__(self, other, d):
+        return QuadExt._trusted(other.a - self.a, other.b - self.b, d)
 
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        d = self._common_radicand(other)
-        return QuadExt._trusted(
-            self.a * other.a + self.b * other.b * d,
-            self.a * other.b + self.b * other.a,
-            d,
-        )
+    @_binary
+    def __mul__(self, other, d):
+        an, bn, den = other._integers()
+        return self._times(an, bn, 1, den, d)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+    @_binary
+    def __truediv__(self, other, d):
+        # 1/(an + bn*sqrt(d)) = (an - bn*sqrt(d)) / (an^2 - bn^2 d): the norm is not 0, as d is squarefree
         if not other:
             raise ZeroDivisionError("division by zero in Q(sqrt(d))")
-        d = self._common_radicand(other)
-        # 1/(a + b*sqrt(d)) = (a - b*sqrt(d)) / (a^2 - b^2 d); the norm is
-        # nonzero for nonzero elements because d is squarefree.
-        nrm = other.a * other.a - other.b * other.b * d
-        inv = QuadExt._trusted(other.a / nrm, -other.b / nrm, d)
-        return self * inv
+        an, bn, den = other._integers()
+        return self._times(an, -bn, den, an * an - bn * bn * d, d)
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+    @_binary
+    def __rtruediv__(self, other, d):
         return other / self
 
     def __pow__(self, k: int):
@@ -150,11 +147,9 @@ class QuadExt:
     def __bool__(self):
         return bool(self.a) or bool(self.b)
 
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return not (self - other)
+    @_binary
+    def __eq__(self, other, d):
+        return self.a == other.a and self.b == other.b
 
     def __hash__(self):
         if self.d == 0:
@@ -162,45 +157,16 @@ class QuadExt:
         return hash((self.a, self.b, self.d))
 
     def sign(self) -> int:
-        """Exact sign (-1, 0, +1) of the real number a + b*sqrt(d)."""
-        a, b, d = self.a, self.b, self.d
-        if b == 0:
-            return 0 if a == 0 else (1 if a > 0 else -1)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2 d
-        lead_a = a * a > b * b * d
-        if a > 0:
-            return 1 if lead_a else -1
-        return -1 if lead_a else 1
+        """Exact sign (-1, 0, +1) of a + b*sqrt(d): of the part with the larger square, a^2 or b^2 d, if the signs differ."""
+        an, bn, _ = self._integers()
+        sa, sb = (an > 0) - (an < 0), (bn > 0) - (bn < 0)
+        if sa * sb >= 0:
+            return sa or sb
+        return sa if an * an > bn * bn * self.d else sb
 
-    def __lt__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+    @_binary
+    def __lt__(self, other, d):
         return (self - other).sign() < 0
-
-    def __le__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).sign() >= 0
 
     def __float__(self):
         """a + b*sqrt(d) as a float; opposite-signed terms go through (a^2 - b^2 d) / (a - b*sqrt(d)), which does not cancel."""
@@ -220,9 +186,7 @@ class QuadExt:
     def __str__(self):
         if self.d == 0:
             return str(self.a)
-        den = math.lcm(self.a.denominator, self.b.denominator)
-        an = self.a.numerator * (den // self.a.denominator)
-        bn = self.b.numerator * (den // self.b.denominator)
+        an, bn, den = self._integers()
         root = f"sqrt({self.d})" if abs(bn) == 1 else f"{abs(bn)}*sqrt({self.d})"
         num = root if bn > 0 else f"-{root}"
         if an > 0:

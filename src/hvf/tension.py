@@ -45,6 +45,7 @@ from .params import FD_TOL, HARMONIC_TOL, MetricParams
 from .spaceform import DEFAULT_H, SpaceForm
 
 ZERO_LENGTH = 1e-6  # samples with |sigma| <= ZERO_LENGTH * max |sigma| leave the spinnaker and preharmonic checks
+NOISE_LENGTH = 64 * np.finfo(float).eps  # ... and so do samples with |sigma| <= NOISE_LENGTH * rough_size
 PREHARMONIC_TOL = 1e-8
 # peak working set of verify in (count, n+1) float arrays: 10.4-13.4 closed-form, plus 8.2-10.6 per
 # dimension n for the one FD stencil (tracemalloc over the catalogue at 4000 and 20000 points)
@@ -154,12 +155,23 @@ def reduced_pde_residual(field: AffineField, x, mp: MetricParams):
 
 
 def _kept(ing: Ingredients):
-    """Index of the samples with |sigma| > ZERO_LENGTH * max |sigma|: those the preharmonic and spinnaker checks judge.
+    """Index of the samples the preharmonic and spinnaker checks judge.
 
+    A sample is dropped when |sigma| <= ZERO_LENGTH * max |sigma|, or when |sigma| <= NOISE_LENGTH * rough_size:
+    rounding noise of its own (L, c), as for P_x(lambda x) = 0.  rough_size grows with a lambda I added to L,
+    which leaves sigma unchanged, so NOISE_LENGTH is kept at the level of rounding.
     A mask when a sample is dropped, else ... (every sample), so that indexing copies nothing.
     """
-    keep = ing.sigma_sq > ZERO_LENGTH**2 * ing.sigma_sq.max(initial=0.0)
+    keep = (ing.sigma_sq > ZERO_LENGTH**2 * ing.sigma_sq.max(initial=0.0)) & (
+        np.sqrt(np.maximum(ing.sigma_sq, 0.0)) > NOISE_LENGTH * ing.rough_size
+    )
     return ... if keep.all() else keep
+
+
+def _vanishes(field: AffineField) -> bool:
+    """Is sigma = P_x(L x + c) zero at every point?  Exactly when c = 0 and L is a multiple of the identity."""
+    L = field.L
+    return not (field.c.any() or (L - L[0, 0] * np.eye(len(L))).any())
 
 
 def preharmonic(ing: Ingredients, zeta) -> tuple[bool, float]:
@@ -167,16 +179,19 @@ def preharmonic(ing: Ingredients, zeta) -> tuple[bool, float]:
 
     Falls back to zeta = |grad F|^2 / |sigma|^2 (the only candidate) when the
     family provides no spinnaker (zeta None).  Returns (verdict, max relative
-    error).  Both the mask and the scale are homogeneous in sigma: points with
-    |sigma| <= ZERO_LENGTH * max |sigma| are skipped, and each error is divided
-    by |nabla_{grad F} sigma| + |zeta| |sigma| + (max |sigma|)^3, which scale
-    like the error itself, so k sigma gets the verdict of sigma.
+    error).  Both the mask and the scale are homogeneous in sigma: the points
+    _kept drops are skipped, and each error is divided by
+    |nabla_{grad F} sigma| + |zeta| |sigma| + (max |sigma|)^3, which scale
+    like the error itself, so k sigma gets the verdict of sigma.  With every
+    sample dropped there is nothing to judge: (False, nan).
     """
     M = ing.space
     top_sq = ing.sigma_sq.max(initial=0.0)
     keep = _kept(ing)
     s_sq, ngs = ing.sigma_sq[keep], ing.nabla_gradF_sigma[keep]
     zeta = ing.gradF_sq[keep] / s_sq if zeta is None else zeta[keep]
+    if not s_sq.size:
+        return False, math.nan
     scale = ing.nabla_gradF_sigma_norm[keep] + np.abs(zeta) * np.sqrt(s_sq) + top_sq ** 1.5
     with np.errstate(divide="ignore", invalid="ignore"):  # a scale that underflowed gives NaN: not preharmonic
         err = M.norm(ngs - zeta[..., None] * ing.sigma[keep]) / scale
@@ -306,7 +321,8 @@ def verify(
     the residuals and scales) comes from the FD oracle; every other check
     uses closed forms.  The preharmonic verdict and the identity errors are
     relative to the sampled size of sigma, so scaling the field changes
-    neither; spinnaker_max_err skips the samples that preharmonic skips.
+    neither; spinnaker_max_err skips the samples that preharmonic skips.  A
+    field that vanishes identically is preharmonic.
     tol defaults to HARMONIC_TOL, or to FD_TOL with fd=True.  A count whose arrays cannot
     fit in physical memory is rejected before any point is drawn, and so is a seed that is
     not a non-negative integer.  A non-zero field whose tension terms all underflow is rejected as too small.
@@ -346,7 +362,7 @@ def verify(
         max_rel_residual=float(rel.max()),
         tol=float(tol),
         harmonic=bool(rel.max() < tol),
-        preharmonic=preharmonic(ing, zeta)[0],
+        preharmonic=_vanishes(field) or preharmonic(ing, zeta)[0],
         q_riemannian=q_riemannian(ing, mp.q),
         weitzenbock_max_err=float(weitzenbock_error(ing).max()),
         spinnaker_max_err=float(judged.max()) if judged is not None and judged.size else None,

@@ -1,6 +1,7 @@
 import collections
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -216,6 +217,54 @@ def test_scan2d_hyperbolic_grid_lines_are_pinned(capsys):
     assert lines[-1] == "720 grid points, 3 harmonic hits"
     digest = "3162d3c71577a33e87028b7d9e727d4562125f5d27e9bd2634fbf83196a39f7f"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_scan2d_numeric_takes_rational_grid_values(tmp_path, capsys):
+    # --numeric reads a/b through Fraction and every other value with float, so -0 stays -0.0
+    argv = "scan2d --epsilon 1 --numeric --omega=-2,1/7 --rr 3/11,0 --p 3,5/2".split()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "96 grid points, 0 harmonic hits"
+    out = tmp_path / "scan.json"
+    assert main(f"scan2d --epsilon 1 --numeric --omega 1 --h=-0 --p 3 --q 1 --json {out}".split()) == 0
+    capsys.readouterr()
+    assert {math.copysign(1.0, row["h"]) for row in json.loads(out.read_text())["rows"]} == {-1.0}
+    # an exponent too large for a float is refused at once in both modes, before it is expanded exactly
+    for mode, bad in itertools.product(("--numeric", "--exact"), ("nan", "inf", "1/0", "1e400", "1e999999999")):
+        assert main(["scan2d", "--epsilon", "1", mode, "--h", bad]) == 2
+        captured = capsys.readouterr()
+        assert f"--h: '{bad}' is not a finite number" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        ("killing --n 4 --r 2 --epsilon 1", 0, "8f436ffc041c02c3e0508ea0e56de00d728d787eb1acbf2a7b99b52fa914cc91"),
+        ("killing --n 4 --r 2 --epsilon -1", 0, "537091c1578b7fed35f7294022ec193752e124ca9a21c81dd1a9c233f5547c2b"),
+        ("killing --n 9 --r 3 --epsilon -1", 0, "3cf66bf12a08fe2eb680dc63f914d23a2db061c5957234ac29d1a7742b6dbb28"),
+        ("killing --n 40 --r 7 --epsilon 1", 0, "5e33c1be0a967d01d249eff8e2c90039a4c46a665812bff575b7b25ec095aaf7"),
+        ("killing --n 100 --r 50 --epsilon -1", 0, "d884f397a29e06b90ec0c06f66b096be4ea6d53b041b0d60124c0eda8a3916f2"),
+        ("quadratic --n 5", 0, "1e4bf446983b7b28b92c01086796503707fdc7183245846c4207e9e7bd0509bd"),
+        ("quadratic --n 9", 0, "1c52b88e74f230c96358e84f1b62710949d68ce5841fd6f0bf46bc110f72e5f4"),
+        ("quadratic --n 21", 0, "38f3f48b24e8bdbf7589cdbad4ecb2c5a373f7c504bfc253e48a3e41641e5716"),
+        ("quadratic --n 6", 3, "2fdf4a98c6e2081ef9b293708a40cc74a627d6c7bcd8f2b832a7713fdc225daa"),
+        ("confgrad --n 3 --epsilon -1 --mu-sign +", 0, "0234ee23ea28840c3dea8c41d049786b6dcdc602407a54f350d947048d222bb8"),
+        ("confgrad --n 3 --epsilon -1 --mu-sign 0", 3, "e179730a6bc50c56cb7ab621a6a854ac0fff679655fdd3fa78a881dc1628b456"),
+        ("confgrad --n 3 --epsilon -1 --mu-sign -", 0, "5435595ac644e8dc3ade286a9f69fdc32444c160f0c378c44873bbcb3ab07ccc"),
+        ("loxodromic", 0, "c5a5b6a6ee787847b101084642b836d59efc8b5660e031470ed0e0c58a3bbeeb"),
+    ],
+)
+def test_solve_lines_are_pinned(argv, code, digest, capsys):
+    # the surds, floats and bound margins that solve prints, byte for byte
+    assert main(["solve", "--family", *argv.split()]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_table_lines_and_csv_are_pinned(tmp_path, capsys):
+    path = tmp_path / "table.csv"
+    assert main(["table", "--max-n", "31", "--csv", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == "350f90c2c2926aadd0f5a276518c91067c8b2c17cd502466b3904c03c90efca3"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == "a263849cc95ebd97fd76e27b286ac0cdf71dbf40e2094e25a44b82989a9cf463"
 
 
 def test_scan2d_empty_grid(capsys):
@@ -497,7 +546,8 @@ def test_a_quadratic_field_with_one_eigenvalue_is_harmonic(capsys):
     # Q = I gives sigma = P_x(x) = 0: its rounding noise is judged against the size of Q, not read as a tension
     argv = "verify --family quadratic --n 5 --epsilon 1 --eigenvalues 1,1,1,1,1,1 --p 2 --q 1".split()
     assert main(argv) == 0
-    assert "harmonic=True" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "harmonic=True" in out and "preharmonic=True" in out
 
 
 def test_verify_of_a_tiny_field_prints_no_warning():

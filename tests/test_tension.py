@@ -434,6 +434,28 @@ def test_a_field_that_vanishes_identically_is_harmonic(field, fd):
     assert verify(field, MetricParams(2.0, 1.0), fd=fd).harmonic is True
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_a_field_that_vanishes_identically_is_preharmonic(n):
+    # sigma = P_x(lambda x) = 0 satisfies nabla_{grad F} sigma = zeta sigma for every zeta; its rounding noise,
+    # small against (L, c) though not against the sampled max |sigma|, leaves both checks
+    field = QuadraticGradientField(2.0 * np.eye(n + 1), sphere(n))
+    report = verify(field, MetricParams(2.0, 1.0))
+    assert (report.preharmonic, report.spinnaker_max_err) == (True, None)
+    # on the samples alone there is nothing left to judge, so preharmonic does not say True
+    ok, err = _preharmonic(field, field.space.sample_points(50, 0))
+    assert ok is False and math.isnan(err)
+
+
+@pytest.mark.parametrize("eigenvalues", [[0, 0, 0, 0, 1, 2], [1, 1, 1, 1, 1, 1]], ids=["three", "one"])
+def test_adding_a_multiple_of_the_identity_keeps_the_preharmonic_verdict(eigenvalues):
+    # Q + lambda I has the sigma of Q; the noise bound of the checks grows with lambda, but only at rounding level
+    reports = [
+        verify(QuadraticGradientField(np.diag(eigenvalues) + lam * np.eye(6), sphere(5)), MetricParams(2.0, 1.0))
+        for lam in (0.0, 1e6)
+    ]
+    assert reports[0].preharmonic is reports[1].preharmonic is (len(set(eigenvalues)) == 1)
+
+
 @pytest.mark.parametrize(
     "check",
     [
