@@ -25,6 +25,8 @@ from .params import FD_TOL, HARMONIC_TOL, MetricParams
 
 # Each subcommand imports what it uses, so solve, table and scan2d run without numpy.
 
+EXACT_BITS = 4096  # the most bits an exact scan2d grid value's numerator or denominator may have
+
 
 def _fmt(v: float) -> str:
     return f"{float(v):.10g}"
@@ -209,6 +211,25 @@ def cmd_table(args) -> int:
     return 0
 
 
+def _exact_value(name: str, text: str):
+    """Fraction(text), refused when its numerator or denominator would have more than EXACT_BITS bits.
+
+    Decimal reads a literal's digits and exponent without expanding 10^exp, so a too large exponent is
+    refused first.  The refusal is an ArgumentTypeError, which the caller's ValueError handler lets through.
+    """
+    from decimal import Decimal
+    from fractions import Fraction
+
+    _, digits, exp = Decimal(text.partition("/")[0]).as_tuple()  # the numerator of an a/b literal has exponent 0
+    if not any(digits):
+        return Fraction(0)
+    # 10^exp, or 10^-exp over its gcd with the digits, which has fewer digits than they do
+    f = Fraction(text) if max(exp, -exp - len(digits)) * math.log2(10) <= EXACT_BITS else None
+    if f is None or max(f.numerator.bit_length(), f.denominator.bit_length()) > EXACT_BITS:
+        raise argparse.ArgumentTypeError(f"--{name}: {text!r} needs more than {EXACT_BITS} bits as an exact fraction")
+    return f
+
+
 def cmd_scan2d(args) -> int:
     from fractions import Fraction
     from itertools import product
@@ -216,16 +237,17 @@ def cmd_scan2d(args) -> int:
     from . import polyreduce
 
     def value(name, text):
+        text = text.strip()
         try:
             try:
                 v = float(text)  # overflow gives inf at once, before an exact mode expands a large exponent
             except ValueError:
-                v = float(Fraction(text.strip()))  # the a/b form, whose parts are plain integers
+                v = float(Fraction(text))  # the a/b form, whose parts are plain integers
             if math.isfinite(v):
-                return Fraction(text.strip()) if args.exact else v
+                return _exact_value(name, text) if args.exact else v
         except (ValueError, ArithmeticError):
             pass
-        raise ValueError(f"--{name}: {text.strip()!r} is not a finite number")
+        raise ValueError(f"--{name}: {text!r} is not a finite number")
 
     def grid(name):
         return [value(name, v) for v in str(getattr(args, name)).split(",") if v.strip() != ""]
@@ -257,29 +279,10 @@ def cmd_scan2d(args) -> int:
                 P = polyreduce.build_harmonicity_poly(*field, p, q, exact=args.exact)
                 res = polyreduce.vanishes_mod_quadric(P, args.epsilon, tol=tol)
             hits += bool(res.divisible)
-            rows.append(
-                {
-                    "omega": float(om),
-                    "tau": float(ta),
-                    "rr": float(rr),
-                    "h": float(h),
-                    "p": float(p),
-                    "q": float(q),
-                    "harmonic": res.divisible,
-                    "failing_grade": res.failing_grade,
-                    "approximate": res.approximate,
-                }
-            )
-            if res.divisible:
-                tag = "HIT"
-            elif res.failing_grade is None:
-                tag = f"no ({res.detail})"
-            else:
-                tag = f"no (grade {res.failing_grade})"
-            lines.append(
-                f"omega={_fmt(om)} tau={_fmt(ta)} rr={_fmt(rr)} h={_fmt(h)} "
-                f"p={_fmt(p)} q={_fmt(q)}: {tag}"
-            )
+            point = dict(zip(("omega", "tau", "rr", "h", "p", "q"), map(float, (om, ta, rr, h, p, q))))
+            rows.append({**point, "harmonic": res.divisible, "failing_grade": res.failing_grade, "approximate": res.approximate})
+            tag = "HIT" if res.divisible else f"no ({res.detail})" if res.failing_grade is None else f"no (grade {res.failing_grade})"
+            lines.append(" ".join(f"{k}={_fmt(v)}" for k, v in point.items()) + f": {tag}")
     lines.append(f"{len(rows)} grid points, {hits} harmonic hits")
     if args.json:
         import json

@@ -6,9 +6,10 @@ Every field here has the form
 
 for an ambient (n+1)x(n+1) matrix L and a vector c.  The eta-skew part of
 L gives the Killing fields, c the conformal gradient, and the
-eta-self-adjoint part the quadratic gradients.  AffineField carries the
-single closed-form analysis of this shape.  With alpha = <L x + c, x> and
-L† = eta L^T eta:
+eta-self-adjoint part the quadratic gradients.  P_x x = 0, so AffineField
+keeps L in one normal form (L[0,0] I, then the mean diagonal subtracted:
+trace-free, 0 for a multiple of I) and carries the single closed-form
+analysis of this shape on it.  With alpha = <L x + c, x>, L† = eta L^T eta:
 
     nabla_X sigma      = P_x(L X) - eps alpha X
     grad F             = P_x(L† sigma) - eps alpha sigma,   F = |sigma|^2 / 2
@@ -118,16 +119,19 @@ class AffineField:
             raise ValueError(f"need a {m}x{m} operator and a vector of length {m}")
         if not (np.isfinite(L).all() and np.isfinite(c).all()):
             raise ValueError("operator and vector entries must be finite")
+        diag = np.diag_indices(m)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            L[diag] -= L[0, 0]  # the normal form: Q + lambda I gets the bits of Q wherever Q + lambda I is exact
+            L[diag] -= L[diag].mean()
+            size4 = (m * np.abs(L).max()) ** 4  # the tension is cubic in L, the Killing test <L^3, L> quartic
+        if not np.isfinite(size4):
+            raise ValueError(f"operator too large to analyse: its size to the fourth is non-finite (largest entry {np.abs(L).max():.3g})")
         self.space, self.L, self.c = space, L, c
         self._eps = space.eps
         self._eta = np.diag(space.eta)
         self._Ldag = space.adjoint(L)
         self._rough = m * L + 2.0 * self._Ldag
-        with np.errstate(over="ignore"):  # the tension is cubic in L, the Killing test <L^3, L> quartic
-            size4 = (m * np.abs(L).max()) ** 4
-        if not np.isfinite(size4):
-            raise ValueError(f"operator too large to analyse: its size to the fourth is non-finite (largest entry {np.abs(L).max():.3g})")
-        self._trL, self._trLLd = float(np.trace(L)), float(np.trace(L @ self._Ldag))
+        self._trLLd = float(np.trace(L @ self._Ldag))
         self._derive()
 
     def _derive(self):
@@ -167,14 +171,14 @@ class AffineField:
     def nabla_norm_sq(self, x):
         """|nabla sigma|^2 = tr_T(A† A) - 2 eps alpha tr_T A + n alpha^2 for A = P_x L on T_x M:
 
-        tr(L L†) - eps|Lx|^2 - eps|L†x|^2 + <Lx, x>^2 - 2 eps alpha (tr L - eps <Lx, x>) + n alpha^2.
+        tr(L L†) - eps|Lx|^2 - eps|L†x|^2 + <Lx, x>^2 + 2 alpha <Lx, x> + n alpha^2, as tr L = 0.
         """
         eps, ip = self._eps, self.space.inner
         x, Lx, Ldx, alpha, _ = self.jet(x)
         lxx = ip(Lx, x)
         return (
             self._trLLd - eps * ip(Lx, Lx) - eps * ip(Ldx, Ldx) + lxx * lxx
-            - 2.0 * eps * alpha * (self._trL - eps * lxx) + self.space.n * alpha * alpha
+            + 2.0 * alpha * lxx + self.space.n * alpha * alpha
         )
 
     def grad_F(self, x) -> np.ndarray:
@@ -187,8 +191,8 @@ class AffineField:
         grad F = v - eps beta x - eps alpha sigma with v = L† sigma and
         beta = <v, x> = <sigma, L x>; J follows from d alpha = <L† x + L x + c, .>
         and the Jacobian S = L - eps x d alpha - eps alpha I of sigma.  Both
-        traces are expanded into per-point vector products; with <x, x> = eps
-        (as P_x assumes) the d beta terms cancel.  J is computed independently
+        traces are expanded into per-point vector products, with tr L = 0; with
+        <x, x> = eps (as P_x assumes) the d beta terms cancel.  J is computed independently
         of the rough Laplacian, so the Weitzenboeck identity stays a check.
         """
         eps, ip, m = self._eps, self.space.inner, len(self.c)
@@ -197,8 +201,8 @@ class AffineField:
         dax = ip(w, x)
         Sx = Lx - (eps * (dax + alpha))[..., None] * x
         beta = ip(s, Lx)
-        tr_S = self._trL - eps * dax - eps * m * alpha
-        tr_LdS = self._trLLd - eps * ip(w, Ldx) - eps * alpha * self._trL
+        tr_S = -eps * dax - eps * m * alpha
+        tr_LdS = self._trLLd - eps * ip(w, Ldx)
         tr_J = tr_LdS - eps * (m * beta + ip(w, s) + alpha * tr_S)
         xJx = ip(Sx, Lx) - eps * (eps * beta + dax * ip(s, x) + alpha * ip(Sx, x))
         return -(tr_J - eps * xJx)
@@ -227,7 +231,7 @@ class AffineField:
         """Rough-Laplacian eigenvalue, when sigma is an eigenfield.
 
         nabla* nabla sigma = eps P_x((n-1) K x + (n+3) S x + c) for the
-        eta-skew part K and the trace-free eta-self-adjoint part S of L, so
+        eta-skew part K and the eta-self-adjoint part S of the trace-free L, so
         sigma is an eigenfield when its non-zero parts share one coefficient.
         A part is zero below PART_TOL times the largest entry of (L, c), so
         k sigma has the eigenvalue of sigma.  The zero field reports 0.
@@ -235,7 +239,6 @@ class AffineField:
         n, eps, L = self.space.n, self._eps, self.L
         K = 0.5 * (L - self._Ldag)
         S = 0.5 * (L + self._Ldag)
-        S = S - np.trace(S) / (n + 1) * np.eye(n + 1)
         tol = PART_TOL * max(np.abs(L).max(), np.abs(self.c).max())
         coeffs = {k for part, k in ((K, n - 1), (S, n + 3), (self.c, 1)) if np.abs(part).max() > tol}
         if len(coeffs) > 1:
@@ -331,7 +334,7 @@ class ConformalGradientField(AffineField):
 
 
 def _cluster(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
-    """Group sorted non-negative values into (mean, count) clusters."""
+    """Group sorted values into (mean, count) clusters."""
     out: list[list[float]] = []
     for v in sorted(values):
         if out and v - out[-1][-1] <= tol:
@@ -654,10 +657,11 @@ class Conformal2DField(AffineField):
 class QuadraticGradientField(AffineField):
     """sigma = (1/2) grad xi for the quadratic form xi(x) = <Q x, x> on S^n.
 
-    (L, c) = (Q, 0): sigma(x) = Q(x) - xi(x) x, so the zeros are exactly the
-    unit eigenvectors of Q.  The field is a rough-Laplacian eigenfunction
-    with eigenvalue n+3, and is preharmonic precisely when Q has two
-    distinct eigenvalues lo < hi, with zeta = (hi + lo - 2 xi)^2.
+    (L, c) = (Q, 0), L in normal form: sigma(x) = L(x) - xi(x) x, so the zeros
+    are exactly the unit eigenvectors of Q.  The field is a rough-Laplacian
+    eigenfunction with eigenvalue n+3, and is preharmonic precisely when Q has
+    two distinct eigenvalues, with zeta = (hi + lo - 2 xi)^2 for those of L,
+    lo < hi.  eigenvalues are those of the given Q.
     """
 
     family = "quadratic"
@@ -669,22 +673,20 @@ class QuadraticGradientField(AffineField):
         Q = check_symmetric(_finite(Q, "operator"))
         if Q.shape != (space.ambient_dim,) * 2:
             raise ValueError("operator has wrong dimension")
+        self.eigenvalues = np.linalg.eigvalsh(Q)
         super().__init__(Q, np.zeros(space.ambient_dim), space)
-        self.eigenvalues = self._spectrum
 
     def _derive(self):
-        self._spectrum = np.linalg.eigvalsh(self.L)
-        self._clusters = _cluster(self._spectrum, CLUSTER_TOL * np.abs(self._spectrum).max())
+        spectrum = np.linalg.eigvalsh(self.L)
+        self._clusters = _cluster(spectrum, CLUSTER_TOL * np.abs(spectrum).max())
 
     def xi(self, x, m: int = 1):
-        """xi_m(x) = <Q^m x, x>."""
+        """xi_m(x) = <L^m x, x> for the normal-form L, not the given Q: xi_1 is <Q x, x> shifted by a constant."""
         x = as_vector(x)
         return ((x @ np.linalg.matrix_power(self.L, m)) * x).sum(axis=-1)
 
     def _zeta(self, x, sigma_sq):
         """zeta = (hi + lo - 2 xi)^2."""
-        if len(self._clusters) == 1:
-            return np.zeros(np.shape(x)[:-1])  # sigma is identically zero
         if len(self._clusters) != 2:
             return None
         (lo, _), (hi, _) = self._clusters

@@ -45,7 +45,6 @@ from .params import FD_TOL, HARMONIC_TOL, MetricParams
 from .spaceform import DEFAULT_H, SpaceForm
 
 ZERO_LENGTH = 1e-6  # samples with |sigma| <= ZERO_LENGTH * max |sigma| leave the spinnaker and preharmonic checks
-NOISE_LENGTH = 64 * np.finfo(float).eps  # ... and so do samples with |sigma| <= NOISE_LENGTH * rough_size
 PREHARMONIC_TOL = 1e-8
 # peak working set of verify in (count, n+1) float arrays: 10.4-13.4 closed-form, plus 8.2-10.6 per
 # dimension n for the one FD stencil (tracemalloc over the catalogue at 4000 and 20000 points)
@@ -123,8 +122,7 @@ def _assemble(ing: Ingredients, p, q) -> tuple[np.ndarray, np.ndarray]:
 
     The scale is the sum of the sizes of the terms the tension adds up, with the three parts of phi apart:
     (1 + |s|^2)|rough operand| + 2|p||nabla_gradF s| + (|p||nabla s|^2 + |pq||grad F|^2 + |q|(1 + |s|^2)|Delta F|)|s|.
-    So k sigma is judged like sigma, a cancellation inside phi is no small tension, and noise of an
-    identically zero P_x(L x + c), such as P_x(lambda x), is judged against the unprojected operand.
+    So k sigma is judged like sigma, and a cancellation inside phi is no small tension.
     """
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     one = 1.0 + ing.sigma_sq
@@ -155,23 +153,17 @@ def reduced_pde_residual(field: AffineField, x, mp: MetricParams):
 
 
 def _kept(ing: Ingredients):
-    """Index of the samples the preharmonic and spinnaker checks judge.
+    """Index of the samples the preharmonic and spinnaker checks judge: those with |sigma| > ZERO_LENGTH * max |sigma|.
 
-    A sample is dropped when |sigma| <= ZERO_LENGTH * max |sigma|, or when |sigma| <= NOISE_LENGTH * rough_size:
-    rounding noise of its own (L, c), as for P_x(lambda x) = 0.  rough_size grows with a lambda I added to L,
-    which leaves sigma unchanged, so NOISE_LENGTH is kept at the level of rounding.
     A mask when a sample is dropped, else ... (every sample), so that indexing copies nothing.
     """
-    keep = (ing.sigma_sq > ZERO_LENGTH**2 * ing.sigma_sq.max(initial=0.0)) & (
-        np.sqrt(np.maximum(ing.sigma_sq, 0.0)) > NOISE_LENGTH * ing.rough_size
-    )
+    keep = ing.sigma_sq > ZERO_LENGTH**2 * ing.sigma_sq.max(initial=0.0)
     return ... if keep.all() else keep
 
 
 def _vanishes(field: AffineField) -> bool:
-    """Is sigma = P_x(L x + c) zero at every point?  Exactly when c = 0 and L is a multiple of the identity."""
-    L = field.L
-    return not (field.c.any() or (L - L[0, 0] * np.eye(len(L))).any())
+    """Is sigma = P_x(L x + c) zero at every point?  Exactly when (L, c) = 0, as L is in normal form."""
+    return not (field.L.any() or field.c.any())
 
 
 def preharmonic(ing: Ingredients, zeta) -> tuple[bool, float]:
@@ -210,7 +202,7 @@ def _sampled(field: AffineField, samples) -> Ingredients:
     if len(samples) == 0:
         raise ValueError("samples is empty: the checks take a maximum over at least one point")
     ing = ingredients(field, samples)
-    if not ing.rough_size.any() and (field.L.any() or field.c.any()):
+    if not (ing.rough_size.any() or _vanishes(field)):
         raise ValueError("field too small to analyse: every term of its tension underflows to 0 at every sample")
     return ing
 

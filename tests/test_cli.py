@@ -235,6 +235,19 @@ def test_scan2d_numeric_takes_rational_grid_values(tmp_path, capsys):
         assert f"--h: '{bad}' is not a finite number" in captured.err and captured.out == ""
 
 
+def test_scan2d_exact_bounds_the_bits_of_a_grid_value(capsys):
+    # read from the literal's digits and exponent, before 10^k is expanded: 1e-999999999 would need 3.3e9 bits
+    for bad in ("1e-300000", "1e-999999999", "1e-1234", "0.1e-1233", "0." + "3" * 1300):
+        assert main(["scan2d", "--epsilon", "1", "--h", bad]) == 2
+        captured = capsys.readouterr()
+        assert f"--h: '{bad}' needs more than 4096 bits as an exact fraction" in captured.err and captured.out == ""
+    # every float literal stays exact: the smallest subnormal's denominator has 1129 bits, 10^1233 has 4096
+    for good, shown in (("4.9406564584124654e-324", "4.940656458e-324"), ("1.7976931348623157e+308", "1.797693135e+308"),
+                        ("1e-1233", "0"), ("1" + "0" * 1300 + "e-1300", "1"), ("0e-999999999", "0")):
+        assert main(f"scan2d --epsilon 1 --omega 1 --rr 0 --h {good} --p 3 --q 1".split()) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"omega=1 tau=0 rr=0 h={shown} p=3 q=1: no (grade 2)"
+
+
 @pytest.mark.parametrize(
     "argv, code, digest",
     [
@@ -257,6 +270,51 @@ def test_solve_lines_are_pinned(argv, code, digest, capsys):
     # the surds, floats and bound margins that solve prints, byte for byte
     assert main(["solve", "--family", *argv.split()]) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        ("confgrad --n 3 --epsilon -1 --pole=0.8,0,0,1.3 --p 4 --q -1", 1,
+         "a6240b12edff36edc4056d12e4855abc83065e73c156887da11de731d277579e"),
+        ("confgrad --n 3 --epsilon -1 --pole=0.8,0,0,1.3 --p 4 --q -1 --fd", 1,
+         "dbe4ea785e7ca9365652d7a0ae2d41e8ffee049deb2c286b285b62f25f4a06d9"),
+        ("killing --n 4 --epsilon 1 --twists 1,2 --p 5 --q -1", 1,
+         "ecc631195910e06338ab93df2fda89d0ef2f15c830fa57f9e3677ea81a1d3b3a"),
+        ("killing --n 4 --epsilon 1 --twists 1,2 --p 5 --q -1 --fd", 1,
+         "af41bbad712ba53e4f359571573bf40bb070957ca789485af1df9eb55a6d7c7f"),
+        ("hopf --n 4 --epsilon -1 --r 2 --omega 0.7 --p 5 --q -0.5", 1,
+         "dfa9cced0e5d566116ed68b75e0e86e3e8c7db23d91b6044877b944d0853b946"),
+        ("hopf --n 4 --epsilon -1 --r 2 --omega 0.7 --p 5 --q -0.5 --fd", 1,
+         "2e033265e6f8ea34f0e28951a36005ac8d05fac8c0ae1bc4d92e30b409e1eb7b"),
+        ("loxodromic --n 4 --epsilon 1 --r 2 --omega 0.9 --mu 1.7 --p 3 --q -0.5", 1,
+         "f56511ab6a08fdb4f779f3facb75600ad09c75bbabb60a7406d6567481adbba7"),
+        ("loxodromic --n 4 --epsilon 1 --r 2 --omega 0.9 --mu 1.7 --p 3 --q -0.5 --fd", 1,
+         "ad487718eb5df506b4966d302ee2926269f3850fd89515a40b4476df67fe850c"),
+        ("dipole --n 3 --epsilon 1 --tau 1.3 --r 0.6 --p 3 --q -0.5", 1,
+         "25a7f4ff09e63867f3fdd4a69a2d43669d4c26dbea6baa1388a9283b01e0ab07"),
+        ("dipole --n 3 --epsilon 1 --tau 1.3 --r 0.6 --p 3 --q -0.5 --fd", 1,
+         "b6ccd13e8d9666debd436f237820ffe1b876db8dd20e921b0e67c70d607cbe09"),
+        ("conformal2d --n 2 --epsilon 1 --omega 0.7 --rr 0.5 --s 0.6 --t 0.8 --h 1.1 --p 3 --q -0.5", 1,
+         "76791c688d2b8d65047101419421913bc5efa576e337369c7d01c438f8e41b40"),
+        ("conformal2d --n 2 --epsilon 1 --omega 0.7 --rr 0.5 --s 0.6 --t 0.8 --h 1.1 --p 3 --q -0.5 --fd", 1,
+         "ecf42f8a9950b6997d06f60e2968b76c3eb1c528173efc5871f2931baeee2123"),
+    ],
+)
+def test_verify_lines_are_pinned(argv, code, digest, capsys):
+    # one refuted field per non-quadratic family, closed-form and FD: its residual and verdicts, byte for byte
+    assert main(["verify", "--family", *argv.split()]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_a_shifted_quadratic_field_is_refuted_like_the_unshifted_one(capsys):
+    # Q + 1e6 I has the sigma of Q = diag(0,0,0,0,1,2), which is not harmonic at (2, 1): the FD oracle too reads
+    # the normal form of Q, not the 1e6-sized operand it was given
+    argv = "verify --family quadratic --n 5 --epsilon 1 --eigenvalues {} --p 2 --q 1 --fd"
+    assert main(argv.format("1000000,1000000,1000000,1000000,1000001,1000002").split()) == 1
+    shifted = capsys.readouterr().out
+    assert main(argv.format("0,0,0,0,1,2").split()) == 1
+    assert "harmonic=False" in shifted and shifted == capsys.readouterr().out
 
 
 def test_table_lines_and_csv_are_pinned(tmp_path, capsys):
@@ -543,7 +601,7 @@ def test_scaled_fields_are_not_harmonic(spec, code, capsys):
 
 
 def test_a_quadratic_field_with_one_eigenvalue_is_harmonic(capsys):
-    # Q = I gives sigma = P_x(x) = 0: its rounding noise is judged against the size of Q, not read as a tension
+    # Q = I gives sigma = P_x(x) = 0: the normal form of Q is exactly 0, so there is no rounding noise to read as a tension
     argv = "verify --family quadratic --n 5 --epsilon 1 --eigenvalues 1,1,1,1,1,1 --p 2 --q 1".split()
     assert main(argv) == 0
     out = capsys.readouterr().out

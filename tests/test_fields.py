@@ -668,10 +668,12 @@ def test_quadratic_radial_derivative_closed_form():
 
 
 def test_quadratic_two_eigenvalue_spinnaker():
+    # the paper's zeta = (lambda - 2 <Q x, x>)^2, with <Q x, x> of the given Q (f.xi reads the normal form of Q)
     f = quadratic_two_eigenvalue(3, 1.7, sphere(5))
     M = f.space
+    Q = np.diag([1.7, 1.7, 1.7, 0.0, 0.0, 0.0])
     for x in M.sample_points(10, 20):
-        assert f.spinnaker(x) == pytest.approx((1.7 - 2 * f.xi(x)) ** 2, rel=1e-12)
+        assert f.spinnaker(x) == pytest.approx((1.7 - 2 * (Q @ x) @ x) ** 2, rel=1e-12)
     g = QuadraticGradientField(np.diag([3.0, 2.0, 1.0, 0.5, 0.1, 0.0]), sphere(5))
     assert g.spinnaker(M.sample_points(1, 0)[0]) is None
 

@@ -419,6 +419,9 @@ def test_no_scaled_catalogue_field_is_harmonic(entry):
         assert rep.harmonic is False and rep.max_rel_residual > 1e-2, (j, rep.max_rel_residual)
 
 
+_LAMBDA_I = [(M, lam) for M in (sphere(3), sphere(5), hyperbolic(3)) for lam in (0.1, 0.7, 1e5 + 0.1)]
+
+
 @pytest.mark.parametrize("fd", [False, True], ids=["closed-form", "fd"])
 @pytest.mark.parametrize(
     "field",
@@ -426,18 +429,21 @@ def test_no_scaled_catalogue_field_is_harmonic(entry):
         QuadraticGradientField(np.eye(4), sphere(3)),
         AffineField(-3.0 * np.eye(6), np.zeros(6), sphere(5)),
         AffineField(2.0 * np.eye(4), np.zeros(4), hyperbolic(3)),
+        *(AffineField(lam * np.eye(M.ambient_dim), np.zeros(M.ambient_dim), M) for M, lam in _LAMBDA_I),
     ],
-    ids=["quadratic-one-cluster", "S5", "H3"],
+    ids=["quadratic-one-cluster", "S5", "H3", *(f"{'SH'[M.eps < 0]}{M.n}-{lam!r}" for M, lam in _LAMBDA_I)],
 )
 def test_a_field_that_vanishes_identically_is_harmonic(field, fd):
-    # sigma = P_x(lambda x) = 0 with (L, c) != 0: every term is rounding noise, judged against the size of (L, c)
-    assert verify(field, MetricParams(2.0, 1.0), fd=fd).harmonic is True
+    # sigma = P_x(lambda x) = 0 with (L, c) != 0: the normal form of lambda I is exactly 0, so there is no noise
+    assert not field.L.any()
+    report = verify(field, MetricParams(2.0, 1.0), fd=fd)
+    assert report.harmonic is report.preharmonic is True
 
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_a_field_that_vanishes_identically_is_preharmonic(n):
-    # sigma = P_x(lambda x) = 0 satisfies nabla_{grad F} sigma = zeta sigma for every zeta; its rounding noise,
-    # small against (L, c) though not against the sampled max |sigma|, leaves both checks
+    # sigma = P_x(lambda x) = 0 satisfies nabla_{grad F} sigma = zeta sigma for every zeta; the normal form of
+    # lambda I is exactly 0, so sigma is 0 at every sample and no sample is left for either check
     field = QuadraticGradientField(2.0 * np.eye(n + 1), sphere(n))
     report = verify(field, MetricParams(2.0, 1.0))
     assert (report.preharmonic, report.spinnaker_max_err) == (True, None)
@@ -446,14 +452,23 @@ def test_a_field_that_vanishes_identically_is_preharmonic(n):
     assert ok is False and math.isnan(err)
 
 
-@pytest.mark.parametrize("eigenvalues", [[0, 0, 0, 0, 1, 2], [1, 1, 1, 1, 1, 1]], ids=["three", "one"])
+@pytest.mark.parametrize(
+    "eigenvalues", [[0, 0, 0, 0, 1, 2], [1, 1, 1, 1, 1, 1], [0, 0, 0, 0, 0, 2]], ids=["three", "one", "two"]
+)
 def test_adding_a_multiple_of_the_identity_keeps_the_preharmonic_verdict(eigenvalues):
-    # Q + lambda I has the sigma of Q; the noise bound of the checks grows with lambda, but only at rounding level
-    reports = [
-        verify(QuadraticGradientField(np.diag(eigenvalues) + lam * np.eye(6), sphere(5)), MetricParams(2.0, 1.0))
-        for lam in (0.0, 1e6)
-    ]
-    assert reports[0].preharmonic is reports[1].preharmonic is (len(set(eigenvalues)) == 1)
+    # Q + lambda I has the sigma of Q, and Q + lambda I is exact in floats here, so it gets the normal form of Q
+    # bit for bit, and with it every verdict and residual of Q
+    def verdicts(f, fd):
+        r = verify(f, MetricParams(2.0, 1.0), fd=fd)
+        return r.harmonic, r.preharmonic, r.max_rel_residual
+
+    field = QuadraticGradientField(np.diag(eigenvalues), sphere(5))
+    assert verdicts(field, False)[1] is (len(set(eigenvalues)) <= 2)
+    for lam in (1e2, 1e4, 1e5 + 0.1, 1e6):
+        shifted = QuadraticGradientField(np.diag(eigenvalues) + lam * np.eye(6), sphere(5))
+        assert np.array_equal(shifted.L, field.L), lam
+        for fd in (False, True):
+            assert verdicts(shifted, fd) == verdicts(field, fd), (lam, fd)
 
 
 @pytest.mark.parametrize(
