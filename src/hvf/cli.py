@@ -240,11 +240,11 @@ def cmd_scan2d(args) -> int:
         text = text.strip()
         try:
             try:
-                v = float(text)  # overflow gives inf at once, before an exact mode expands a large exponent
+                v = float(text)  # overflow gives inf at once, before a large exponent is expanded exactly
             except ValueError:
                 v = float(Fraction(text))  # the a/b form, whose parts are plain integers
             if math.isfinite(v):
-                return _exact_value(name, text) if args.exact else v
+                return _exact_value(name, text)
         except (ValueError, ArithmeticError):
             pass
         raise ValueError(f"--{name}: {text!r} is not a finite number")
@@ -254,30 +254,25 @@ def cmd_scan2d(args) -> int:
 
     omegas, taus, rrs, hs, ps, qs = (grid(k) for k in ("omega", "tau", "rr", "h", "p", "q"))
     s, t = value("s", str(args.s)), value("t", str(args.t))
-    tol = None if args.exact else polyreduce.NUMERIC_ZERO_TOL
     rows, lines = [], []
     hits = 0
     for om, ta, rr, h in product(omegas, taus, rrs, hs):
         if not (om or ta or rr or h):
             continue  # the zero field: harmonic for all (p, q), no quartic to test
         field = (args.epsilon, om, ta, rr, s, t, h)
-        if args.exact:
-            # the field's remainder x + q y + pq z, one (degree, x, y, z) per monomial, highest first
-            parts = polyreduce.harmonicity_remainders(*field)
-            monomials = sorted({m for R in parts for m in R.terms}, key=sum, reverse=True)
-            remainder = [(sum(m), *(R.coeff(m) for R in parts)) for m in monomials]
+        # the field's remainder x + q y + pq z, one (degree, x, y, z) per monomial, highest first
+        parts = polyreduce.harmonicity_remainders(*field)
+        monomials = sorted({m for R in parts for m in R.terms}, key=sum, reverse=True)
+        remainder = [(sum(m), *(R.coeff(m) for R in parts)) for m in monomials]
         for p, q in product(ps, qs):
             if not q:
                 # q = 0 is never harmonic for a non-trivial conformal field
-                res = polyreduce.ReductionResult(False, None, None, "q = 0", not args.exact)
-            elif args.exact and (
-                grade := next((d for d, x, y, z in remainder if x + q * (y + p * z)), None)
-            ) is not None:
+                res = polyreduce.ReductionResult(False, None, None, "q = 0", False)
+            elif (grade := next((d for d, x, y, z in remainder if x + q * (y + p * z)), None)) is not None:
                 res = polyreduce.ReductionResult(False, None, grade, f"remainder of degree {grade}", False)
             else:
-                # floats, or a zero remainder: the case's own division finds the witness and re-checks it
-                P = polyreduce.build_harmonicity_poly(*field, p, q, exact=args.exact)
-                res = polyreduce.vanishes_mod_quadric(P, args.epsilon, tol=tol)
+                # a zero remainder: the case's own division finds the witness and re-checks it
+                res = polyreduce.vanishes_mod_quadric(polyreduce.build_harmonicity_poly(*field, p, q), args.epsilon)
             hits += bool(res.divisible)
             point = dict(zip(("omega", "tau", "rr", "h", "p", "q"), map(float, (om, ta, rr, h, p, q))))
             rows.append({**point, "harmonic": res.divisible, "failing_grade": res.failing_grade, "approximate": res.approximate})
@@ -335,10 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     for key, grid in (("omega", "0.5,1,2"), ("tau", "0"), ("rr", "0.5,1,2"), ("h", "0.5,1,2"), ("s", "0"),
                       ("t", "1"), ("p", "2,3,4,5"), ("q", "-2,-1,-0.5,-0.1")):
         pc.add_argument(f"--{key}", default=grid, help="comma-separated grid (default %(default)s); " + _LIST_HELP.format(key))
-    pc.add_argument("--exact", dest="exact", action="store_true", default=True,
-                    help="exact rational coefficients (the default)")
-    pc.add_argument("--numeric", dest="exact", action="store_false",
-                    help="double precision; a coefficient below 1e-10 times the largest counts as zero")
     pc.add_argument("--json", help="write results as JSON")
     pc.set_defaults(fn=cmd_scan2d)
     return parser

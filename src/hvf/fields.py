@@ -26,10 +26,13 @@ and spinnaker takes |sigma|^2 from that evaluation as its sigma_sq.
 
 The six classified families are subclasses.  Each one only builds its
 (L, c), validates its own parameters and declares its metadata: twists and
-kind, _param_keys (the params() key of each parameter attribute) and
-_zeta(x, sigma_sq), the spinnaker zeta of a preharmonic field
-(nabla_{grad F} sigma = zeta sigma).  AffineField.params() and spinnaker()
-do the rest; the block rotations check their rank in one place.
+kind, and _param_keys (the params() key of each parameter attribute).
+AffineField.params() and spinnaker() do the rest; the block rotations check
+their rank in one place.  The spinnaker zeta of a preharmonic field
+(nabla_{grad F} sigma = zeta sigma) is one identity for every conformal
+field, eta-skew L with L^3 = lambda L (preharmonic_lambda, read once):
+zeta = eps (<c, c> - 2 <L c, x> - |sigma|^2) - lambda.  Only the quadratic
+gradients (symmetric L) have their own; loxodromic fields gate it.
 
 * conformal gradient fields  sigma = grad <a, .>  with pole a;
 * Killing fields  sigma(x) = A(x)  for a skew operator A, including the
@@ -56,6 +59,7 @@ from __future__ import annotations
 import copy
 import math
 from collections import namedtuple
+from functools import cached_property
 
 import numpy as np
 
@@ -132,6 +136,8 @@ class AffineField:
         self._Ldag = space.adjoint(L)
         self._rough = m * L + 2.0 * self._Ldag
         self._trLLd = float(np.trace(L @ self._Ldag))
+        for cached in ("preharmonic_lambda", "_zeta_terms"):  # those of the field that _with copied
+            vars(self).pop(cached, None)
         self._derive()
 
     def _derive(self):
@@ -223,8 +229,37 @@ class AffineField:
         return self._zeta(as_vector(x), self.sigma_sq(x) if sigma_sq is None else sigma_sq)
 
     def _zeta(self, x, sigma_sq):
-        """The family's spinnaker at x, given |sigma(x)|^2; None when it has none."""
-        return None
+        """zeta = eps (<c, c> - 2 <L c, x> - |sigma|^2) - lambda, for eta-skew L with L^3 = lambda L; else None."""
+        lam = self.preharmonic_lambda
+        if lam is None:
+            return None
+        c_sq, twice_Lc = self._zeta_terms  # x @ 2 eta L c = 2 <L c, x>
+        return self._eps * (c_sq - x @ twice_Lc - sigma_sq) - lam
+
+    @cached_property
+    def _zeta_terms(self):
+        return self.space.inner(self.c, self.c), 2.0 * self._eta * (self.L @ self.c)
+
+    @cached_property
+    def preharmonic_lambda(self) -> float | None:
+        """lambda with L^3 = lambda L for an eta-skew L, else None; computed once, when first read.
+
+        Both tests run on L0 = L / 2^e for the power of two 2^e at |L|max, so k L gets the verdict of L:
+        L0 is skew, and |L0^3 - lambda0 L0| <= PREHARMONIC_OP_TOL |L0|^3 in Frobenius norms for
+        lambda0 = <L0^3, L0> / <L0, L0>.  Then lambda = 4^e lambda0, exact wherever nothing underflows.
+        """
+        e = math.frexp(float(np.abs(self.L).max()))[1]
+        L = np.ldexp(self.L, -e)
+        if not self.space.is_skew(L):
+            return None
+        fro_sq = float((L * L).sum())
+        if fro_sq == 0.0:  # L = 0: a conformal gradient, or the zero field
+            return 0.0
+        L3 = L @ L @ L
+        lam = float((L3 * L).sum()) / fro_sq
+        if float(np.square(L3 - lam * L).sum()) > PREHARMONIC_OP_TOL**2 * fro_sq**3:
+            return None
+        return math.ldexp(lam, 2 * e)
 
     @property
     def nu(self) -> float | None:
@@ -307,7 +342,7 @@ class ConformalGradientField(AffineField):
     (L, c) = (0, a): sigma(x) = a - eps*alpha*x, |sigma|^2 = mu - eps*alpha^2,
     nabla_X sigma = -eps*alpha X, and sigma is a rough-Laplacian
     eigenfunction with eigenvalue eps.  Always preharmonic, with
-    zeta = eps*(<c, c> - |sigma|^2) = alpha^2.
+    zeta = eps*(<c, c> - |sigma|^2) = alpha^2 (lambda = 0).
     """
 
     family = "confgrad"
@@ -322,10 +357,6 @@ class ConformalGradientField(AffineField):
         if space.eps == -1 and self.mu < 0 and self.a[-1] <= 0:
             raise ValueError("timelike pole must be future-oriented")
         super().__init__(np.zeros((space.ambient_dim,) * 2), self.a, space)
-
-    def _zeta(self, x, sigma_sq):
-        """zeta = eps*(<c, c> - |sigma|^2)."""
-        return self._eps * (self.space.inner(self.c, self.c) - sigma_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +387,8 @@ class KillingField(AffineField):
 
     The field is a rough-Laplacian eigenfunction with eigenvalue eps*(n-1);
     it is preharmonic exactly when L^3 = lambda*L for a constant lambda, and
-    then zeta = -(lambda + eps*|sigma|^2).  The normal form and lambda are
-    derived from L, so they describe scaled and moved fields too.
+    then zeta = -(lambda + eps*|sigma|^2).  The normal form is derived from
+    L, so it describes scaled and moved fields too.
     """
 
     family = "killing"
@@ -373,20 +404,19 @@ class KillingField(AffineField):
         super().__init__(self.A, np.zeros(space.ambient_dim), space)
 
     def _derive(self):
-        """The normal form and lambda, found on L0 = L / 2^e for the power of two 2^e at |L|max.
+        """The normal form, found on L0 = L / 2^e for the power of two 2^e at |L|max.
 
-        Twists and tau are scaled back by 2^e and lambda by 4^e.  Scaling by a
-        power of two is exact, so the results are those of L itself wherever
-        nothing underflows, and the tiniest and largest fields keep them too.
+        Twists and tau are scaled back by 2^e.  Scaling by a power of two is
+        exact, so the results are those of L itself wherever nothing
+        underflows, and the tiniest and largest fields keep them too.
         """
         space = self.space
         e = math.frexp(float(np.abs(self.L).max()))[1]
         L = np.ldexp(self.L, -e)
-        L2 = L @ L
         op_scale = float(np.abs(L).max())
         if space.eps == 1:
             tau = 0.0
-            rot = self._twists_from_squares(np.linalg.eigvalsh(-L2), op_scale)
+            rot = self._twists_from_squares(np.linalg.eigvalsh(-L @ L), op_scale)
         else:
             w = self.base
             eta = space.eta
@@ -407,14 +437,6 @@ class KillingField(AffineField):
             self.kind = "parabolic"
         else:
             self.kind = "rotation" if inv > 0 else "translation"
-        fro = float((L * L).sum())
-        if fro == 0.0:  # the zero field
-            self.preharmonic_lambda = 0.0
-            return
-        L3 = L2 @ L
-        lam = float((L3 * L).sum()) / fro
-        ok = np.linalg.norm(L3 - lam * L, 2) <= PREHARMONIC_OP_TOL * np.linalg.norm(L, 2) ** 3
-        self.preharmonic_lambda = math.ldexp(lam, 2 * e) if ok else None
 
     def _twists_from_squares(self, sq, op_scale) -> tuple[float, ...]:
         tol = CLUSTER_TOL * op_scale**2
@@ -423,12 +445,6 @@ class KillingField(AffineField):
             if mean > tol:
                 twists.extend([math.sqrt(mean)] * (count // 2))
         return tuple(sorted(twists, reverse=True))
-
-    def _zeta(self, x, sigma_sq):
-        """zeta = -(lambda + eps*|sigma|^2)."""
-        if self.preharmonic_lambda is None:
-            return None
-        return -(self.preharmonic_lambda + self._eps * sigma_sq)
 
 
 class GeneralizedHopfField(KillingField):
@@ -483,8 +499,8 @@ class LoxodromicField(AffineField):
     L = sum_i omega_i K_i where K_i is the elementary Killing operator of the
     orthonormal pair (a_i, b_i), and c is a pole orthogonal to every a_i,
     b_i.  Properly loxodromic means R balanced and n = 2r; only then is the
-    field preharmonic, with zeta = eps*(mu + eps*omega^2 - |sigma|^2), where
-    mu = <c, c> and omega^2 = -tr(L^2)/(2r) is the common squared twist.
+    field preharmonic, with L^3 = lambda L for lambda = -omega^2, the common
+    squared twist, and zeta = eps*(mu - |sigma|^2) + omega^2, mu = <c, c>.
     """
 
     family = "loxodromic"
@@ -516,11 +532,8 @@ class LoxodromicField(AffineField):
         super().__init__(L, self.pole, space)
 
     def _zeta(self, x, sigma_sq):
-        """zeta = eps*(mu - |sigma|^2) + omega^2."""
-        if not self.properly:
-            return None
-        mu = self.space.inner(self.c, self.c)
-        return self._eps * (mu - sigma_sq) - 0.5 * float(np.sum(self.L * self.L.T)) / self.rank
+        """zeta = eps*(mu - |sigma|^2) + omega^2, with lambda = -omega^2; None unless properly loxodromic."""
+        return super()._zeta(x, sigma_sq) if self.properly else None
 
 
 def associate_family_member(t: float) -> LoxodromicField:
@@ -549,9 +562,7 @@ class DipoleDeformationField(AffineField):
     A is the conformal gradient with pole a and T the elementary Killing
     field of the pair (a, w), so (L, c) = (tau T, r a); |tau| = |r| (with
     the sign fixed by eps) gives the dipole field with a single zero at w.
-    Preharmonic in every dimension, with
-    zeta = eps*(r^2 + tau^2 - 2 r tau psi - |sigma|^2),
-    where r^2 = <c, c>, eps tau^2 = -tr(L^2)/2 and r tau psi = <L c, x>.
+    Preharmonic in every dimension: L^3 = lambda L with lambda = -eps tau^2.
     """
 
     family = "dipole"
@@ -568,12 +579,6 @@ class DipoleDeformationField(AffineField):
         self.r = _finite(r, "r")
         super().__init__(self.tau * _pair_operator(self.a, self.w, space), self.r * self.a, space)
 
-    def _zeta(self, x, sigma_sq):
-        """zeta = eps*(r^2 + tau^2 - 2 r tau psi - |sigma|^2)."""
-        L, c = self.L, self.c
-        twisted = self.space.inner(c, c) - 2.0 * self.space.inner(L @ c, x) - sigma_sq
-        return self._eps * twisted - 0.5 * float(np.sum(L * L.T))
-
 
 # ---------------------------------------------------------------------------
 # conformal fields in dimension two
@@ -587,10 +592,10 @@ class Conformal2DField(AffineField):
     through w along a; C is the conformal gradient with pole located
     cylindrically as c = rr*s*a + rr*t*b + h*w, in the standard frame
     (a, b, w) = (e_1, e_2, base point).  On the sphere w can be taken on the
-    axis of K, so tau = 0 there.  Every such field is
-    preharmonic: nabla sigma = a I + b J pointwise, with a = -eps <c, x>
-    and the twist b = <m, eta x> for the axial vector m of the
-    antisymmetric matrix eta L, so zeta = a^2 + b^2.
+    axis of K, so tau = 0 there.  Every such field is preharmonic, as a 3x3
+    eta-skew L has L^3 = lambda L: nabla sigma = a I + b J pointwise, with
+    a = -eps <c, x> and b = <m, eta x> for the axial vector m of eta L, so
+    zeta = a^2 + b^2.
     """
 
     family = "conformal2d"
@@ -613,12 +618,6 @@ class Conformal2DField(AffineField):
         L = omega * _pair_operator(self.a, self.b, space) + tau * _pair_operator(self.a, self.w, space)
         c = rr * s * self.a + rr * t * self.b + h * self.w
         super().__init__(L, c, space)
-
-    def _zeta(self, x, sigma_sq):
-        """zeta = a^2 + b^2."""
-        twist = (self._eta * x) @ _axial(self._eta[:, None] * self.L)
-        gamma = self.space.inner(self.c, x)
-        return twist * twist + gamma * gamma
 
     @classmethod
     def from_operator(cls, space: SpaceForm, L, c) -> "Conformal2DField":

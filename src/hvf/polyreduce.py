@@ -20,16 +20,20 @@ always re-verified via P - Q*S = 0.  P is affine in q and pq, so
 harmonicity_remainders reduces one field once and gives the remainder for
 every (p, q), as a sweep over metric parameters needs.
 
-Coefficients are exact (Fraction, or QuadExt for one square-root extension);
-a numeric double-precision fallback with a zero threshold relative to the
-largest coefficient is available for irrational parameter scans and is
-flagged as approximate in its result.  When every parameter is rational,
-both builders clear the denominators once (A and zeta are homogeneous of
-degree 2 in the field's five parameters), compute every coefficient on
-Python ints and divide by one common denominator at the end, so no Fraction
-is normalised before the last step; floats and QuadExt values run through
-the same formulas with unit scales.  The reduction of vanishes_mod_quadric
-stays on Fractions.
+Coefficients are exact (Fraction, or QuadExt for one square-root extension).
+A double-precision fallback (build_harmonicity_poly(exact=False), and
+vanishes_mod_quadric(tol=) with NUMERIC_ZERO_TOL, a zero threshold relative
+to the largest coefficient) is flagged as approximate in its result.  No
+part of hvf calls it (scan2d is exact only); the benchmark's exact workload
+(perfbench/workloads.py) still times it, so it goes when that workload's
+float sweeps are replaced (ROADMAP item 2).
+
+When every parameter is rational, both builders clear the denominators once
+(A and zeta are homogeneous of degree 2 in the field's five parameters),
+compute every coefficient on Python ints and divide by one common
+denominator at the end, so no Fraction is normalised before the last step;
+floats and QuadExt values run through the same formulas with unit scales.
+The reduction of vanishes_mod_quadric stays on Fractions.
 """
 
 from __future__ import annotations

@@ -75,8 +75,8 @@ class SpaceForm:
     def __post_init__(self):
         if self.eps not in (1, -1):
             raise ValueError(f"epsilon must be +1 or -1, got {self.eps}")
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
+        if self.n < 2:  # S^1 and H^1 are flat: their Killing fields are parallel, with no tension to judge
+            raise ValueError(f"dimension must be >= 2, got {self.n}: S^1 and H^1 are flat")
 
     @property
     def ambient_dim(self) -> int:

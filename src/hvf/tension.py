@@ -9,8 +9,9 @@ For metric parameters (p, q) the operator is
 and sigma is (p, q)-harmonic when the residual vanishes.  verify() samples
 points, measures the relative residual against a per-point scale, and also
 runs the checks preharmonic, spinnaker_error, weitzenbock_error and
-q_riemannian (q|sigma|^2 >= -1).  Each check is a function of one
-Ingredients, which records its space form, and verify passes the one
+q_riemannian (q|sigma|^2 >= -1).  Each check reads one Ingredients, which
+records its space form; preharmonic and spinnaker_error also take the
+field's spinnaker zeta, and q_riemannian takes q.  verify passes the one
 evaluation it makes to all of them and to the spinnaker, which takes
 |sigma|^2 from it: a closed-form verify evaluates sigma once.  For
 preharmonic eigenfields the scalar reduction

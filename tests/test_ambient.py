@@ -53,6 +53,13 @@ def test_epsilon_must_be_plus_or_minus_one(build):
         build()
 
 
+@pytest.mark.parametrize("eps", [1, -1])
+def test_the_flat_space_forms_are_refused(eps):
+    # the Killing fields of S^1 and H^1 are parallel: no tension term has a size to judge a residual by
+    with pytest.raises(ValueError, match="dimension must be >= 2, got 1: S\\^1 and H\\^1 are flat"):
+        SpaceForm(1, eps)
+
+
 def _module_operators():
     yield GeneralizedHopfField(2, 1.3, sphere(4)).A, sphere(4)
     yield GeneralizedHopfField(1, 0.7, hyperbolic(3)).A, hyperbolic(3)

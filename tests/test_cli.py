@@ -1,7 +1,6 @@
 import collections
 import csv
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -219,18 +218,13 @@ def test_scan2d_hyperbolic_grid_lines_are_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_scan2d_numeric_takes_rational_grid_values(tmp_path, capsys):
-    # --numeric reads a/b through Fraction and every other value with float, so -0 stays -0.0
-    argv = "scan2d --epsilon 1 --numeric --omega=-2,1/7 --rr 3/11,0 --p 3,5/2".split()
+def test_scan2d_takes_rational_grid_values(capsys):
+    argv = "scan2d --epsilon 1 --omega=-2,1/7 --rr 3/11,0 --p 3,5/2".split()
     assert main(argv) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "96 grid points, 0 harmonic hits"
-    out = tmp_path / "scan.json"
-    assert main(f"scan2d --epsilon 1 --numeric --omega 1 --h=-0 --p 3 --q 1 --json {out}".split()) == 0
-    capsys.readouterr()
-    assert {math.copysign(1.0, row["h"]) for row in json.loads(out.read_text())["rows"]} == {-1.0}
-    # an exponent too large for a float is refused at once in both modes, before it is expanded exactly
-    for mode, bad in itertools.product(("--numeric", "--exact"), ("nan", "inf", "1/0", "1e400", "1e999999999")):
-        assert main(["scan2d", "--epsilon", "1", mode, "--h", bad]) == 2
+    # an exponent too large for a float is refused at once, before it is expanded exactly
+    for bad in ("nan", "inf", "1/0", "1e400", "1e999999999"):
+        assert main(["scan2d", "--epsilon", "1", "--h", bad]) == 2
         captured = capsys.readouterr()
         assert f"--h: '{bad}' is not a finite number" in captured.err and captured.out == ""
 
@@ -307,6 +301,56 @@ def test_verify_lines_are_pinned(argv, code, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_verify_refuses_the_flat_circle(capsys):
+    assert main("verify --family killing --n 1 --epsilon 1 --r 1 --omega 1 --p 2 --q 1".split()) == 2
+    assert capsys.readouterr().err == "error: dimension must be >= 2, got 1: S^1 and H^1 are flat\n"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("confgrad --n 3 --epsilon -1 --mu -1 --p 4 --q -1",
+         "c5be20877fd3f7de24aa27c2f4dd3768ba4308424264e83d70e99e0c8ae0287a"),
+        ("killing --n 4 --epsilon 1 --r 2 --omega 1 --p 5 --q -0.5",
+         "4c6244e19b5e6dae320a05658a50d6781597b1c68f5584357313c409efca2554"),
+        ("hopf --n 3 --epsilon 1 --r 2 --omega 0.8 --p 2 --q 0.7",
+         "272e71e7a76ace84835c7965c7cf8190aac2f9ef6d371bcd3e0bb6746d07b2cc"),
+        ("loxodromic --n 4 --epsilon -1 --r 2 --omega 0.6 --mu -0.64 --p 3 --q -0.5",
+         "100334d535a0aa53bb7d8b15c8fad3e4ea0223c749e9be935f51485a5d53af02"),
+        ("dipole --n 3 --epsilon -1 --tau 1 --r 1 --p 3 --q -0.5",
+         "39d309e930c8f559e5350841f78e5dc39edcfbdfc955a2e320ad8a9df4ce0842"),
+        ("conformal2d --n 2 --epsilon -1 --omega 0.6 --rr 0.5 --s 0.6 --t 0.8 --h 0.8 --p 3 --q -0.5",
+         "e653f5e033798d2ff502da2f81776784d170a6a60367cb14d0aa61e3f4bee955"),
+        ("quadratic --n 5 --epsilon 1 --r 3 --lam 2 --p 4 --q -0.4",
+         "fdc8a6f2b76df8a9ea179833714bd2e1797ddf27f3b9c57deec5354e208be862"),
+    ],
+)
+def test_verify_json_of_a_preharmonic_field_is_pinned(argv, digest, tmp_path, capsys):
+    # one preharmonic field per family, refuted at this (p, q): its spinnaker error, like every other value, byte for byte
+    out = tmp_path / "report.json"
+    assert main(["verify", "--family", *argv.split(), "--points", "50", "--json", str(out)]) == 1
+    capsys.readouterr()
+    assert json.loads(out.read_text())["verdicts"]["preharmonic"] is True
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "eps, out_digest, json_digest",
+    [
+        (1, "f21a5cc118c0bbfba97edb24f66d6dd75f903eba34aec67d15c57d330081b909",
+         "e0f2dde6c9c5871233ff6e4edb683477018bb26161bb6dbcfc9fc6761951ce97"),
+        (-1, "f21a5cc118c0bbfba97edb24f66d6dd75f903eba34aec67d15c57d330081b909",
+         "b0f8ceaf1738ef1f70c776921ff8091f88f0632aabac31fe44c561056152f33f"),
+    ],
+)
+def test_scan2d_default_grids_are_pinned(eps, out_digest, json_digest, tmp_path, capsys):
+    # taken while scan2d still had its float mode: the exact mode's stdout and JSON, byte for byte
+    out = tmp_path / "scan.json"
+    assert main(["scan2d", "--epsilon", str(eps), "--json", str(out)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == out_digest
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == json_digest
+
+
 def test_a_shifted_quadratic_field_is_refuted_like_the_unshifted_one(capsys):
     # Q + 1e6 I has the sigma of Q = diag(0,0,0,0,1,2), which is not harmonic at (2, 1): the FD oracle too reads
     # the normal form of Q, not the 1e6-sized operand it was given
@@ -339,10 +383,9 @@ def test_scan2d_json_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("mode", ["--exact", "--numeric"])
-def test_scan2d_q_zero_cells_name_the_reason(mode, tmp_path, capsys):
+def test_scan2d_q_zero_cells_name_the_reason(tmp_path, capsys):
     out_json = tmp_path / "scan.json"
-    argv = f"scan2d --epsilon -1 --omega 0.6 --rr 0 --h 0.8 --p 3 --q=0,-0.5 {mode} --json {out_json}"
+    argv = f"scan2d --epsilon -1 --omega 0.6 --rr 0 --h 0.8 --p 3 --q=0,-0.5 --json {out_json}"
     assert main(argv.split()) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == [
@@ -355,24 +398,24 @@ def test_scan2d_q_zero_cells_name_the_reason(mode, tmp_path, capsys):
 
 
 def test_scan2d_numeric_mode(capsys):
+    # scan2d has one arithmetic, the exact one: the removed float mode is an unknown option
     code = main("scan2d --epsilon -1 --numeric --omega 0.6 --rr 0 --h 0.8 --p 3 --q=-0.5".split())
-    assert code == 0
-    assert "1 harmonic hits" in capsys.readouterr().out
+    assert code == 2
+    assert "unrecognized arguments: --numeric" in capsys.readouterr().err
 
 
-def test_scan2d_numeric_overflow_is_not_a_hit(capsys):
-    # the quartic's coefficients overflow to inf and NaN, which must not count as zero
-    code = main("scan2d --epsilon -1 --omega 1e200 --rr 1e200 --h 1e200 --p 3 --q=-0.5 --numeric".split())
+def test_scan2d_large_grid_values_are_not_a_hit(capsys):
+    # the quartic's coefficients are far beyond the float range; floats read grade 4 here
+    code = main("scan2d --epsilon -1 --omega 1e200 --rr 1e200 --h 1e200 --p 3 --q=-0.5".split())
     out = capsys.readouterr().out
     assert code == 0
-    assert "no (grade 4)" in out and "0 harmonic hits" in out
+    assert "no (grade 3)" in out and "0 harmonic hits" in out
 
 
-@pytest.mark.parametrize("mode", ["--numeric", "--exact"])
-def test_scan2d_extreme_scales_keep_their_grade(mode, capsys):
-    # coefficients ~1e300 next to rounding residues ~1e284: both arithmetics read grade 3
+def test_scan2d_extreme_scales_keep_their_grade(capsys):
+    # parameters from 1e-300 to 1e150 in one field: the exact remainder keeps its grade
     argv = "scan2d --epsilon -1 --omega 1e150 --rr 1e150 --h 1e-200 --p 3 --q 1e-300".split()
-    assert main(argv + [mode]) == 0
+    assert main(argv) == 0
     assert capsys.readouterr().out == (
         "omega=1e+150 tau=0 rr=1e+150 h=1e-200 p=3 q=1e-300: no (grade 3)\n"
         "1 grid points, 0 harmonic hits\n"
@@ -569,8 +612,8 @@ def test_verify_overflowing_killing_operator_names_it(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        ("scan2d --epsilon 1 --omega nan --numeric", "--omega: 'nan' is not a finite number"),
-        ("scan2d --epsilon 1 --rr inf --numeric", "--rr: 'inf' is not a finite number"),
+        ("scan2d --epsilon 1 --omega nan", "--omega: 'nan' is not a finite number"),
+        ("scan2d --epsilon 1 --rr inf", "--rr: 'inf' is not a finite number"),
         ("scan2d --epsilon 1 --omega 1/0", "--omega: '1/0' is not a finite number"),
     ],
 )

@@ -22,8 +22,8 @@ from hvf.fields import (
     quadratic_two_eigenvalue,
     scale_field,
 )
-from hvf.spaceform import hyperbolic, sphere
-from hvf.tension import MetricParams, ingredients, spinnaker_error, verify
+from hvf.spaceform import SpaceForm, hyperbolic, sphere
+from hvf.tension import ZERO_LENGTH, MetricParams, ingredients, preharmonic, spinnaker_error, verify
 
 TANGENT_TOL = 1e-10
 
@@ -146,6 +146,75 @@ def test_unbalanced_killing_has_no_spinnaker():
     assert f.preharmonic_lambda is None
     assert f.spinnaker(f.space.sample_points(1, 0)[0]) is None
     assert f.twists == (2.0, 1.0) and f.rank == 2
+
+
+def _random_conformal_field(rng):
+    """P_x(L x + c) with eta-skew L: rotations in r planes (balanced or not), an optional boost on H^n
+    or extra plane on S^n, a pole that is 0, off the planes or anywhere, all moved by a random isometry."""
+    n, eps = int(rng.integers(2, 7)), int(rng.choice([1, -1]))
+    M = SpaceForm(n, eps)
+    r = int(rng.integers(1, (n + (eps == 1)) // 2 + 1))
+    twists = [rng.uniform(0.3, 2.0)] * r if rng.random() < 0.6 else rng.uniform(0.3, 2.0, r)
+    L = killing_from_twists(twists, M).L
+    if rng.random() < 0.3:
+        L = L + rng.uniform(0.3, 2.0) * elementary_killing(np.eye(n + 1)[0], np.eye(n + 1)[n], M).L
+    c = rng.standard_normal(n + 1) * rng.uniform(0.1, 2.0)
+    kind = rng.integers(3)
+    if kind == 0:
+        c[:] = 0.0
+    elif kind == 1:
+        c[: 2 * r] = 0.0
+    g = M.random_isometry(rng)
+    return AffineField(g @ L @ M.adjoint(g), g @ c, M)
+
+
+def test_one_spinnaker_for_every_conformal_field():
+    """Preharmonic, decided with the only candidate |grad F|^2 / |sigma|^2, means the identity gives that zeta;
+    L^3 != lambda L means no spinnaker and not preharmonic."""
+    rng = np.random.default_rng(7)
+    counts = {"preharmonic": 0, "no lambda": 0, "neither": 0}
+    for i in range(300):
+        f = _random_conformal_field(rng)
+        pts = f.space.sample_points(40, i)
+        ing = ingredients(f, pts)
+        zeta = f.spinnaker(pts, ing.sigma_sq)
+        found = preharmonic(ing, None)[0]
+        if f.preharmonic_lambda is None:
+            assert zeta is None and not found, i
+            counts["no lambda"] += 1
+            continue
+        assert preharmonic(ing, zeta)[0] == found, i
+        if found:
+            keep = ing.sigma_sq > ZERO_LENGTH**2 * ing.sigma_sq.max()
+            assert spinnaker_error(ing, zeta)[keep].max() < 1e-8, i
+        counts["preharmonic" if found else "neither"] += 1
+    assert min(counts.values()) >= 30, counts
+
+
+@pytest.mark.parametrize("k", [1.0, 1e-20])
+def test_a_tiny_quadratic_operator_is_not_read_as_skew(k):
+    # skewness is decided on L scaled to unit size: with an absolute tolerance 1e-20 L would pass as
+    # skew, with lambda = 1e-40 as its spinnaker's constant, and the field would read not preharmonic
+    f = AffineField(k * np.diag([1.0, 1.0, -1.0, -1.0]), np.zeros(4), sphere(3))
+    assert f.preharmonic_lambda is None
+    assert verify(f, MetricParams(2.0, 1.0)).preharmonic
+
+
+def test_a_plain_affine_conformal_field_has_the_spinnaker():
+    L = np.array([[0.0, -0.7, 0.3], [0.7, 0.0, 0.2], [0.3, 0.2, 0.0]])
+    f = AffineField(L, [0.1, 0.4, 0.5], hyperbolic(2))
+    report = verify(f, MetricParams(3.0, -0.5))
+    assert report.preharmonic and report.spinnaker_max_err < 1e-12
+
+
+def test_lambda_is_read_once_and_not_carried_to_a_new_field():
+    f, x = GeneralizedHopfField(2, 1.3, sphere(4)), sphere(4).sample_points(5, 0)
+    assert "preharmonic_lambda" not in vars(f)  # construction does not compute it
+    lam = f.preharmonic_lambda
+    assert vars(f)["preharmonic_lambda"] == lam
+    g = scale_field(f, 2.0)  # _with copies the cached lambda of f, and __init__ drops it
+    assert g.preharmonic_lambda == 4.0 * lam
+    assert g.spinnaker(x) == pytest.approx(4.0 * f.spinnaker(x), rel=1e-14)
 
 
 @pytest.mark.parametrize("M", [sphere(4), hyperbolic(5)], ids=["S4", "H5"])
