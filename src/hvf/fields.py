@@ -27,6 +27,8 @@ and spinnaker takes |sigma|^2 from that evaluation as its sigma_sq.
 The six classified families are subclasses.  Each one only builds its
 (L, c), validates its own parameters and declares its metadata: twists and
 kind, and _param_keys (the params() key of each parameter attribute).
+Construction computes only what every evaluation reads; every other value of
+(L, c) is a cached_property, found on first read and dropped again by __init__.
 AffineField.params() and spinnaker() do the rest; the block rotations check
 their rank in one place.  The spinnaker zeta of a preharmonic field
 (nabla_{grad F} sigma = zeta sigma) is one identity for every conformal
@@ -136,12 +138,8 @@ class AffineField:
         self._Ldag = space.adjoint(L)
         self._rough = m * L + 2.0 * self._Ldag
         self._trLLd = float(np.trace(L @ self._Ldag))
-        for cached in ("preharmonic_lambda", "_zeta_terms"):  # those of the field that _with copied
-            vars(self).pop(cached, None)
-        self._derive()
-
-    def _derive(self):
-        """Cache family quantities of (L, c); runs again whenever (L, c) change."""
+        for name in [k for k in vars(self) if isinstance(getattr(type(self), k, None), cached_property)]:
+            del vars(self)[name]  # a value derived from the old (L, c), which _with copied
 
     # -- closed forms, broadcasting over leading axes -----------------------
 
@@ -261,7 +259,7 @@ class AffineField:
             return None
         return math.ldexp(lam, 2 * e)
 
-    @property
+    @cached_property
     def nu(self) -> float | None:
         """Rough-Laplacian eigenvalue, when sigma is an eigenfield.
 
@@ -388,7 +386,7 @@ class KillingField(AffineField):
     The field is a rough-Laplacian eigenfunction with eigenvalue eps*(n-1);
     it is preharmonic exactly when L^3 = lambda*L for a constant lambda, and
     then zeta = -(lambda + eps*|sigma|^2).  The normal form is derived from
-    L, so it describes scaled and moved fields too.
+    L on first read, so it describes scaled and moved fields too.
     """
 
     family = "killing"
@@ -403,8 +401,9 @@ class KillingField(AffineField):
         self.base = space.base_point() if base is None else space.check_point(base)
         super().__init__(self.A, np.zeros(space.ambient_dim), space)
 
-    def _derive(self):
-        """The normal form, found on L0 = L / 2^e for the power of two 2^e at |L|max.
+    @cached_property
+    def _normal_form(self) -> tuple[tuple[float, ...], float, str, bool]:
+        """(twists, tau, kind, balanced), found on L0 = L / 2^e for the power of two 2^e at |L|max.
 
         Twists and tau are scaled back by 2^e.  Scaling by a power of two is
         exact, so the results are those of L itself wherever nothing
@@ -426,17 +425,21 @@ class KillingField(AffineField):
             E = space.frame(w)  # rows
             Rt = E @ eta @ (L - T) @ E.T  # <R E_j, E_i> in the (Euclidean) tangent space
             rot = self._twists_from_squares(np.linalg.eigvalsh(Rt.T @ Rt), op_scale)  # = -Rt^2
-        self.tau = math.ldexp(tau, e)
-        self.twists = tuple(math.ldexp(t, e) for t in rot)
-        self.rank = len(rot)
-        self.balanced = not rot or rot[0] - rot[-1] <= CLUSTER_TOL * rot[0]
         inv = sum(t * t for t in rot) - tau * tau
         if space.eps == 1:
-            self.kind = "rotation"
+            kind = "rotation"
         elif abs(inv) <= 1e-9 * op_scale**2:
-            self.kind = "parabolic"
+            kind = "parabolic"
         else:
-            self.kind = "rotation" if inv > 0 else "translation"
+            kind = "rotation" if inv > 0 else "translation"
+        balanced = not rot or rot[0] - rot[-1] <= CLUSTER_TOL * rot[0]
+        return tuple(math.ldexp(t, e) for t in rot), math.ldexp(tau, e), kind, balanced
+
+    twists = property(lambda self: self._normal_form[0])
+    tau = property(lambda self: self._normal_form[1])
+    kind = property(lambda self: self._normal_form[2])
+    balanced = property(lambda self: self._normal_form[3])
+    rank = property(lambda self: len(self.twists))
 
     def _twists_from_squares(self, sq, op_scale) -> tuple[float, ...]:
         tol = CLUSTER_TOL * op_scale**2
@@ -675,9 +678,10 @@ class QuadraticGradientField(AffineField):
         self.eigenvalues = np.linalg.eigvalsh(Q)
         super().__init__(Q, np.zeros(space.ambient_dim), space)
 
-    def _derive(self):
+    @cached_property
+    def _clusters(self) -> list[tuple[float, int]]:
         spectrum = np.linalg.eigvalsh(self.L)
-        self._clusters = _cluster(spectrum, CLUSTER_TOL * np.abs(spectrum).max())
+        return _cluster(spectrum, CLUSTER_TOL * np.abs(spectrum).max())
 
     def xi(self, x, m: int = 1):
         """xi_m(x) = <L^m x, x> for the normal-form L, not the given Q: xi_1 is <Q x, x> shifted by a constant."""

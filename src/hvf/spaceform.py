@@ -28,6 +28,7 @@ sigma at the points once and on the stencils of all points once.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,8 +58,8 @@ def _expm(S: np.ndarray) -> np.ndarray:
 
 
 def _check_step(h) -> None:
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"step h must be finite and positive, got {h}")
+    if not (math.isfinite(h) and h > 0 and h * h >= sys.float_info.min):  # the stencil divides by h*h
+        raise ValueError(f"step h must be finite and positive, got {h}, with h*h a normal double (h >= about 1.49e-154)")
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,8 @@ class SpaceForm:
         x, y = as_vector(x), as_vector(y)
         if x.shape[-1:] != y.shape[-1:]:
             raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-        return np.vecdot(x[..., :-1], y[..., :-1]) + self.eps * (x[..., -1] * y[..., -1])
+        dot, last = np.vecdot(x[..., :-1], y[..., :-1]), x[..., -1] * y[..., -1]
+        return dot + last if self.eps == 1 else dot - last
 
     def norm_sq(self, x):
         return self.inner(x, x)

@@ -581,7 +581,7 @@ def test_verify_rejects_a_negative_seed(capsys):
     assert captured.err == "error: seed must be a non-negative integer, got -1\n" and captured.out == ""
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "1e-300"])
 def test_verify_rejects_bad_fd_step(value, capsys):
     argv = "verify --family confgrad --n 3 --epsilon 1 --mu 1 --p 4 --q -1 --points 5 --fd --h-fd".split()
     assert main(argv + [value]) == 2

@@ -217,6 +217,93 @@ def test_lambda_is_read_once_and_not_carried_to_a_new_field():
     assert g.spinnaker(x) == pytest.approx(4.0 * f.spinnaker(x), rel=1e-14)
 
 
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """The arguments of every np.linalg.eigvalsh call made while the test runs."""
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    return calls
+
+
+@pytest.mark.parametrize("M", [sphere(4), hyperbolic(4)], ids=["S4", "H4"])
+def test_killing_normal_form_is_found_on_first_read(M, eigvalsh_calls):
+    f = killing_from_twists([1.0, 2.0], M)
+    moved, scaled = f.transform(M.random_isometry(np.random.default_rng(0))), scale_field(f, 3.0)
+    assert len(eigvalsh_calls) == 0  # construction, transform and scaling decompose nothing
+    assert f.twists == pytest.approx((2.0, 1.0), rel=1e-12) and len(eigvalsh_calls) == 1
+    assert (f.tau, f.kind, f.rank, f.balanced) == (0.0, "rotation", 2, False)
+    assert moved.twists == pytest.approx(f.twists, rel=1e-12) and scaled.twists == pytest.approx((6.0, 3.0), rel=1e-12)
+    assert len(eigvalsh_calls) == 3  # once per field, at its first read
+
+
+def test_quadratic_clusters_are_found_on_first_read(eigvalsh_calls):
+    M = sphere(5)
+    f = quadratic_two_eigenvalue(3, 2.0, M)
+    assert len(eigvalsh_calls) == 1  # the reported eigenvalues of the given Q
+    f.transform(M.random_isometry(np.random.default_rng(0)))
+    scale_field(f, 3.0)
+    assert len(eigvalsh_calls) == 1
+
+
+def _derived(f, x) -> dict:
+    """Every value f derives from (L, c) after construction, with its spinnaker at x."""
+    out = {"lambda": f.preharmonic_lambda, "nu": f.nu, "spinnaker": f.spinnaker(x)}
+    if isinstance(f, KillingField):
+        out.update(twists=f.twists, tau=f.tau, kind=f.kind, rank=f.rank, balanced=f.balanced)
+    return out
+
+
+def _fresh(f) -> AffineField:
+    """A field built anew from the (L, c) of f and the metadata its derived values read."""
+    if isinstance(f, KillingField):
+        return KillingField(f.L, f.space, base=f.base)
+    if isinstance(f, QuadraticGradientField):
+        return QuadraticGradientField(f.L, f.space)
+    return AffineField(f.L, f.c, f.space)
+
+
+def _fields_and_others():
+    """(field, another field whose (L, c) give other derived values) pairs, by name."""
+    S3, H3, S4, H4, S5 = sphere(3), hyperbolic(3), sphere(4), hyperbolic(4), sphere(5)
+    dipole = DipoleDeformationField([0, 0, 0, 1.0], np.eye(4)[0], 1.3, 0.6, H3)
+    return {
+        "killing-S4": (killing_from_twists([1.0, 1.0], S4), killing_from_twists([2.0, 1.0], S4)),
+        "killing-H4": (killing_from_twists([1.0, 1.0], H4), hyperbolic_translation(0.9, H4)),
+        "quadratic-S5": (quadratic_two_eigenvalue(2, 2.0, S5), quadratic_two_eigenvalue(3, 5.0, S5)),
+        "dipole-S3": (DipoleDeformationField([0, 0, 0, 1.0], np.eye(4)[0], 1.3, 0.6, S3), killing_from_twists([0.7], S3)),
+        "dipole-H3": (dipole, ConformalGradientField([0.8, 0.0, 0.0, 1.3], H3)),
+    }
+
+
+@pytest.mark.parametrize("op", ["transform", "scale", "with"])
+@pytest.mark.parametrize("name", list(_fields_and_others()))
+def test_a_new_field_carries_no_derived_value_of_the_old(name, op):
+    """transform, scale_field and _with report what a field built anew from the same (L, c) reports.
+
+    A transform keeps every congruence invariant (twists, tau, kind, clusters, lambda, nu), so only
+    the spinnaker of a field with L c != 0 tells a stale value from a fresh one there.
+    """
+    f, other = _fields_and_others()[name]
+    x = f.space.sample_points(5, 0)
+    before = _derived(f, x)  # every cached value of f is now in vars(f)
+    if op == "transform":
+        g = f.transform(f.space.random_isometry(np.random.default_rng(1)))
+    elif op == "scale":
+        g = scale_field(f, 3.0)
+    else:
+        g = f._with(other.L, other.c)
+    got, want = _derived(g, x), _derived(_fresh(g), x)
+    for key, value in want.items():
+        if isinstance(value, (str, bool, int)) or value is None:
+            assert got[key] == value, key
+        else:
+            assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-12), key
+    if op == "scale" and before["lambda"] is not None:
+        assert got["lambda"] == pytest.approx(9.0 * before["lambda"], rel=1e-12)
+    if op == "scale" and "twists" in got:
+        assert got["twists"] == pytest.approx([3.0 * t for t in before["twists"]], rel=1e-12)
+
+
 @pytest.mark.parametrize("M", [sphere(4), hyperbolic(5)], ids=["S4", "H5"])
 @pytest.mark.parametrize("twists", [(1.0, 1.0), (1.0, 2.0)], ids=["balanced", "unbalanced"])
 def test_killing_normal_form_at_every_scale(M, twists):

@@ -216,7 +216,7 @@ def test_covariant_derivative_fd_killing():
 def test_derivatives_fd_rejects_a_bad_step():
     M = sphere(2)
     f = ConformalGradientField([0.0, 0.0, 1.0], M)
-    for h in (-1.0, 0.0, math.inf, math.nan):
+    for h in (-1.0, 0.0, math.inf, math.nan, 1e-300, 1e-160):
         with pytest.raises(ValueError):
             M.derivatives_fd(f, [1.0, 0.0, 0.0], h)
 
