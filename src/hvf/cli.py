@@ -21,7 +21,7 @@ import math
 import os
 import sys
 
-from .params import FD_TOL, HARMONIC_TOL, MetricParams
+from .params import HARMONIC_TOL, MetricParams
 
 # Each subcommand imports what it uses, so solve, table and scan2d run without numpy.
 
@@ -112,7 +112,6 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         tol=args.tol,
         fd=args.fd,
-        h=args.h_fd,
     )
     if args.json:
         with open(args.json, "w") as fh:
@@ -303,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated; " + _LIST_HELP.format(key) if _KEYS[key] is list else None)
     pv.add_argument("--points", type=int, default=200)
     pv.add_argument("--seed", type=int, default=42)
-    pv.add_argument("--tol", type=float, help=f"harmonic verdict threshold (default {HARMONIC_TOL:g}, {FD_TOL:g} with --fd)")
-    pv.add_argument("--h-fd", dest="h_fd", type=float, help="finite-difference step override")
+    pv.add_argument("--tol", type=float, default=HARMONIC_TOL,
+                    help="harmonic verdict threshold (default %(default)g, with or without --fd)")
     pv.add_argument(
         "--fd", action="store_true", help="take the tension residual from the finite-difference oracle; other checks stay closed-form"
     )

@@ -1,4 +1,4 @@
-"""The metric parameters (p, q) and the harmonic verdict thresholds.
+"""The metric parameters (p, q) and the one harmonic verdict threshold.
 
 Kept apart from tension so that the classifications and the command line
 can name them without importing numpy.
@@ -9,8 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-HARMONIC_TOL = 1e-7  # closed forms: catalogue residuals stay below ~1e-13
-FD_TOL = 1e-5  # FD oracle at its default step: catalogue residuals reach ~2.1e-7, q +- 0.05 refutations stay above ~3.5e-3
+HARMONIC_TOL = 1e-7  # closed forms and the exact FD oracle: catalogue residuals stay below ~1e-13
 
 
 @dataclass(frozen=True)

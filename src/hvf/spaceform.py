@@ -9,10 +9,11 @@ SpaceForm(n, eps) is the one geometry object: it owns eps, the Gram matrix
 eta, the inner product, the metric adjoint, the skewness and isometry tests.
 
 The covariant derivative of the induced metric is the Gauss formula
-nabla_X Y = D_X Y + eps <X, Y> x, with x the unit normal.  On top of the
-exact geodesics this module provides one finite-difference oracle for a
-field sigma, used as an independent check of the closed-form field analyses:
-one +-h stencil along the frame gives, by central differences, the rows
+nabla_X Y = D_X Y + eps <X, Y> x, with x the unit normal.  On top of it this
+module provides one finite-difference oracle for a field sigma, used as an
+independent check of the closed-form field analyses: sigma is a cubic
+polynomial of the ambient point, so one fixed stencil along the frame and the
+ray differentiates it exactly, with no step, and gives the rows
 nabla_{E_i} sigma, the rough Laplacian -tr nabla^2 sigma and Delta F for
 F = |sigma|^2 / 2.  It calls nothing of the field but sigma.
 
@@ -28,7 +29,6 @@ sigma at the points once and on the stencils of all points once.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,8 +37,6 @@ import numpy as np
 from .ambient import SKEW_TOL, as_vector
 
 POINT_TOL = 1e-10
-H_MAX_GEODESIC = 20.0  # cosh overflow guard on H^n
-DEFAULT_H = 5e-4
 SAMPLE_CACHE_BYTES = 2**20  # cap on the bytes of samples sample_points keeps per process
 
 _samples: dict[tuple, np.ndarray] = {}  # (n, eps, count, seed) -> read-only sample, oldest first
@@ -55,11 +53,6 @@ def _expm(S: np.ndarray) -> np.ndarray:
     for _ in range(k):
         out = out @ out
     return out
-
-
-def _check_step(h) -> None:
-    if not (math.isfinite(h) and h > 0 and h * h >= sys.float_info.min):  # the stencil divides by h*h
-        raise ValueError(f"step h must be finite and positive, got {h}, with h*h a normal double (h >= about 1.49e-154)")
 
 
 @dataclass(frozen=True)
@@ -173,25 +166,6 @@ class SpaceForm:
             raise ValueError("cannot normalize: wrong causal type")
         return x / np.sqrt(s)[..., None]
 
-    # -- geodesics ----------------------------------------------------------
-
-    def geodesic(self, x, X, t: float) -> np.ndarray:
-        """Unit-speed geodesic from x with initial velocity X at parameter t.
-
-        X may be a stack of directions (..., m); the result has one point per direction.
-        """
-        x = as_vector(x)
-        X = as_vector(X)
-        if (np.abs(self.norm(X) - 1.0) > POINT_TOL).any():
-            raise ValueError("geodesic direction must be a unit tangent vector")
-        if self.eps == 1:
-            p = np.cos(t) * x + np.sin(t) * X
-        else:
-            if abs(t) > H_MAX_GEODESIC:
-                raise ValueError(f"|t| > {H_MAX_GEODESIC} on H^n (cosh overflow guard)")
-            p = np.cosh(t) * x + np.sinh(t) * X
-        return self.normalize_point(p)
-
     # -- frames -----------------------------------------------------------
 
     def frame(self, x) -> np.ndarray:
@@ -214,7 +188,8 @@ class SpaceForm:
     def sample_points(self, count: int, seed: int) -> np.ndarray:
         """Deterministic read-only (count, n+1) sample; Gaussian on S^n, geodesic shots on H^n.
 
-        Hyperbolic points are geodesic(base, random unit tangent, t) with t
+        Hyperbolic points are cosh(t) base + sinh(t) u, the unit-speed
+        geodesic from the base point along a random unit tangent u, with t
         uniform on [0, 3], keeping cosh well conditioned while exercising
         the unbounded growth of the fields.  The directions come from one
         (count, n+1) block of normals of the stream seeded by seed, the radii
@@ -288,35 +263,36 @@ class SpaceForm:
 
     # -- finite-difference oracle -------------------------------------------
 
-    def derivatives_fd(self, field, x, h: float = DEFAULT_H):
+    def derivatives_fd(self, field, x):
         """(sigma, rows nabla_{E_i} sigma, -sum_i nabla^2_{E_i, E_i} sigma, Delta F) at x of shape (..., m).
 
-        One evaluation of sigma at x and one +-h geodesic stencil along the
-        frame E = frame(x) serve all of them, to O(h^2).  The first difference
-        is D_{E_i} sigma, Gauss-corrected by + eps <E_i, sigma(x)> x.  Along a
-        unit-speed geodesic gamma with gamma'(0) = E the velocity field is
-        autoparallel, so the second covariant derivative of sigma reduces to
-
-            s''(0) + 2 eps <E, s'(0)> x + eps <E, sigma(x)> E,
-
-        where s(t) = sigma(gamma(t)); the curvature term <gamma'', sigma> x
-        drops out because sigma(x) is tangent.  Delta F = -sum_i f''(0) for
-        f(t) = F(gamma(t)) is taken from the same sigma values, F = |sigma|^2 / 2.
+        The premise: sigma(x) = L x + c - eps <L x + c, x> x, which every field evaluates
+        through AffineField._parts, is a cubic of the ambient x.  So for f(t) = sigma(x + t V),
+        f'(0) = (6 f(1) - 2 f(-1) - 3 f(0) - f(2)) / 6 and f''(0) = f(1) - 2 f(0) + f(-1) hold
+        exactly, with no step.  V runs over the frame rows E_i of frame(x) and the ray x, and
+        D_{E_i} sigma = f_i'(0) takes the Gauss term + eps <E_i, sigma> x.  The unit-speed
+        geodesic gamma with gamma'(0) = E_i has gamma''(0) = -eps x, so s(t) = sigma(gamma(t))
+        has s''(0) = f_i''(0) - eps f_ray'(0) and, with the velocity field autoparallel and
+        sigma tangent, nabla^2_{E_i, E_i} sigma = s''(0) + 2 eps <E_i, s'(0)> x + eps <E_i, sigma> E_i.
+        Delta F = -sum_i (<s', s'> + <s, s''>) for F = |sigma|^2 / 2.
         """
-        _check_step(h)
         x = as_vector(x)
-        E = self.frame(x)
+        xr = x[..., None, :]
+        V = np.concatenate([self.frame(x), xr], axis=-2)  # (..., n+1, m): the frame rows, then the ray
+        P = np.array([1.0, -1.0, 2.0]).reshape((3,) + (1,) * V.ndim) * V
+        P += xr
+        f = field.sigma(P.reshape(-1, self.ambient_dim)).reshape(P.shape)  # one flat batch: one product with L
         s = field.sigma(x)
         s0 = s[..., None, :]
-        sp, sm = field.sigma(self.geodesic(x[..., None, :], np.array([E, -E]), h))  # (..., n, m)
-        d1 = (sp - sm) / (2.0 * h)
-        d2 = (sp - 2.0 * s0 + sm) / (h * h)
-        eps, xr = self.eps, x[..., None, :]
-        gauss = eps * self.inner(E, s0)[..., None]
-        out = d2 + 2.0 * eps * self.inner(E, d1)[..., None] * xr + gauss * E
-        Fp, F0, Fm = (0.5 * self.norm_sq(v) for v in (sp, s0, sm))
-        lap_F = -((Fp - 2.0 * F0 + Fm) / (h * h)).sum(axis=-1)
-        return s, d1 + gauss * xr, self.tangent_project(x, -out.sum(axis=-2)), lap_F
+        # f'(0) + f(0) / 2 and f''(0) + 2 f(0) of every direction, as weighted sums of f(1), f(-1), f(2)
+        d1, d2 = np.tensordot([[1.0, -1.0 / 3.0, -1.0 / 6.0], [1.0, 1.0, 0.0]], f, axes=1)
+        d1 -= 0.5 * s0
+        eps, D, E = self.eps, d1[..., :-1, :], V[..., :-1, :]
+        d2 = d2[..., :-1, :] - (2.0 * s0 + eps * d1[..., -1:, :])  # s''(0) = f''(0) - eps f_ray'(0)
+        gauss = eps * self.inner(E, s0)
+        out = d2.sum(axis=-2) + (2.0 * eps * self.inner(E, D).sum(axis=-1))[..., None] * x + (gauss[..., None, :] @ E)[..., 0, :]
+        lap_F = -(self.norm_sq(D) + self.inner(s0, d2)).sum(axis=-1)
+        return s, D + gauss[..., None] * xr, self.tangent_project(x, -out), lap_F
 
 
 def sphere(n: int) -> SpaceForm:

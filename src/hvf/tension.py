@@ -26,7 +26,8 @@ shape (N, m), m = n+1, and every tension, residual, check and grid scan is
 assembled from those arrays; results keep the leading axes.  The closed forms
 share one Jet of the field per call.  The oracle's derivatives call only sigma:
 SpaceForm.derivatives_fd takes nabla sigma along the frame, the rough
-Laplacian and Delta F from one +-h stencil with one step.
+Laplacian and Delta F from one fixed stencil, exact for the cubic sigma, so
+its verdicts are judged at the same HARMONIC_TOL as the closed forms.
 A report keeps its per-point values as arrays until it is serialised.
 """
 
@@ -42,14 +43,15 @@ from functools import cache
 import numpy as np
 
 from .fields import AffineField
-from .params import FD_TOL, HARMONIC_TOL, MetricParams
-from .spaceform import DEFAULT_H, SpaceForm
+from .params import HARMONIC_TOL, MetricParams
+from .spaceform import SpaceForm
 
 ZERO_LENGTH = 1e-6  # samples with |sigma| <= ZERO_LENGTH * max |sigma| leave the spinnaker and preharmonic checks
 PREHARMONIC_TOL = 1e-8
-# peak working set of verify in (count, n+1) float arrays: 10.4-13.4 closed-form, plus 8.2-10.6 per
-# dimension n for the one FD stencil (tracemalloc over the catalogue at 4000 and 20000 points)
-LIVE_ARRAYS, FD_LIVE_ARRAYS_PER_DIM = 14, 11
+# peak working set of verify in (count, n+1) float arrays, its sample included: 11.5-14.7 closed-form, plus
+# 14.9-15.9 per FD stencil direction (n + 1 of them; 3 points and sigma's 4 temporaries of each are 15), by
+# tracemalloc over the catalogue at 2000-20000 points and over random affine fields up to n = 40
+LIVE_ARRAYS, FD_LIVE_ARRAYS_PER_DIR = 15, 16
 
 
 @dataclass
@@ -80,12 +82,12 @@ class Ingredients:
         return replace(self, **arrays)
 
 
-def ingredients(field: AffineField, x, fd: bool = False, h: float | None = None) -> Ingredients:
+def ingredients(field: AffineField, x, fd: bool = False) -> Ingredients:
     """The operator inputs at x, of shape (m,) or (N, m), from closed forms or the FD oracle.
 
     The oracle takes sigma, the rows nabla_{E_i} sigma along the frame E, the
-    rough Laplacian and Delta F from one call of SpaceForm.derivatives_fd, with
-    step h (DEFAULT_H when None).  E is orthonormal, so with
+    rough Laplacian and Delta F from one call of SpaceForm.derivatives_fd,
+    which calls only sigma.  E is orthonormal, so with
     E_i F = <nabla_{E_i} sigma, sigma> = <grad F, E_i>, |grad F|^2 = sum (E_i F)^2
     and, by linearity, nabla_{grad F} sigma = sum (E_i F) nabla_{E_i} sigma.
     """
@@ -95,7 +97,7 @@ def ingredients(field: AffineField, x, fd: bool = False, h: float | None = None)
     along = M.inner(u, x)
     u_tan = u - (M.eps * along)[..., None] * x  # M.tangent_project(x, u), keeping <u, x> for rough_size
     if fd:
-        s, D, rough, lap = M.derivatives_fd(field, x, DEFAULT_H if h is None else h)
+        s, D, rough, lap = M.derivatives_fd(field, x)
         c = M.inner(D, s[..., None, :])  # E_i F = <grad F, E_i>
         gF_sq, ngs = (c * c).sum(axis=-1), (c[..., None] * D).sum(axis=-2)
         nsq = M.norm_sq(D).sum(axis=-1)
@@ -242,9 +244,11 @@ def q_riemannian(ing: Ingredients, q: float) -> bool:
 class TensionReport:
     """Aggregated verification verdicts over a seeded sample of points.
 
-    derivative_source names where the tension residual came from; preharmonic,
-    weitzenbock_max_err and spinnaker_max_err are closed-form values either way.
-    tol is the threshold the harmonic verdict compared max_rel_residual with.
+    derivative_source names where the tension residual came from: "closed-form",
+    or "finite-difference" for the step-free stencil of SpaceForm.derivatives_fd;
+    preharmonic, weitzenbock_max_err and spinnaker_max_err are closed-form values
+    either way.  tol is the threshold the harmonic verdict compared
+    max_rel_residual with, HARMONIC_TOL unless one was given, in both modes.
     to_dict turns the samples and their residuals and scales into per_point rows.
     """
 
@@ -288,15 +292,9 @@ def _physical_memory() -> int:
         return 0
 
 
-def _check_fits(count: int, m: int, arrays: int) -> None:
-    """Raise ValueError when `arrays` float arrays of shape (count, m) exceed the physical memory."""
-    phys = _physical_memory()
-    need = count * m * 8 * arrays
-    if 0 < phys < need:
-        raise ValueError(
-            f"{count} points need about {need / 2**30:.3g} GiB, more than the "
-            f"{phys / 2**30:.3g} GiB of physical memory"
-        )
+def _working_set(count: int, M: SpaceForm, fd: bool) -> int:
+    """Bytes verify holds at its peak for `count` points of M: float arrays of shape (count, n+1)."""
+    return count * M.ambient_dim * 8 * (LIVE_ARRAYS + (FD_LIVE_ARRAYS_PER_DIR * M.ambient_dim if fd else 0))
 
 
 def verify(
@@ -304,19 +302,18 @@ def verify(
     mp: MetricParams,
     count: int = 200,
     seed: int = 42,
-    tol: float | None = None,
+    tol: float = HARMONIC_TOL,
     fd: bool = False,
-    h: float | None = None,
 ) -> TensionReport:
     """Run the full identity/residual suite on `count` seeded sample points.
 
     With fd=True only the tension residual (max_rel_residual, harmonic and
-    the residuals and scales) comes from the FD oracle; every other check
-    uses closed forms.  The preharmonic verdict and the identity errors are
-    relative to the sampled size of sigma, so scaling the field changes
-    neither; spinnaker_max_err skips the samples that preharmonic skips.  A
-    field that vanishes identically is preharmonic.
-    tol defaults to HARMONIC_TOL, or to FD_TOL with fd=True.  A count whose arrays cannot
+    the residuals and scales) comes from the FD oracle, whose stencil is exact
+    for the cubic sigma, so tol is HARMONIC_TOL by default in both modes; every
+    other check uses closed forms.  The preharmonic verdict and the identity
+    errors are relative to the sampled size of sigma, so scaling the field
+    changes neither; spinnaker_max_err skips the samples that preharmonic
+    skips.  A field that vanishes identically is preharmonic.  A count whose arrays cannot
     fit in physical memory is rejected before any point is drawn, and so is a seed that is
     not a non-negative integer.  A non-zero field whose tension terms all underflow is rejected as too small.
     """
@@ -324,16 +321,16 @@ def verify(
         raise ValueError("count must be >= 1")
     if not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    if tol is None:
-        tol = FD_TOL if fd else HARMONIC_TOL
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     M = field.space
-    _check_fits(count, M.ambient_dim, LIVE_ARRAYS + (FD_LIVE_ARRAYS_PER_DIM * M.n if fd else 0))
+    need, phys = _working_set(count, M, fd), _physical_memory()
+    if 0 < phys < need:
+        raise ValueError(f"{count} points need about {need / 2**30:.3g} GiB, more than the {phys / 2**30:.3g} GiB of physical memory")
     samples = M.sample_points(count, seed)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         ing = _sampled(field, samples)
-        t, scale = _assemble(ingredients(field, samples, fd=True, h=h) if fd else ing, mp.p, mp.q)
+        t, scale = _assemble(ingredients(field, samples, fd=True) if fd else ing, mp.p, mp.q)
         res = M.norm(t)
     # a non-finite ingredient makes the tension t non-finite too
     finite = np.isfinite(t).all(axis=-1) & np.isfinite(res) & np.isfinite(scale)

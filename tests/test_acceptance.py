@@ -114,6 +114,7 @@ def test_criterion_4_refutation_suite():
 
 
 def test_criterion_5_oracle_agreement():
+    # the oracle differentiates the cubic sigma exactly, so it agrees with the closed forms to rounding
     t0 = time.time()
     failures = []
     rng = np.random.default_rng(0)
@@ -121,35 +122,16 @@ def test_criterion_5_oracle_agreement():
         M = field.space
         for idx, x in enumerate(M.sample_points(50, 42)):
             X = random_tangent(M, x, rng)
-            cd = nabla_fd(M, field, x, X, 1e-4)
+            cd = nabla_fd(M, field, x, X)
             exact = field.nabla(x, X)
-            if M.norm(cd - exact) > 1e-5 * (1 + M.norm(exact)):
+            if M.norm(cd - exact) > 1e-10 * (1 + M.norm(exact)):
                 failures.append((field.family, M.n, idx, "nabla"))
-            rl, lf = M.derivatives_fd(field, x, 1e-3)[2:]
+            rl, lf = M.derivatives_fd(field, x)[2:]
             want = field.rough_laplacian(x)
-            if M.norm(rl - want) > 1e-3 * (1 + M.norm(want)):
+            if M.norm(rl - want) > 1e-10 * (1 + M.norm(want)):
                 failures.append((field.family, M.n, idx, "rough"))
-            if abs(lf - field.lap_F(x)) > 1e-3 * (1 + abs(lf)):
+            if abs(lf - field.lap_F(x)) > 1e-10 * (1 + abs(lf)):
                 failures.append((field.family, M.n, idx, "lap F"))
-    # O(h^2) convergence of both oracles
-    M = hyperbolic(3)
-    f = ConformalGradientField([0.8, 0.0, 0.0, 1.3], M)
-    pts = M.sample_points(5, 17)
-
-    def cov_err(h):
-        total = 0.0
-        for x in pts:
-            X = random_tangent(M, x, np.random.default_rng(4))
-            total += M.norm(nabla_fd(M, f, x, X, h) - f.nabla(x, X))
-        return total
-
-    def rough_err(h):
-        return sum(M.norm(M.derivatives_fd(f, x, h)[2] - f.rough_laplacian(x)) for x in pts)
-
-    for name, ratio in (("nabla", cov_err(2e-4) / cov_err(1e-4)),
-                        ("rough", rough_err(2e-3) / rough_err(1e-3))):
-        if not 3.5 <= ratio <= 4.5:
-            failures.append((name, "convergence ratio", ratio))
     _report(5, "oracle agreement", failures, t0, 30.0)
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import hvf
 from hvf.cli import main
-from hvf.params import FD_TOL, HARMONIC_TOL
+from hvf.params import HARMONIC_TOL
 from hvf.spaceform import SpaceForm
 
 
@@ -88,9 +88,9 @@ def test_verify_json_deterministic(tmp_path, capsys):
     assert doc["verdicts"]["harmonic"] is True
     assert set(doc) >= {"family", "params", "p", "q", "n", "epsilon", "seed", "count",
                         "max_rel_residual", "verdicts", "per_point"}
-    # the report records the threshold it judged against: the default, FD_TOL with --fd, or --tol
+    # the report records the threshold it judged against: the default (with or without --fd), or --tol
     assert doc["tol"] == HARMONIC_TOL
-    for extra, tol in ((["--fd"], FD_TOL), (["--tol", "0.003"], 0.003)):
+    for extra, tol in ((["--fd"], HARMONIC_TOL), (["--tol", "0.003"], 0.003)):
         assert main(argv + extra + ["--json", str(out2)]) == 0
         assert json.loads(out2.read_text())["tol"] == tol
     capsys.readouterr()
@@ -527,23 +527,15 @@ def test_a_failed_output_write_prints_no_verdict(argv, tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
-def test_verify_help_names_both_default_tolerances(capsys):
+def test_verify_help_names_one_default_tolerance(capsys):
     assert main(["verify", "--help"]) == 0
-    assert "default 1e-07, 1e-05 with --fd" in " ".join(capsys.readouterr().out.split())
-
-
-def test_verify_fd_override(capsys):
-    code = main(
-        "verify --family confgrad --n 3 --epsilon 1 --mu 1 --p 4 --q -1 "
-        "--points 10 --fd --h-fd 0.001 --tol 0.001".split()
-    )
-    assert code == 0
-    assert "derivatives=finite-difference" in capsys.readouterr().out
+    out = " ".join(capsys.readouterr().out.split())
+    assert "default 1e-07, with or without --fd" in out
+    assert "1e-05" not in out and "--h-fd" not in out
 
 
 @pytest.mark.parametrize("q, code", [("-1", 0), ("-0.9", 1)])
 def test_verify_fd_default_tolerance(q, code, capsys):
-    # without --tol, --fd judges against FD_TOL: the oracle's noise here (~7.5e-8) leaves no margin below HARMONIC_TOL
     argv = "verify --family confgrad --n 3 --epsilon 1 --mu 1 --p 4 --fd --q".split()
     assert main(argv + [q]) == code
     assert f"harmonic={code == 0}" in capsys.readouterr().out
@@ -581,11 +573,12 @@ def test_verify_rejects_a_negative_seed(capsys):
     assert captured.err == "error: seed must be a non-negative integer, got -1\n" and captured.out == ""
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "1e-300"])
+@pytest.mark.parametrize("value", ["nan", "inf", "1e-300", "1e-3"])
 def test_verify_rejects_bad_fd_step(value, capsys):
+    # the oracle is exact and takes no step: the removed step option is an unknown option, whatever its value
     argv = "verify --family confgrad --n 3 --epsilon 1 --mu 1 --p 4 --q -1 --points 5 --fd --h-fd".split()
     assert main(argv + [value]) == 2
-    assert f"step h must be finite and positive, got {value}" in capsys.readouterr().err
+    assert f"unrecognized arguments: --h-fd {value}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

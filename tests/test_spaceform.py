@@ -26,44 +26,6 @@ def test_tangent_project():
     assert np.allclose(M.tangent_project(x, u), u)
 
 
-def test_geodesic_examples():
-    M = sphere(2)
-    x = np.array([1.0, 0.0, 0.0])
-    X = np.array([0.0, 1.0, 0.0])
-    assert np.allclose(M.geodesic(x, X, 0.0), x)
-    assert np.allclose(M.geodesic(x, X, math.pi / 2), [0.0, 1.0, 0.0], atol=1e-15)
-
-    H = hyperbolic(2)
-    b = H.base_point()
-    e1 = np.array([1.0, 0.0, 0.0])
-    p = H.geodesic(b, e1, 1.0)
-    assert np.allclose(p, [math.sinh(1.0), 0.0, math.cosh(1.0)])
-    assert abs(H.inner(p, p) + 1.0) <= POINT_TOL
-
-
-def test_geodesic_guards():
-    H = hyperbolic(2)
-    b = H.base_point()
-    with pytest.raises(ValueError):
-        H.geodesic(b, [2.0, 0.0, 0.0], 0.5)  # not unit
-    with pytest.raises(ValueError):
-        H.geodesic(b, [1.0, 0.0, 0.0], 25.0)  # cosh overflow guard
-
-
-def test_geodesic_drift():
-    rng = np.random.default_rng(0)
-    for M in (sphere(3), hyperbolic(3)):
-        x = M.sample_points(1, 5)[0]
-        X = random_tangent(M, x, rng)
-        for t in np.linspace(-10, 10, 21):
-            p = M.geodesic(x, X, t)
-            # point invariant, relative to the coordinate scale (cosh growth)
-            assert abs(M.inner(p, p) - M.eps) <= POINT_TOL * (1.0 + p @ p)
-            assert M.is_point(p)
-            if M.eps == -1:
-                assert p[-1] > 0
-
-
 def test_frames():
     for M in (sphere(2), sphere(4), hyperbolic(2), hyperbolic(4)):
         for x in M.sample_points(5, 11):
@@ -108,7 +70,7 @@ def test_frame_far_out_on_hyperbolic_space(n):
     M = hyperbolic(n)
     rng = np.random.default_rng(n)
     for _ in range(5):
-        x = M.geodesic(M.base_point(), random_tangent(M, M.base_point(), rng), 10.0)
+        x = np.cosh(10.0) * M.base_point() + np.sinh(10.0) * random_tangent(M, M.base_point(), rng)
         E = M.frame(x)
         size = np.linalg.norm(E, axis=-1)
         gram = M.inner(E[:, None, :], E[None, :, :])
@@ -187,9 +149,9 @@ def test_covariant_derivative_fd_conformal():
         f = ConformalGradientField(a, M)
         for x in M.sample_points(10, 2):
             X = random_tangent(M, x, rng)
-            fd = nabla_fd(M, f, x, X, 1e-4)
+            fd = nabla_fd(M, f, x, X)
             exact = -M.eps * M.inner(f.c, x) * X
-            assert M.norm(fd - exact) <= 1e-6 * (1 + M.norm(exact))
+            assert M.norm(fd - exact) <= 1e-12 * (1 + M.norm(exact))
 
 
 def test_covariant_derivative_fd_equator_radial():
@@ -198,7 +160,7 @@ def test_covariant_derivative_fd_equator_radial():
     f = ConformalGradientField([0.0, 0.0, 1.0], M)
     x = np.array([1.0, 0.0, 0.0])
     X = np.array([0.0, 1.0, 0.0])
-    assert M.norm(nabla_fd(M, f, x, X, 1e-4)) <= 1e-8
+    assert M.norm(nabla_fd(M, f, x, X)) <= 1e-14
 
 
 def test_covariant_derivative_fd_killing():
@@ -207,18 +169,21 @@ def test_covariant_derivative_fd_killing():
     M = f.space
     for x in M.sample_points(5, 6):
         X = random_tangent(M, x, rng)
-        fd = nabla_fd(M, f, x, X, 1e-4)
+        fd = nabla_fd(M, f, x, X)
         AX = f.A @ X
         exact = AX - M.eps * M.inner(AX, x) * x
-        assert M.norm(fd - exact) <= 1e-6 * (1 + M.norm(exact))
+        assert M.norm(fd - exact) <= 1e-12 * (1 + M.norm(exact))
 
 
 def test_derivatives_fd_rejects_a_bad_step():
+    # the oracle is exact for the cubic sigma and takes no step: any step argument is refused
     M = sphere(2)
     f = ConformalGradientField([0.0, 0.0, 1.0], M)
-    for h in (-1.0, 0.0, math.inf, math.nan, 1e-300, 1e-160):
-        with pytest.raises(ValueError):
+    for h in (5e-4, -1.0, math.nan, 1e-300):
+        with pytest.raises(TypeError):
             M.derivatives_fd(f, [1.0, 0.0, 0.0], h)
+        with pytest.raises(TypeError):
+            M.derivatives_fd(f, [1.0, 0.0, 0.0], h=h)
 
 
 def test_rough_laplacian_fd_eigenvalues():
@@ -236,9 +201,9 @@ def test_rough_laplacian_fd_eigenvalues():
     for fld, ev in cases:
         M = fld.space
         for x in M.sample_points(5, 9):
-            fd = M.derivatives_fd(fld, x, 1e-3)[2]
+            fd = M.derivatives_fd(fld, x)[2]
             exact = ev * fld.sigma(x)
-            assert M.norm(fd - exact) <= 1e-4 * (1 + M.norm(exact))
+            assert M.norm(fd - exact) <= 1e-11 * (1 + M.norm(exact))
 
 
 def test_random_isometry_preserves_the_form():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,9 +24,12 @@ from hvf.solvers import (
     harmonic_catalogue,
     killing_classification,
 )
+from hvf import spaceform
 from hvf.spaceform import hyperbolic, sphere
 from hvf.tension import (
+    HARMONIC_TOL,
     MetricParams,
+    _working_set,
     circle_equivariance_check,
     ingredients,
     isometry_equivariance_check,
@@ -258,9 +262,34 @@ def test_verify_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
 
 def test_fd_fallback_path():
     f = ConformalGradientField([1.0, 0.0, 0.0, 0.0], sphere(3))
-    rep = verify(f, MetricParams(4.0, -1.0), count=5, seed=12, fd=True, tol=1e-3)
+    rep = verify(f, MetricParams(4.0, -1.0), count=5, seed=12, fd=True)
     assert rep.derivative_source == "finite-difference"
-    assert rep.harmonic  # oracle noise stays well under 1e-3
+    assert rep.harmonic and rep.tol == HARMONIC_TOL  # the exact oracle is judged like the closed forms
+
+
+def _largest_catalogue_field_per_family():
+    out = {}
+    for entry in harmonic_catalogue():
+        family = entry.field.family
+        if family not in out or entry.field.space.n > out[family].field.space.n:
+            out[family] = entry
+    return list(out.values())
+
+
+@pytest.mark.parametrize("fd", [False, True], ids=["closed-form", "fd"])
+@pytest.mark.parametrize("entry", _largest_catalogue_field_per_family(), ids=lambda e: e.label)
+def test_verify_peak_memory_stays_within_the_guard(entry, fd, monkeypatch):
+    """The tracemalloc peak of verify, its sample drawn inside, is at most the _working_set it refuses counts by."""
+    monkeypatch.setattr(spaceform, "_samples", {})  # no kept draw: verify draws its sample itself
+    verify(entry.field, entry.mp, count=5, fd=fd)  # allocations made once per process are no working set
+    count = 2000
+    tracemalloc.start()
+    try:
+        verify(entry.field, entry.mp, count=count, fd=fd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _working_set(count, entry.field.space, fd)
 
 
 def test_dilations_break_harmonicity():
