@@ -146,11 +146,9 @@ def _print_classification(cl) -> None:
             exact = cl.exact.get(name)
             suffix = f"  [= {exact}]" if exact is not None and not exact.is_rational() else ""
             print(f"{name} = {_fmt(val)}{suffix}")
+    q_exact = cl.exact.get("q")  # only the one-pair records carry it
+    suffix = f"  [q = {q_exact}]" if q_exact is not None and not q_exact.is_rational() else ""
     for mp in cl.metric_params:
-        q_exact = cl.exact.get("q", cl.exact.get("q_a"))
-        suffix = ""
-        if len(cl.metric_params) == 1 and q_exact is not None and not q_exact.is_rational():
-            suffix = f"  [q = {q_exact}]"
         print(f"(p, q) = ({_fmt(mp.p)}, {_fmt(mp.q)}){suffix}")
     print(f"metrically unique: {cl.metrically_unique}")
     for check in bounds_report(cl):

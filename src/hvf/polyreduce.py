@@ -112,12 +112,7 @@ class TriPoly:
     def __mul__(self, other):
         if not isinstance(other, TriPoly):
             return TriPoly({m: c * other for m, c in self.terms.items()})
-        out: dict[Monomial, object] = {}
-        for (i1, j1, k1), c1 in self.terms.items():
-            for (i2, j2, k2), c2 in other.terms.items():
-                mon = (i1 + i2, j1 + j2, k1 + k2)
-                out[mon] = out.get(mon, 0) + c1 * c2
-        return TriPoly(out)
+        return TriPoly(_add_product({}, self.terms, other.terms))
 
     def __rmul__(self, other):
         return TriPoly({m: other * c for m, c in self.terms.items()})
@@ -262,14 +257,15 @@ def _length_and_spinnaker(eps, om, ta, rs, rt, h):
     return eps, A, zeta
 
 
-def _add_product(out: dict, A: dict, B: dict) -> None:
-    """out += A*B, taken over the non-zero coefficients of A and B only."""
+def _add_product(out: dict, A: dict, B: dict) -> dict:
+    """out += A*B, taken over the non-zero coefficients of A and B only; returns out."""
     B = [(m, b) for m, b in B.items() if b]
     for (i1, j1, k1), a in A.items():
         if a:
             for (i2, j2, k2), b in B:
                 mon = (i1 + i2, j1 + j2, k1 + k2)
                 out[mon] = out.get(mon, 0) + a * b
+    return out
 
 
 def build_harmonicity_poly(eps, omega, tau, rr, s, t, h, p, q, exact: bool = True) -> TriPoly:

@@ -222,8 +222,8 @@ def quadratic_classification(n: int) -> Classification:
     """Harmonic quadratic gradient fields on S^n: odd n >= 5 only, with
     r = (n+1)/2, the optimal gap L0, p = r+1 and
     2q = (2-r)(1+r) / (1 + r + (L0/2)^2)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if n < 2:
+        raise ValueError("need n >= 2")
     base = dict(family="quadratic", n=n, epsilon=1)
     if n % 2 == 0 or n < 5:
         return Classification(

@@ -1,34 +1,23 @@
 """The harmonic-section operator and the verification suite built on it.
 
-For metric parameters (p, q) the operator is
+For metric parameters (p, q) the operator is linear in the weights w = (1, p, q, pq):
 
-    tau_{p,q}(sigma) = T_p(sigma) - phi_{p,q}(sigma) * sigma,
-    T_p(sigma)       = (1 + |sigma|^2) nabla*nabla sigma + 2p nabla_{grad F} sigma,
-    phi_{p,q}(sigma) = p |nabla sigma|^2 - p q |grad F|^2 - q (1 + |sigma|^2) Delta F,
+    tau_{p,q}(sigma) = A + p B + q C + p q D,  A = (1 + |sigma|^2) nabla*nabla sigma,
+    B = 2 nabla_{grad F} sigma - |nabla sigma|^2 sigma,  C = (1 + |sigma|^2) Delta F sigma,  D = |grad F|^2 sigma,
 
-and sigma is (p, q)-harmonic when the residual vanishes.  verify() samples
-points, measures the relative residual against a per-point scale, and also
-runs the checks preharmonic, spinnaker_error, weitzenbock_error and
-q_riemannian (q|sigma|^2 >= -1).  Each check reads one Ingredients, which
-records its space form; preharmonic and spinnaker_error also take the
-field's spinnaker zeta, and q_riemannian takes q.  verify passes the one
-evaluation it makes to all of them and to the spinnaker, which takes
-|sigma|^2 from it: a closed-form verify evaluates sigma once.  For
-preharmonic eigenfields the scalar reduction
+and sigma is (p, q)-harmonic when it vanishes.  ingredients() evaluates the closed
+forms (one Jet of the field) or the finite-difference oracle (sigma only, through
+the one stencil of SpaceForm.derivatives_fd, exact for the cubic sigma and so
+judged at the same HARMONIC_TOL) on a point (m,) or a batch (N, m), m = n+1.
+_parts builds A, B, C, D and their sizes from it, and _assemble contracts them
+with w and |w| in one matrix product, for one (p, q) or a whole grid.  verify()
+judges the residual relative to the summed sizes and runs preharmonic,
+spinnaker_error, weitzenbock_error and q_riemannian (q|sigma|^2 >= -1) on its
+one closed-form evaluation.  For preharmonic eigenfields the scalar reduction
 
     (p + q + 2qF) Delta F + 2p (1 + qF) zeta + nu (1 + 2(1 - p)F) = 0
 
 is available as an independent residual.
-
-There is one evaluation path.  ingredients() evaluates the closed forms or
-the finite-difference oracle at once on a point of shape (m,) or a batch of
-shape (N, m), m = n+1, and every tension, residual, check and grid scan is
-assembled from those arrays; results keep the leading axes.  The closed forms
-share one Jet of the field per call.  The oracle's derivatives call only sigma:
-SpaceForm.derivatives_fd takes nabla sigma along the frame, the rough
-Laplacian and Delta F from one fixed stencil, exact for the cubic sigma, so
-its verdicts are judged at the same HARMONIC_TOL as the closed forms.
-A report keeps its per-point values as arrays until it is serialised.
 """
 
 from __future__ import annotations
@@ -37,7 +26,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -75,11 +64,6 @@ class Ingredients:
     lap_F: np.ndarray
     rough_size: np.ndarray
     nabla_gradF_sigma_norm: np.ndarray
-
-    def __getitem__(self, index) -> "Ingredients":
-        """The ingredients at the selected points (an index, slice or mask)."""
-        arrays = {k: v[index] for k, v in vars(self).items() if k != "space"}
-        return replace(self, **arrays)
 
 
 def ingredients(field: AffineField, x, fd: bool = False) -> Ingredients:
@@ -120,24 +104,46 @@ def ingredients(field: AffineField, x, fd: bool = False) -> Ingredients:
     )
 
 
-def _assemble(ing: Ingredients, p, q) -> tuple[np.ndarray, np.ndarray]:
-    """(tension, residual scale), broadcasting over the points of ing and over p and q.
+def _parts(ing: Ingredients) -> np.ndarray:
+    """A, B, C and D at the points of ing, each vector with its size appended: shape (4, ..., m+1).
 
-    The scale is the sum of the sizes of the terms the tension adds up, with the three parts of phi apart:
-    (1 + |s|^2)|rough operand| + 2|p||nabla_gradF s| + (|p||nabla s|^2 + |pq||grad F|^2 + |q|(1 + |s|^2)|Delta F|)|s|.
-    So k sigma is judged like sigma, and a cancellation inside phi is no small tension.
+    The sizes are those the residual scale sums: (1 + |s|^2)|rough operand|, 2|nabla_gradF s| + |nabla s|^2 |s|,
+    (1 + |s|^2)|Delta F||s| and |grad F|^2 |s|.  One vector product a line, as numpy holds two arrays to broadcast one.
     """
-    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
-    one = 1.0 + ing.sigma_sq
-    a, b, c = p * ing.nabla_sq, p * q * ing.gradF_sq, q * one * ing.lap_F  # phi = a - b - c
-    t = one[..., None] * ing.rough + 2.0 * p[..., None] * ing.nabla_gradF_sigma - (a - b - c)[..., None] * ing.sigma
-    size_phi = (np.abs(a) + np.abs(b) + np.abs(c)) * np.sqrt(np.maximum(ing.sigma_sq, 0.0))
-    return t, one * ing.rough_size + 2.0 * np.abs(p) * ing.nabla_gradF_sigma_norm + size_phi
+    one, s = 1.0 + ing.sigma_sq, ing.sigma
+    s_len, c = np.sqrt(np.maximum(ing.sigma_sq, 0.0)), one * ing.lap_F
+    parts = np.empty((4,) + s.shape[:-1] + (s.shape[-1] + 1,))
+    vec, size = parts[..., :-1], parts[..., -1]
+    size[0], size[1] = one * ing.rough_size, 2.0 * ing.nabla_gradF_sigma_norm + ing.nabla_sq * s_len
+    size[2], size[3] = np.abs(c) * s_len, ing.gradF_sq * s_len
+    np.multiply(one[..., None], ing.rough, out=vec[0])
+    np.multiply(c[..., None], s, out=vec[2])
+    np.multiply(ing.gradF_sq[..., None], s, out=vec[3])
+    b = ing.nabla_sq[..., None] * s
+    vec[1] = np.subtract(2.0 * ing.nabla_gradF_sigma, b, out=b)
+    return parts
+
+
+def _weights(p, q) -> np.ndarray:
+    """The rows w = (1, p, q, pq) and |w|, of shape (2, ..., 4) over the broadcast shape of p and q."""
+    w = np.empty((2,) + np.broadcast(p, q).shape + (4,))
+    w[0, ..., 0], w[0, ..., 1], w[0, ..., 2], w[0, ..., 3] = 1.0, p, q, np.multiply(p, q)
+    w[1] = np.abs(w[0])
+    return w
+
+
+def _assemble(w: np.ndarray, parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(tension, residual scale) = (w . vectors, |w| . sizes), shaped as the weights, then the points.
+
+    w has two rows, so every shape is one matrix-matrix product and a grid cell rounds as verify does at its (p, q).
+    The scale sums the sizes of the terms: k sigma is judged like sigma, a cancellation between them is no small tension."""
+    out = (w.reshape(-1, 4) @ parts.reshape(4, -1)).reshape(w.shape[:-1] + parts.shape[1:])
+    return out[0, ..., :-1], out[1, ..., -1]
 
 
 def tension(field: AffineField, x, mp: MetricParams) -> np.ndarray:
     """The closed-form tension tau_{p,q}(sigma) at x; zero exactly for harmonic fields."""
-    return _assemble(ingredients(field, x), mp.p, mp.q)[0]
+    return _assemble(_weights(mp.p, mp.q), _parts(ingredients(field, x)))[0]
 
 
 def reduced_pde_residual(field: AffineField, x, mp: MetricParams):
@@ -330,7 +336,7 @@ def verify(
     samples = M.sample_points(count, seed)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         ing = _sampled(field, samples)
-        t, scale = _assemble(ingredients(field, samples, fd=True) if fd else ing, mp.p, mp.q)
+        t, scale = _assemble(_weights(mp.p, mp.q), _parts(ingredients(field, samples, fd=True) if fd else ing))
         res = M.norm(t)
     # a non-finite ingredient makes the tension t non-finite too
     finite = np.isfinite(t).all(axis=-1) & np.isfinite(res) & np.isfinite(scale)
@@ -359,24 +365,25 @@ def verify(
         derivative_source="finite-difference" if fd else "closed-form",
         samples=samples,
         residuals=res,
-        scales=scale,
+        scales=scale.copy(),  # not a view that keeps the whole product alive
     )
 
 
 def metric_grid_scan(field: AffineField, ps, qs, samples) -> np.ndarray:
-    """Max relative tension residual over samples, for every (p, q) on the grid.
+    """Max relative tension residual over samples, for every (p, q) on the grid of the 1-D ps and qs.
 
-    The ingredients are computed once for all samples; each sample's
-    residual is then broadcast over the (len(ps), len(qs)) grid, so the
-    working set stays at one grid of vectors.
+    The parts are built once for all samples and the weights once for the grid, so each sample costs one
+    matrix product and the working set stays at a few grids of vectors.  Each cell is the max_rel_residual
+    verify reports at its (p, q) on the same samples.
     """
-    M = field.space
-    P = np.asarray(ps, dtype=float)[:, None]
-    Q = np.asarray(qs, dtype=float)[None, :]
-    ing = _sampled(field, samples)
+    P, Q = np.asarray(ps, dtype=float), np.asarray(qs, dtype=float)
+    if P.ndim != 1 or Q.ndim != 1 or not (np.isfinite(P).all() and np.isfinite(Q).all()):
+        raise ValueError("ps and qs must be 1-D arrays of finite numbers")
+    M, w = field.space, _weights(P[:, None], Q[None, :])
+    parts = _parts(_sampled(field, samples))
     out = np.zeros((P.size, Q.size))
-    for i in range(len(ing.sigma_sq)):
-        t, scale = _assemble(ing[i], P, Q)
+    for i in range(len(samples)):
+        t, scale = _assemble(w, parts[:, i])
         out = np.maximum(out, _relative(M.norm(t), scale))
     return out
 
@@ -384,11 +391,10 @@ def metric_grid_scan(field: AffineField, ps, qs, samples) -> np.ndarray:
 def isometry_equivariance_check(field: AffineField, g, mp: MetricParams, samples) -> float:
     """max over samples of |g tau(sigma)(x) - tau(g.sigma)(g x)| / scale."""
     ing = _sampled(field, samples)
-    M = field.space
-    g = np.asarray(g, dtype=float)
+    M, g = field.space, np.asarray(g, dtype=float)
     if not M.is_isometry(g):
         raise ValueError("g does not preserve the signature form (and sheet)")
-    t, scale = _assemble(ing, mp.p, mp.q)
+    t, scale = _assemble(_weights(mp.p, mp.q), _parts(ing))
     moved = tension(field.transform(g), M.normalize_point(samples @ g.T), mp)
     return float(_relative(M.norm(t @ g.T - moved), scale).max())
 
@@ -401,7 +407,7 @@ def circle_equivariance_check(field: AffineField, t: float, mp: MetricParams, sa
     turned first by AffineField.circle_action, the linear map on (L, c).
     """
     M = field.space
-    v, scale = _assemble(_sampled(field, samples), mp.p, mp.q)
+    v, scale = _assemble(_weights(mp.p, mp.q), _parts(_sampled(field, samples)))
     lhs = np.cos(t) * v + np.sin(t) * M.complex_rotation(samples, v)
     rhs = tension(field.circle_action(t), samples, mp)
     return float(_relative(M.norm(lhs - rhs), scale).max())

@@ -215,8 +215,12 @@ def test_random_isometry_preserves_the_form():
 
 
 def test_import_does_not_load_scipy():
-    # nor numpy: the package resolves its names on first use
+    # nor numpy: the package resolves its names on first use; and the modules that compute load neither scipy
+    # nor sympy, although both may be installed: numpy is the only dependency
     src = os.path.dirname(os.path.dirname(hvf.__file__))
-    code = "import sys, hvf; sys.exit('scipy' in sys.modules or 'numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src))
-    assert proc.returncode == 0
+    for code in (
+        "import sys, hvf; sys.exit('scipy' in sys.modules or 'numpy' in sys.modules)",
+        "import sys, hvf.tension, hvf.polyreduce, hvf.solvers, hvf.cli; sys.exit('scipy' in sys.modules or 'sympy' in sys.modules)",
+    ):
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, code

@@ -378,6 +378,52 @@ def test_checks_refuse_an_empty_sample_set(check):
         check(f, np.empty((0, 5)))
 
 
+@pytest.mark.parametrize("ps, qs", [([math.nan], [0.0]), ([1.0, 2.0], [-math.inf]), ([math.inf], [0.0])])
+def test_metric_grid_scan_refuses_non_finite_parameters(ps, qs):
+    # like MetricParams at every other entry point, not a NaN cell and a RuntimeWarning
+    f = build_classified_field(killing_classification(4, 2, 1))
+    with pytest.raises(ValueError, match="1-D arrays of finite numbers"):
+        metric_grid_scan(f, ps, qs, f.space.sample_points(5, 1))
+
+
+@pytest.mark.parametrize("ps, qs", [([[5.0]], [0.0]), ([5.0], [[0.0, 1.0]]), (5.0, [0.0])])
+def test_metric_grid_scan_refuses_grids_that_are_not_1d(ps, qs):
+    # ps = [[5.0]] gave a 3-D grid
+    f = build_classified_field(killing_classification(4, 2, 1))
+    with pytest.raises(ValueError, match="1-D arrays of finite numbers"):
+        metric_grid_scan(f, ps, qs, f.space.sample_points(5, 1))
+
+
+@pytest.mark.parametrize("entry", harmonic_catalogue(), ids=lambda e: e.label)
+def test_metric_grid_scan_cells_are_the_verify_residuals(entry):
+    # each cell is the max_rel_residual verify reports at its (p, q) on the same samples, with the same verdict
+    p0, q0 = entry.mp.p, entry.mp.q
+    ps, qs = [p0 - 0.5, p0, p0 + 1.0], [q0 - 0.05, q0, q0 + 0.05]
+    grid = metric_grid_scan(entry.field, ps, qs, entry.field.space.sample_points(200, 42))
+    for i, p in enumerate(ps):
+        for j, q in enumerate(qs):
+            rep = verify(entry.field, MetricParams(p, q), count=200, seed=42)
+            assert abs(grid[i, j] - rep.max_rel_residual) <= 1e-15, (p, q)
+            assert bool(grid[i, j] < HARMONIC_TOL) is rep.harmonic, (p, q)
+
+
+def test_metric_grid_scan_working_set_stays_at_a_few_grids():
+    # one sample at a time: the two weight rows, the product of one sample's parts with them and its norms, beside
+    # the parts of all samples (7.5 grids here); a broadcast over every sample at once holds 136 grids (6.7 MB)
+    H3 = hyperbolic(3)
+    tr, pts = hyperbolic_translation(1.0, H3), H3.sample_points(60, 3)
+    ps, qs = np.arange(-5.0, 8.0 + 1e-9, 0.25), np.arange(-5.0, 2.0 + 1e-9, 0.25)
+    metric_grid_scan(tr, ps, qs, pts)  # allocations made once per process are no working set
+    tracemalloc.start()
+    try:
+        metric_grid_scan(tr, ps, qs, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid = ps.size * qs.size * H3.ambient_dim * 8
+    assert peak <= 10 * grid + _working_set(len(pts), H3, False)
+
+
 @pytest.mark.parametrize("size", ["m", 6])
 def test_tension_and_weitzenbock_batch_equals_rows(size):
     from test_fields import _batch_fields, assert_batch_equals_rows
