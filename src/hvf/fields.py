@@ -18,7 +18,10 @@ analysis of this shape on it.  With alpha = <L x + c, x>, L† = eta L^T eta:
 
 Every closed form and spinnaker takes one point of shape (m,) or a batch
 of shape (N, m), m = n+1, and keeps the leading axes: vectors come back
-as (m,) or (N, m), scalars as a number or (N,).
+as (m,) or (N, m), scalars as a number or (N,).  The closed forms read the
+operators through .mT and batched products, so (L, L†, R, c, tr L L†) may
+carry a leading axis of stacked fields too, as tension's equivariance checks
+use them: at points (2, N, m) each slice is bitwise that field's own result.
 The scalars |nabla sigma|^2 and Delta F are per-point traces, so a batch
 costs O(N m) memory.  grad_F, nabla, nabla_norm_sq and lap_F also take the
 Jet they all start from, so several of them share its one evaluation,
@@ -146,7 +149,7 @@ class AffineField:
     def _parts(self, x):
         """(x, L x, alpha, sigma(x)) with alpha = <L x + c, x>: all that sigma alone needs."""
         x = as_vector(x)
-        Lx = x @ self.L.T
+        Lx = x @ self.L.mT
         u = Lx + self.c
         alpha = self.space.inner(u, x)
         return x, Lx, alpha, u - (self._eps * alpha)[..., None] * x
@@ -156,7 +159,7 @@ class AffineField:
         if isinstance(x, Jet):
             return x
         x, Lx, alpha, s = self._parts(x)
-        return Jet(x, Lx, x @ self._Ldag.T, alpha, s)
+        return Jet(x, Lx, x @ self._Ldag.mT, alpha, s)
 
     def sigma(self, x) -> np.ndarray:
         return self._parts(x)[3]
@@ -170,7 +173,7 @@ class AffineField:
 
     def nabla(self, x, X) -> np.ndarray:
         j, X = self.jet(x), as_vector(X)
-        return self.space.tangent_project(j.x, X @ self.L.T) - (self._eps * j.alpha)[..., None] * X
+        return self.space.tangent_project(j.x, X @ self.L.mT) - (self._eps * j.alpha)[..., None] * X
 
     def nabla_norm_sq(self, x):
         """|nabla sigma|^2 = tr_T(A† A) - 2 eps alpha tr_T A + n alpha^2 for A = P_x L on T_x M:
@@ -187,7 +190,7 @@ class AffineField:
 
     def grad_F(self, x) -> np.ndarray:
         x, _, _, alpha, s = self.jet(x)
-        return self.space.tangent_project(x, s @ self._Ldag.T) - (self._eps * alpha)[..., None] * s
+        return self.space.tangent_project(x, s @ self._Ldag.mT) - (self._eps * alpha)[..., None] * s
 
     def lap_F(self, x):
         """Delta F = -div grad F = -(tr J - eps <J x, x>) for the ambient Jacobian J.
@@ -199,7 +202,7 @@ class AffineField:
         <x, x> = eps (as P_x assumes) the d beta terms cancel.  J is computed independently
         of the rough Laplacian, so the Weitzenboeck identity stays a check.
         """
-        eps, ip, m = self._eps, self.space.inner, len(self.c)
+        eps, ip, m = self._eps, self.space.inner, self.space.ambient_dim
         x, Lx, Ldx, alpha, s = self.jet(x)
         w = Ldx + Lx + self.c  # d alpha = <w, .>
         dax = ip(w, x)
@@ -213,7 +216,7 @@ class AffineField:
 
     def rough_operand(self, x) -> np.ndarray:
         """eps (R x + c) for R = m L + 2 L†: the ambient vector whose tangent part is the rough Laplacian."""
-        return self._eps * (as_vector(x) @ self._rough.T + self.c)
+        return self._eps * (as_vector(x) @ self._rough.mT + self.c)
 
     def rough_laplacian(self, x) -> np.ndarray:
         return self.space.tangent_project(x, self.rough_operand(x))
@@ -606,6 +609,13 @@ class Conformal2DField(AffineField):
     _param_keys = {k: k for k in ("omega", "tau", "rr", "s", "t", "h")}
 
     def __init__(self, space: SpaceForm, omega: float, tau: float, rr: float, s: float, t: float, h: float):
+        self._set_params(space, omega, tau, rr, s, t, h)
+        L = self.omega * _pair_operator(self.a, self.b, space) + self.tau * _pair_operator(self.a, self.w, space)
+        c = self.rr * self.s * self.a + self.rr * self.t * self.b + self.h * self.w
+        super().__init__(L, c, space)
+
+    def _set_params(self, space: SpaceForm, omega, tau, rr, s, t, h):
+        """Check the parameters and keep them, with the standard frame (a, b, w) = (e_1, e_2, e_3)."""
         if space.n != 2:
             raise ValueError("Conformal2DField requires a 2-dimensional space form")
         self.a, self.b, self.w = np.eye(3)
@@ -618,9 +628,6 @@ class Conformal2DField(AffineField):
         if space.eps == 1 and tau != 0.0:
             raise ValueError("on the sphere take w on the axis of K, so tau = 0")
         self.omega, self.tau, self.rr, self.s, self.t, self.h = omega, tau, rr, s, t, h
-        L = omega * _pair_operator(self.a, self.b, space) + tau * _pair_operator(self.a, self.w, space)
-        c = rr * s * self.a + rr * t * self.b + h * self.w
-        super().__init__(L, c, space)
 
     @classmethod
     def from_operator(cls, space: SpaceForm, L, c) -> "Conformal2DField":
@@ -629,8 +636,9 @@ class Conformal2DField(AffineField):
         Reads L = k_R R + k_a T_a + k_b T_b and c = c_a a + c_b b + c_w w in the
         standard frame (a, b, w) = (e_1, e_2, base point), where R is the pair
         operator of (a, b) and T_u that of (u, w); then turns the frame so that
-        k_b = 0 and flips b so that k_R >= 0.  The constructor checks those
-        parameters; the field then keeps (L, c) as given and the turned frame.
+        k_b = 0 and flips b so that k_R >= 0.  The constructor's checks run on
+        those parameters; the field is then built once, on (L, c) as given, and
+        keeps the turned frame.
         """
         k_R, k_a, k_b = float(L[1, 0]), float(L[2, 0]), float(L[2, 1])
         c_a, c_b, c_w = (float(v) for v in c)
@@ -648,7 +656,11 @@ class Conformal2DField(AffineField):
             s, t = c_a / rr, c_b / rr
         else:
             rr, s, t = 0.0, 0.0, 1.0
-        return cls(space, k_R, tau, rr, s, t, c_w)._with(L, c, a=a, b=b)
+        field = cls.__new__(cls)
+        field._set_params(space, k_R, tau, rr, s, t, c_w)
+        field.a, field.b = a, b
+        AffineField.__init__(field, L, c, space)
+        return field
 
 
 # ---------------------------------------------------------------------------

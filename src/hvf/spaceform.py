@@ -55,6 +55,15 @@ def _expm(S: np.ndarray) -> np.ndarray:
     return out
 
 
+def _within(err, bound) -> bool:
+    """err <= bound < inf: the one acceptance rule of the predicates.
+
+    A NaN error is never within, and neither is any error against a bound that a NaN, an infinite or an
+    overflowing input made infinite, so no such input passes a test it was never judged by.
+    """
+    return bool(err <= bound < math.inf)
+
+
 @dataclass(frozen=True)
 class SpaceForm:
     """The space form of dimension n: the quadric <x, x> = eps in R^{n+1}, eps = +1 or -1.
@@ -112,8 +121,8 @@ class SpaceForm:
     def is_skew(self, A) -> bool:
         """<A x, y> = -<x, A y>, i.e. A† = -A, up to SKEW_TOL relative to |A|."""
         A = np.asarray(A, dtype=float)
-        scale = 1.0 + np.abs(A).max()
-        return np.abs(self.adjoint(A) + A).max() <= SKEW_TOL * scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _within(np.abs(self.adjoint(A) + A).max(), SKEW_TOL * (1.0 + np.abs(A).max()))
 
     def check_skew(self, A) -> np.ndarray:
         A = np.asarray(A, dtype=float)
@@ -137,8 +146,9 @@ class SpaceForm:
         x = as_vector(x)
         if x.shape != (self.ambient_dim,):
             return False
-        if abs(self.norm_sq(x) - self.eps) > POINT_TOL * (1.0 + float(x @ x)):
-            return False
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not _within(abs(self.norm_sq(x) - self.eps), POINT_TOL * (1.0 + float(x @ x))):
+                return False
         return self.eps == 1 or x[-1] > 0
 
     def check_point(self, x) -> np.ndarray:
@@ -149,8 +159,9 @@ class SpaceForm:
 
     def check_tangent(self, x, v, tol: float = POINT_TOL) -> np.ndarray:
         v = as_vector(v)
-        if abs(self.inner(v, x)) > tol * (1.0 + self.norm(v)):
-            raise ValueError("vector is not tangent at the given point")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not _within(abs(self.inner(v, x)), tol * (1.0 + self.norm(v))):
+                raise ValueError("vector is not tangent at the given point")
         return v
 
     def tangent_project(self, x, u) -> np.ndarray:
@@ -244,8 +255,9 @@ class SpaceForm:
     def is_isometry(self, g, tol: float = 1e-9) -> bool:
         """g^T eta g = eta (g preserves the inner product), and g keeps the upper sheet of H^n."""
         g, eta = np.asarray(g, dtype=float), self.eta
-        if np.abs(g.T @ eta @ g - eta).max() > tol * (1.0 + np.abs(g).max() ** 2):
-            return False
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not _within(np.abs(g.T @ eta @ g - eta).max(), tol * (1.0 + np.abs(g).max() ** 2)):
+                return False
         return self.eps == 1 or (g @ self.base_point())[-1] > 0
 
     def complex_rotation(self, x, v) -> np.ndarray:

@@ -13,7 +13,12 @@ _parts builds A, B, C, D and their sizes from it, and _assemble contracts them
 with w and |w| in one matrix product, for one (p, q) or a whole grid.  verify()
 judges the residual relative to the summed sizes and runs preharmonic,
 spinnaker_error, weitzenbock_error and q_riemannian (q|sigma|^2 >= -1) on its
-one closed-form evaluation.  For preharmonic eigenfields the scalar reduction
+one closed-form evaluation.  The two equivariance checks evaluate a field and its
+image (moved by an isometry g, or turned by the circle action) in one pass as
+well: _stack puts the two (L, c) on a leading axis and the points beside them,
+so one ingredients -> _parts -> _assemble gives both tensions, each bitwise its
+own evaluation, and the scale of the field itself.  For preharmonic eigenfields
+the scalar reduction
 
     (p + q + 2qF) Delta F + 2p (1 + qF) zeta + nu (1 + 2(1 - p)F) = 0
 
@@ -206,12 +211,40 @@ def _relative(err, size):
         return np.where(err == 0, 0.0, err / size)[()]
 
 
-def _sampled(field: AffineField, samples) -> Ingredients:
-    """Closed-form ingredients over samples; ValueError for none, or when (L, c) != 0 underflows at all of them."""
+def _nonempty(samples):
+    """samples, refused when there are none: the checks take a maximum over at least one point."""
     if len(samples) == 0:
         raise ValueError("samples is empty: the checks take a maximum over at least one point")
-    ing = ingredients(field, samples)
-    if not (ing.rough_size.any() or _vanishes(field)):
+    return samples
+
+
+def _stack(field: AffineField, image: AffineField) -> AffineField:
+    """The two fields as one, for ingredients only: (L, L†, R, c, tr L L†) gain a leading axis of two.
+
+    The closed forms multiply by these slice by slice at points of shape (2, N, m), so each half of the
+    result is bitwise what that field alone gives at its own points.
+    """
+    both = object.__new__(AffineField)
+    both.space, both._eps = field.space, field._eps
+    both.L, both._Ldag, both._rough = (np.stack([getattr(field, k), getattr(image, k)]) for k in ("L", "_Ldag", "_rough"))
+    both.c, both._trLLd = np.stack([field.c, image.c])[:, None], np.array([[field._trLLd], [image._trLLd]])
+    return both
+
+
+def _sampled(field: AffineField, samples, image=None) -> Ingredients:
+    """Closed-form ingredients over samples; ValueError when (L, c) != 0 underflows at all of them.
+
+    image = (field2, points2) evaluates field2 at points2 in the same pass: each array of the result then has a
+    leading axis of two, the field first.  The underflow is judged on the field alone.
+    """
+    if image is None:
+        ing = ingredients(field, samples)
+        own = ing.rough_size
+    else:
+        m = field.space.ambient_dim
+        ing = ingredients(_stack(field, image[0]), np.stack([samples, image[1]]).reshape(2, -1, m))
+        own = ing.rough_size[0]
+    if not (own.any() or _vanishes(field)):
         raise ValueError("field too small to analyse: every term of its tension underflows to 0 at every sample")
     return ing
 
@@ -380,7 +413,7 @@ def metric_grid_scan(field: AffineField, ps, qs, samples) -> np.ndarray:
     if P.ndim != 1 or Q.ndim != 1 or not (np.isfinite(P).all() and np.isfinite(Q).all()):
         raise ValueError("ps and qs must be 1-D arrays of finite numbers")
     M, w = field.space, _weights(P[:, None], Q[None, :])
-    parts = _parts(_sampled(field, samples))
+    parts = _parts(_sampled(field, _nonempty(samples)))
     out = np.zeros((P.size, Q.size))
     for i in range(len(samples)):
         t, scale = _assemble(w, parts[:, i])
@@ -389,14 +422,17 @@ def metric_grid_scan(field: AffineField, ps, qs, samples) -> np.ndarray:
 
 
 def isometry_equivariance_check(field: AffineField, g, mp: MetricParams, samples) -> float:
-    """max over samples of |g tau(sigma)(x) - tau(g.sigma)(g x)| / scale."""
-    ing = _sampled(field, samples)
+    """max over samples of |g tau(sigma)(x) - tau(g.sigma)(g x)| / scale.
+
+    Both tensions come from one evaluation of the field and its image, stacked; the scale is the field's own.
+    """
+    _nonempty(samples)
     M, g = field.space, np.asarray(g, dtype=float)
     if not M.is_isometry(g):
         raise ValueError("g does not preserve the signature form (and sheet)")
+    ing = _sampled(field, samples, (field.transform(g), M.normalize_point(samples @ g.T)))
     t, scale = _assemble(_weights(mp.p, mp.q), _parts(ing))
-    moved = tension(field.transform(g), M.normalize_point(samples @ g.T), mp)
-    return float(_relative(M.norm(t @ g.T - moved), scale).max())
+    return float(_relative(M.norm(t[0] @ g.T - t[1]), scale[0]).max())
 
 
 def circle_equivariance_check(field: AffineField, t: float, mp: MetricParams, samples) -> float:
@@ -404,10 +440,12 @@ def circle_equivariance_check(field: AffineField, t: float, mp: MetricParams, sa
 
     The two sides are independent derivations: on the left the tension is
     turned pointwise by SpaceForm.complex_rotation, on the right the field is
-    turned first by AffineField.circle_action, the linear map on (L, c).
+    turned first by AffineField.circle_action, the linear map on (L, c).  Both
+    tensions come from one evaluation of the two fields, stacked; the scale is
+    the field's own.
     """
+    _nonempty(samples)
     M = field.space
-    v, scale = _assemble(_weights(mp.p, mp.q), _parts(_sampled(field, samples)))
-    lhs = np.cos(t) * v + np.sin(t) * M.complex_rotation(samples, v)
-    rhs = tension(field.circle_action(t), samples, mp)
-    return float(_relative(M.norm(lhs - rhs), scale).max())
+    v, scale = _assemble(_weights(mp.p, mp.q), _parts(_sampled(field, samples, (field.circle_action(t), samples))))
+    lhs = np.cos(t) * v[0] + np.sin(t) * M.complex_rotation(samples, v[0])
+    return float(_relative(M.norm(lhs - v[1]), scale[0]).max())

@@ -127,7 +127,7 @@ def test_one_rotation_rank_rule(eps):
 
 
 def test_from_operator_keeps_the_sphere_rule():
-    # from_operator builds through the constructor, so the constructor's tau = 0 rule on S^2 holds there too
+    # from_operator runs the constructor's parameter checks, so the constructor's tau = 0 rule on S^2 holds there too
     M = spaceform.sphere(2)
     e = np.eye(3)
     tilted = np.outer(e[2], e[0]) - np.outer(e[0], e[2])

@@ -753,6 +753,33 @@ def test_circle_orbits_of_sigma_0_and_sigma_1_are_harmonic():
             assert not verify(g, MetricParams(3.0, -0.45), count=40, seed=33).harmonic
 
 
+@pytest.fixture
+def affine_inits(monkeypatch):
+    """The (L, c) of every AffineField.__init__ run made while the test runs."""
+    calls, init = [], AffineField.__init__
+    monkeypatch.setattr(AffineField, "__init__", lambda self, L, c, space: calls.append((L, c)) or init(self, L, c, space))
+    return calls
+
+
+@pytest.mark.parametrize("index", range(10))
+def test_circle_action_builds_its_field_once(index, affine_inits):
+    # from_operator checks the canonical parameters and builds on (L, c) once: its field is the one the
+    # constructor and a rebuild on the same (L, c) give, attribute for attribute and bit for bit
+    f = _planar_conformal_fields()[index]
+    for t in (0.4, 1.9, -2.7):
+        affine_inits.clear()
+        turned = f.circle_action(t)
+        assert len(affine_inits) == 1
+        for L, c in ((f.L, f.c), (turned.L, turned.c)):
+            g = Conformal2DField.from_operator(f.space, L, c)
+            two_step = Conformal2DField(f.space, g.omega, g.tau, g.rr, g.s, g.t, g.h)._with(L, c, a=g.a, b=g.b)
+            assert vars(g).keys() == vars(two_step).keys()
+            for name, value in vars(g).items():
+                other = vars(two_step)[name]
+                same = value.tobytes() == other.tobytes() if isinstance(value, np.ndarray) else repr(value) == repr(other)
+                assert type(value) is type(other) and same, name
+
+
 def test_circle_action_needs_a_conformal_field():
     f = AffineField(np.diag([1.0, 2.0, 3.0]), np.zeros(3), hyperbolic(2))
     with pytest.raises(ValueError):

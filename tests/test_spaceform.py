@@ -8,7 +8,7 @@ import pytest
 
 import hvf
 from hvf import spaceform
-from hvf.fields import ConformalGradientField, GeneralizedHopfField, QuadraticGradientField
+from hvf.fields import ConformalGradientField, GeneralizedHopfField, KillingField, QuadraticGradientField
 from hvf.spaceform import hyperbolic, sphere
 from test_fields import nabla_fd, random_tangent
 
@@ -212,6 +212,53 @@ def test_random_isometry_preserves_the_form():
         for M in (sphere(n), hyperbolic(n)):
             for _ in range(5):
                 assert M.is_isometry(M.random_isometry(rng), tol=1e-12)
+
+
+# each predicate accepts only err <= bound < inf: a NaN error is never within its bound, and an infinite or
+# overflowing entry makes the bound infinite, which err <= bound alone would still accept
+UNJUDGED = [math.nan, math.inf, -math.inf, 1e200]
+
+
+@pytest.mark.parametrize("value", UNJUDGED)
+def test_is_isometry_refuses_what_it_cannot_judge(value):
+    # with ones the product has no NaN, so only the bound can refuse it; and no RuntimeWarning on the way
+    for M in (sphere(4), hyperbolic(4)):
+        for g in (np.eye(5), np.ones((5, 5))):
+            g = g.copy()
+            g[0, 1] = value
+            assert not M.is_isometry(g)
+        assert not M.is_isometry(np.full((5, 5), value)) and not M.is_isometry(np.diag(np.full(5, value)))
+        assert M.is_isometry(np.eye(5))
+
+
+@pytest.mark.parametrize("value", UNJUDGED)
+def test_is_point_refuses_what_it_cannot_judge(value):
+    for M in (sphere(4), hyperbolic(4)):
+        x = M.base_point()
+        x[0] = value
+        assert not M.is_point([value] * 5) and not M.is_point(x)
+        with pytest.raises(ValueError, match="not a point"):
+            KillingField(np.zeros((5, 5)), M, base=[value] * 5)
+
+
+@pytest.mark.parametrize("value", UNJUDGED)
+def test_check_tangent_refuses_what_it_cannot_judge(value):
+    for M in (sphere(4), hyperbolic(4)):
+        v = np.zeros(5)
+        v[0] = value
+        for bad in ([value] * 5, v):
+            with pytest.raises(ValueError, match="not tangent"):
+                M.check_tangent(M.base_point(), bad)
+
+
+@pytest.mark.parametrize("value", UNJUDGED)
+def test_is_skew_refuses_what_it_cannot_judge(value):
+    for M in (sphere(4), hyperbolic(4)):
+        A = np.zeros((5, 5))
+        A[0, 1] = value
+        assert not M.is_skew(np.full((5, 5), value))
+        assert M.is_skew(A - A.T) is (value == 1e200)  # a finite skew A is judged like any other
+    assert sphere(4).is_skew(np.zeros((5, 5)))
 
 
 def test_import_does_not_load_scipy():

@@ -7,6 +7,7 @@ import pytest
 
 from hvf.fields import (
     AffineField,
+    Conformal2DField,
     ConformalGradientField,
     DipoleDeformationField,
     GeneralizedHopfField,
@@ -28,7 +29,13 @@ from hvf import spaceform
 from hvf.spaceform import hyperbolic, sphere
 from hvf.tension import (
     HARMONIC_TOL,
+    Ingredients,
     MetricParams,
+    _assemble,
+    _parts,
+    _relative,
+    _sampled,
+    _weights,
     _working_set,
     circle_equivariance_check,
     ingredients,
@@ -360,6 +367,91 @@ def test_circle_equivariance():
     pts = loop.space.sample_points(10, 19)
     for t in np.linspace(0.2, 5.8, 4):
         assert circle_equivariance_check(loop, t, MetricParams(3.0, -0.5), pts) < 1e-9
+
+
+def _loop_345():
+    """The 3-4-5 point of the planar loop: harmonic at (3, -1/2), as 0.6^2 + 0.8^2 = 1."""
+    return Conformal2DField(hyperbolic(2), 0.6, 0.0, 0.0, 0.0, 1.0, 0.8)
+
+
+def _bits(ing: Ingredients) -> list[bytes]:
+    return [getattr(ing, k).tobytes() for k in Ingredients.__dataclass_fields__ if k != "space"]
+
+
+def _assert_stacked_is_two_evaluations(field, samples, image, points):
+    both = _sampled(field, samples, (image, points))
+    assert _bits(both) == [a + b for a, b in zip(_bits(ingredients(field, samples)), _bits(ingredients(image, points)))]
+
+
+@pytest.mark.parametrize("entry", harmonic_catalogue(), ids=lambda e: e.label)
+def test_stacked_evaluation_is_two_evaluations_under_isometries(entry):
+    # each half of the one stacked pass is bitwise the field's own evaluation at its own points, and the check is
+    # bitwise the one the two separate evaluations give
+    f, M = entry.field, entry.field.space
+    for seed in range(4):
+        rng, pts = np.random.default_rng(seed), M.sample_points(10, seed)
+        for _ in range(3):
+            g = M.random_isometry(rng)
+            moved, moved_pts = f.transform(g), M.normalize_point(pts @ g.T)
+            _assert_stacked_is_two_evaluations(f, pts, moved, moved_pts)
+            t, scale = _assemble(_weights(entry.mp.p, entry.mp.q), _parts(ingredients(f, pts)))
+            want = _relative(M.norm(t @ g.T - tension(moved, moved_pts, entry.mp)), scale).max()
+            assert isometry_equivariance_check(f, g, entry.mp, pts) == want
+
+
+def test_stacked_evaluation_is_two_evaluations_under_circle_turns():
+    loop, mp = _loop_345(), MetricParams(3.0, -0.5)
+    M = loop.space
+    for seed in range(4):
+        pts = M.sample_points(10, seed)
+        for t in np.random.default_rng(seed).uniform(0.3, 6.0, 7):
+            turned = loop.circle_action(t)
+            _assert_stacked_is_two_evaluations(loop, pts, turned, pts)
+            v, scale = _assemble(_weights(mp.p, mp.q), _parts(ingredients(loop, pts)))
+            lhs = np.cos(t) * v + np.sin(t) * M.complex_rotation(pts, v)
+            want = _relative(M.norm(lhs - tension(turned, pts, mp)), scale).max()
+            assert circle_equivariance_check(loop, t, mp, pts) == want
+
+
+@pytest.fixture
+def lap_F_calls(monkeypatch):
+    """The points of every AffineField.lap_F call made while the test runs: one per closed-form evaluation."""
+    calls, lap_F = [], AffineField.lap_F
+    monkeypatch.setattr(AffineField, "lap_F", lambda self, x: calls.append(x) or lap_F(self, x))
+    return calls
+
+
+def test_each_equivariance_check_evaluates_once(lap_F_calls):
+    f = build_classified_field(killing_classification(4, 2, 1))
+    g = f.space.random_isometry(np.random.default_rng(0))
+    isometry_equivariance_check(f, g, MetricParams(3.0, -0.5), f.space.sample_points(10, 1))
+    assert len(lap_F_calls) == 1
+    loop = _loop_345()
+    circle_equivariance_check(loop, 0.7, MetricParams(3.0, -0.5), loop.space.sample_points(10, 1))
+    assert len(lap_F_calls) == 2
+
+
+def test_isometry_check_refuses_in_order():
+    # no samples first, then a g that is no isometry, then a field too small to analyse
+    tiny = scale_field(associate_family_member(0.7), 1e-200)
+    pts, mp = tiny.space.sample_points(20, 3), MetricParams(3.0, -0.5)
+    with pytest.raises(ValueError, match="samples is empty"):
+        isometry_equivariance_check(tiny, 2.0 * np.eye(3), mp, np.empty((0, 3)))
+    with pytest.raises(ValueError, match="g does not preserve"):
+        isometry_equivariance_check(tiny, 2.0 * np.eye(3), mp, pts)
+    with pytest.raises(ValueError, match="too small to analyse"):
+        isometry_equivariance_check(tiny, np.eye(3), mp, pts)
+
+
+@pytest.mark.parametrize("entry", [(0, 1, math.nan), (2, 2, math.inf), None], ids=["one nan", "one inf", "all nan"])
+def test_isometry_check_blames_a_non_finite_g(entry):
+    # g is refused, not the field that moving by it would build
+    f = build_classified_field(killing_classification(4, 2, 1))
+    g = np.full((5, 5), math.nan) if entry is None else np.eye(5)
+    if entry is not None:
+        g[entry[:2]] = entry[2]
+    with pytest.raises(ValueError, match="g does not preserve"):
+        isometry_equivariance_check(f, g, MetricParams(3.0, -0.5), f.space.sample_points(5, 1))
 
 
 @pytest.mark.parametrize(
