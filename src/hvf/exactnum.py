@@ -170,6 +170,8 @@ class QuadExt:
 
     def __float__(self):
         """a + b*sqrt(d) as a float; opposite-signed terms go through (a^2 - b^2 d) / (a - b*sqrt(d)), which does not cancel."""
+        if not self.d:  # rational
+            return float(self.a)
         root = float(self.b) * math.sqrt(self.d)
         if self.a * self.b < 0:
             return float(self.a * self.a - self.b * self.b * self.d) / (float(self.a) - root)

@@ -19,9 +19,9 @@ analysis of this shape on it.  With alpha = <L x + c, x>, L† = eta L^T eta:
 Every closed form and spinnaker takes one point of shape (m,) or a batch
 of shape (N, m), m = n+1, and keeps the leading axes: vectors come back
 as (m,) or (N, m), scalars as a number or (N,).  The closed forms read the
-operators through .mT and batched products, so (L, L†, R, c, tr L L†) may
-carry a leading axis of stacked fields too, as tension's equivariance checks
-use them: at points (2, N, m) each slice is bitwise that field's own result.
+operators through .mT and batched products, so _stack can put two fields on a
+leading axis for tension's equivariance checks; only this module names what
+they read.
 The scalars |nabla sigma|^2 and Delta F are per-point traces, so a batch
 costs O(N m) memory.  grad_F, nabla, nabla_norm_sq and lap_F also take the
 Jet they all start from, so several of them share its one evaluation,
@@ -143,6 +143,17 @@ class AffineField:
         self._trLLd = float(np.trace(L @ self._Ldag))
         for name in [k for k in vars(self) if isinstance(getattr(type(self), k, None), cached_property)]:
             del vars(self)[name]  # a value derived from the old (L, c), which _with copied
+
+    def _stack(self, image: "AffineField") -> "AffineField":
+        """This field and image as one, for tension's stacked evaluation: L, L†, R, c and tr L L†, copied onto
+        a leading axis of two (c and tr L L† also gain the points' axis), so that at points (2, N, m) each half
+        of every closed form is bitwise what that field alone gives at its own points."""
+        both = object.__new__(AffineField)
+        both.space, both._eps = self.space, self._eps
+        for k in ("L", "_Ldag", "_rough", "c", "_trLLd"):
+            v = np.array([getattr(self, k), getattr(image, k)])
+            setattr(both, k, v if v.ndim == 3 else v[:, None])
+        return both
 
     # -- closed forms, broadcasting over leading axes -----------------------
 
@@ -305,7 +316,7 @@ class AffineField:
         field with (L, c) -> (-eta [c]_x, -eps m): [c]_x is the cross-product
         matrix of c and m the axial vector of the antisymmetric eta L.
         """
-        space, L, c = self.space, self.L, self.c
+        t, space, L, c = _finite(t, "t"), self.space, self.L, self.c
         if space.n != 2 or space.eps != -1:
             raise ValueError("circle action is defined on the hyperbolic plane")
         if not space.is_skew(L):
@@ -477,16 +488,11 @@ def elementary_killing(a, b, space: SpaceForm) -> KillingField:
     return KillingField(_pair_operator(as_vector(a), as_vector(b), space), space)
 
 
-def hyperbolic_translation(tau: float, space: SpaceForm, direction=None) -> KillingField:
-    """Infinitesimal translation of H^n with speed tau along the given axis direction."""
+def hyperbolic_translation(tau: float, space: SpaceForm) -> KillingField:
+    """Infinitesimal translation of H^n with speed tau along the first coordinate axis."""
     if space.eps != -1:
         raise ValueError("translations exist on hyperbolic space only")
-    w = space.base_point()
-    if direction is None:
-        direction = np.zeros(space.ambient_dim)
-        direction[0] = 1.0
-    v = _finite(tau, "tau") * space.check_tangent(w, direction)
-    return elementary_killing(v, w, space)
+    return elementary_killing(_finite(tau, "tau") * np.eye(space.ambient_dim)[0], space.base_point(), space)
 
 
 def killing_from_twists(twists, space: SpaceForm) -> KillingField:
@@ -695,10 +701,10 @@ class QuadraticGradientField(AffineField):
         spectrum = np.linalg.eigvalsh(self.L)
         return _cluster(spectrum, CLUSTER_TOL * np.abs(spectrum).max())
 
-    def xi(self, x, m: int = 1):
-        """xi_m(x) = <L^m x, x> for the normal-form L, not the given Q: xi_1 is <Q x, x> shifted by a constant."""
+    def xi(self, x):
+        """xi(x) = <L x, x> for the normal-form L, not the given Q: <Q x, x> shifted by a constant."""
         x = as_vector(x)
-        return ((x @ np.linalg.matrix_power(self.L, m)) * x).sum(axis=-1)
+        return ((x @ self.L) * x).sum(axis=-1)
 
     def _zeta(self, x, sigma_sq):
         """zeta = (hi + lo - 2 xi)^2."""

@@ -31,7 +31,11 @@ if TYPE_CHECKING:
 
 @dataclass
 class Classification:
-    """A classified harmonic field family with its metric parameters."""
+    """A classified harmonic field family with its metric parameters, kept once: exactly, in `exact`.
+
+    The floats mu, omega0_sq and lambda0_sq (None where absent), the pairs metric_params (from the keys p
+    and q, or p_a, q_a, p_b and q_b) and metrically_unique are read-only, each value converted once.
+    """
 
     family: str
     n: int
@@ -39,13 +43,18 @@ class Classification:
     exists: bool
     reason: str = ""
     r: int | None = None
-    mu: float | None = None
-    omega0_sq: float | None = None
-    lambda0_sq: float | None = None
-    metric_params: list[MetricParams] = field(default_factory=list)
-    metrically_unique: bool = False
     q_free: bool = False  # constant-length Hopf fields: p = 2, every q works
     exact: dict[str, QuadExt] = field(default_factory=dict)
+
+    def __post_init__(self):
+        f = self._floats = {key: float(value) for key, value in self.exact.items()}
+        self._pairs = [MetricParams(f[p], f["q" + p[1:]]) for p in ("p", "p_a", "p_b") if p in f]
+
+    mu = property(lambda self: self._floats.get("mu"))
+    omega0_sq = property(lambda self: self._floats.get("omega0_sq"))
+    lambda0_sq = property(lambda self: self._floats.get("lambda0_sq"))
+    metric_params = property(lambda self: self._pairs)
+    metrically_unique = property(lambda self: len(self._pairs) == 1 and not self.q_free)
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +111,8 @@ def killing_classification(n: int, r: int, epsilon: int) -> Classification:
             exists=True,
             reason="constant-length Hopf field: (2, q)-harmonic for every q",
             r=r,
-            omega0_sq=1.0,
-            metric_params=[MetricParams(2.0, 0.0)],
-            metrically_unique=False,
             q_free=True,
+            exact={"omega0_sq": QuadExt(1), "p": QuadExt(2), "q": QuadExt(0)},
         )
     if 2 * r >= n + 1:
         raise ValueError(f"need 2r < n+1, got r={r}, n={n}")
@@ -123,17 +130,8 @@ def killing_classification(n: int, r: int, epsilon: int) -> Classification:
         q = QuadExt(Fraction(1 - n, 2))
     else:
         q = 2 * (1 - r) * w_sq / (w_sq + epsilon)
-    return Classification(
-        family="killing",
-        n=n,
-        epsilon=epsilon,
-        exists=True,
-        r=r,
-        omega0_sq=float(w_sq),
-        metric_params=[MetricParams(float(n + 1), float(q))],
-        metrically_unique=True,
-        exact={"omega0_sq": w_sq, "q": q, "p": QuadExt(n + 1)},
-    )
+    exact = {"omega0_sq": w_sq, "q": q, "p": QuadExt(n + 1)}
+    return Classification(family="killing", n=n, epsilon=epsilon, exists=True, r=r, exact=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -171,38 +169,13 @@ def conformal_gradient_classification(n: int, epsilon: int, mu_sign: int) -> Cla
                 exists=False,
                 reason="a lightlike pole cannot meet mu = 1/(n-2) > 0",
             )
-        mu = Fraction(1, n - 2)
-        q = QuadExt(2 - n)
-        return Classification(
-            **base,
-            exists=True,
-            mu=float(mu),
-            metric_params=[MetricParams(float(n + 1), float(q))],
-            metrically_unique=True,
-            exact={"mu": QuadExt(mu), "p": QuadExt(n + 1), "q": q},
-        )
-    if n == 2:
-        return Classification(
-            **base,
-            exists=True,
-            mu=-1.0,
-            metric_params=[MetricParams(3.0, -0.5)],
-            metrically_unique=True,
-            exact={"mu": QuadExt(-1), "p": QuadExt(3), "q": QuadExt(Fraction(-1, 2))},
-        )
-    q_a = QuadExt(Fraction(1 - n) + Fraction(1, n))
-    p_b = QuadExt(Fraction(1, 2 - n))
-    return Classification(
-        **base,
-        exists=True,
-        mu=-1.0,
-        metric_params=[
-            MetricParams(float(n + 1), float(q_a)),
-            MetricParams(float(p_b), 0.0),
-        ],
-        metrically_unique=False,
-        exact={"mu": QuadExt(-1), "p_a": QuadExt(n + 1), "q_a": q_a, "p_b": p_b, "q_b": QuadExt(0)},
-    )
+        exact = {"mu": QuadExt(Fraction(1, n - 2)), "p": QuadExt(n + 1), "q": QuadExt(2 - n)}
+    elif n == 2:
+        exact = {"mu": QuadExt(-1), "p": QuadExt(3), "q": QuadExt(Fraction(-1, 2))}
+    else:
+        q_a, p_b = QuadExt(Fraction(1 - n) + Fraction(1, n)), QuadExt(Fraction(1, 2 - n))
+        exact = {"mu": QuadExt(-1), "p_a": QuadExt(n + 1), "q_a": q_a, "p_b": p_b, "q_b": QuadExt(0)}
+    return Classification(**base, exists=True, exact=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +207,7 @@ def quadratic_classification(n: int) -> Classification:
     r = (n + 1) // 2
     lam_sq = quadratic_roots_exact(r)
     q = (2 - r) * (1 + r) / (2 * (1 + r) + lam_sq / 2)
-    return Classification(
-        **base,
-        exists=True,
-        r=r,
-        lambda0_sq=float(lam_sq),
-        metric_params=[MetricParams(float(r + 1), float(q))],
-        metrically_unique=True,
-        exact={"lambda0_sq": lam_sq, "p": QuadExt(r + 1), "q": q},
-    )
+    return Classification(**base, exists=True, r=r, exact={"lambda0_sq": lam_sq, "p": QuadExt(r + 1), "q": q})
 
 
 def loxodromic_classification() -> Classification:
@@ -253,8 +218,6 @@ def loxodromic_classification() -> Classification:
         epsilon=-1,
         exists=True,
         r=1,
-        metric_params=[MetricParams(3.0, -0.5)],
-        metrically_unique=True,
         reason="the loop sin(t) sigma_0 + cos(t) sigma_1 on H^2; omega^2 - mu = 1",
         exact={"p": QuadExt(3), "q": QuadExt(Fraction(-1, 2))},
     )

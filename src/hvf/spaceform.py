@@ -19,7 +19,8 @@ F = |sigma|^2 / 2.  It calls nothing of the field but sigma.
 
 Points are arrays whose last axis has length m = n+1: inner, norm,
 tangent_project, normalize_point and complex_rotation accept one point of
-shape (m,) or a batch of shape (N, m) and keep the leading axes, and
+shape (m,) or a batch of shape (N, m) and keep the leading axes, is_point
+judges either as a whole, and
 sample_points draws one read-only (N, m) array, never point by point, and keeps it
 for the next call with the same key.  frame returns (..., n, m)
 from a closed formula, and the oracle takes a point or a batch too: it evaluates
@@ -37,6 +38,7 @@ import numpy as np
 from .ambient import SKEW_TOL, as_vector
 
 POINT_TOL = 1e-10
+ISOMETRY_TOL = 1e-9  # on |g^T eta g - eta|, relative to 1 + |g|^2
 SAMPLE_CACHE_BYTES = 2**20  # cap on the bytes of samples sample_points keeps per process
 
 _samples: dict[tuple, np.ndarray] = {}  # (n, eps, count, seed) -> read-only sample, oldest first
@@ -141,19 +143,28 @@ class SpaceForm:
         return x
 
     def is_point(self, x) -> bool:
-        # tolerance is relative to the coordinate scale: far out on H^n the
-        # constraint is a cancellation of terms of size |x|^2
+        """Is x, or each row of a batch (N, m), a point: |<x, x> - eps| <= POINT_TOL (1 + |x|^2), on the upper sheet?
+
+        The tolerance is relative to the coordinate scale: far out on H^n the constraint cancels terms of size
+        |x|^2.  Both signs of the test are the columns of one product of x * x; NaN or an overflow fails it.
+        """
         x = as_vector(x)
-        if x.shape != (self.ambient_dim,):
+        if x.ndim not in (1, 2) or x.shape[-1] != self.ambient_dim:
             return False
         with np.errstate(over="ignore", invalid="ignore"):
-            if not _within(abs(self.norm_sq(x) - self.eps), POINT_TOL * (1.0 + float(x @ x))):
+            if not _within(((x * x) @ self._point_test[0] - self._point_test[1]).max(initial=-math.inf), POINT_TOL):
                 return False
-        return self.eps == 1 or x[-1] > 0
+        return self.eps == 1 or bool(x[..., -1].min(initial=math.inf) > 0)
+
+    @cached_property
+    def _point_test(self):
+        """(W, s) with x * x @ W - s = (<x, x> - eps, eps - <x, x>) - POINT_TOL |x|^2."""
+        return np.diag(self.eta)[:, None] * [1.0, -1.0] - POINT_TOL, np.array([self.eps, -self.eps], dtype=float)
 
     def check_point(self, x) -> np.ndarray:
+        """x as one point of shape (m,), refused otherwise: is_point also passes a batch."""
         x = as_vector(x)
-        if not self.is_point(x):
+        if x.ndim != 1 or not self.is_point(x):
             raise ValueError(f"{x} is not a point of this space form")
         return x
 
@@ -252,11 +263,13 @@ class SpaceForm:
         S *= rng.uniform(0.3, 1.2) / max(np.abs(S).max(), 1e-12)
         return _expm(S)
 
-    def is_isometry(self, g, tol: float = 1e-9) -> bool:
-        """g^T eta g = eta (g preserves the inner product), and g keeps the upper sheet of H^n."""
+    def is_isometry(self, g) -> bool:
+        """g^T eta g = eta (g preserves the inner product) up to ISOMETRY_TOL, and g keeps the upper sheet of H^n."""
         g, eta = np.asarray(g, dtype=float), self.eta
+        if g.shape != eta.shape:
+            return False
         with np.errstate(over="ignore", invalid="ignore"):
-            if not _within(np.abs(g.T @ eta @ g - eta).max(), tol * (1.0 + np.abs(g).max() ** 2)):
+            if not _within(np.abs(g.T @ eta @ g - eta).max(), ISOMETRY_TOL * (1.0 + np.abs(g).max() ** 2)):
                 return False
         return self.eps == 1 or (g @ self.base_point())[-1] > 0
 

@@ -13,11 +13,14 @@ _parts builds A, B, C, D and their sizes from it, and _assemble contracts them
 with w and |w| in one matrix product, for one (p, q) or a whole grid.  verify()
 judges the residual relative to the summed sizes and runs preharmonic,
 spinnaker_error, weitzenbock_error and q_riemannian (q|sigma|^2 >= -1) on its
-one closed-form evaluation.  The two equivariance checks evaluate a field and its
-image (moved by an isometry g, or turned by the circle action) in one pass as
-well: _stack puts the two (L, c) on a leading axis and the points beside them,
-so one ingredients -> _parts -> _assemble gives both tensions, each bitwise its
-own evaluation, and the scale of the field itself.  For preharmonic eigenfields
+one closed-form evaluation.  The two equivariance checks share one body,
+_equivariance: the field and its image (moved by an isometry g, or turned by the
+circle action) are stacked by AffineField._stack, so one pass gives both
+tensions, each bitwise its own evaluation.  All four consumers (verify,
+metric_grid_scan and the two checks) refuse in one place what they cannot judge,
+under one errstate each, so nothing warns: _points refuses caller samples that
+are empty or off the space form, _sampled a field whose terms all underflow, and
+_finite a residual or a scale that is not finite.  For preharmonic eigenfields
 the scalar reduction
 
     (p + q + 2qF) Delta F + 2p (1 + qF) zeta + nu (1 + 2(1 - p)F) = 0
@@ -206,29 +209,19 @@ def preharmonic(ing: Ingredients, zeta) -> tuple[bool, float]:
 
 
 def _relative(err, size):
-    """err / size per point, with 0/0 read as 0: the relative residuals and identity errors of every check."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(err == 0, 0.0, err / size)[()]
+    """err / size per point, with 0/0 read as 0, under its caller's np.errstate: every check's relative errors."""
+    return np.where(err == 0, 0.0, err / size)[()]
 
 
-def _nonempty(samples):
-    """samples, refused when there are none: the checks take a maximum over at least one point."""
-    if len(samples) == 0:
+def _points(M: SpaceForm, samples) -> np.ndarray:
+    """samples as an (N, n+1) float array, refused when empty (the checks take a maximum) or when a row is no point
+    of M: the closed forms hold on the quadric only, and off it a harmonic field reads as not harmonic."""
+    x = np.asarray(samples, dtype=float)
+    if not x.size:
         raise ValueError("samples is empty: the checks take a maximum over at least one point")
-    return samples
-
-
-def _stack(field: AffineField, image: AffineField) -> AffineField:
-    """The two fields as one, for ingredients only: (L, L†, R, c, tr L L†) gain a leading axis of two.
-
-    The closed forms multiply by these slice by slice at points of shape (2, N, m), so each half of the
-    result is bitwise what that field alone gives at its own points.
-    """
-    both = object.__new__(AffineField)
-    both.space, both._eps = field.space, field._eps
-    both.L, both._Ldag, both._rough = (np.stack([getattr(field, k), getattr(image, k)]) for k in ("L", "_Ldag", "_rough"))
-    both.c, both._trLLd = np.stack([field.c, image.c])[:, None], np.array([[field._trLLd], [image._trLLd]])
-    return both
+    if x.ndim != 2 or not M.is_point(x):
+        raise ValueError(f"samples must be an (N, {M.ambient_dim}) array of points of the space form")
+    return x
 
 
 def _sampled(field: AffineField, samples, image=None) -> Ingredients:
@@ -241,12 +234,23 @@ def _sampled(field: AffineField, samples, image=None) -> Ingredients:
         ing = ingredients(field, samples)
         own = ing.rough_size
     else:
-        m = field.space.ambient_dim
-        ing = ingredients(_stack(field, image[0]), np.stack([samples, image[1]]).reshape(2, -1, m))
+        ing = ingredients(field._stack(image[0]), np.array([samples, image[1]]))
         own = ing.rough_size[0]
     if not (own.any() or _vanishes(field)):
         raise ValueError("field too small to analyse: every term of its tension underflows to 0 at every sample")
     return ing
+
+
+def _finite(sq, scale=1.0) -> None:
+    """The one non-finite rule of every tension consumer: ValueError unless sq = |t|^2 (|t| clips a timelike -inf on
+    H^n to 0) and scale are finite throughout, as a finite |t| over an infinite scale would read as harmonic.  Values
+    per sample name the first that fails.  One product, under the caller's errstate, decides while all is finite."""
+    if math.isfinite(np.dot(sq, scale)):
+        return
+    ok = np.isfinite(sq) & np.isfinite(scale)
+    if not ok.all():
+        where = f" at sample {np.argmin(ok)}" if ok.ndim == 1 else ""
+        raise ValueError(f"non-finite tension residual or scale{where}")
 
 
 def spinnaker_error(ing: Ingredients, zeta):
@@ -258,7 +262,8 @@ def spinnaker_error(ing: Ingredients, zeta):
     if zeta is None:
         return None
     s_zeta = ing.sigma_sq * zeta
-    return _relative(np.abs(s_zeta - ing.gradF_sq), np.abs(s_zeta) + ing.gradF_sq + ing.sigma_sq**2)
+    with np.errstate(all="ignore"):
+        return _relative(np.abs(s_zeta - ing.gradF_sq), np.abs(s_zeta) + ing.gradF_sq + ing.sigma_sq**2)
 
 
 def weitzenbock_error(ing: Ingredients):
@@ -268,7 +273,8 @@ def weitzenbock_error(ing: Ingredients):
     + |sigma|^2, which scales like it, so k sigma gets the error of sigma.
     """
     lhs = ing.space.inner(ing.rough, ing.sigma)
-    return _relative(np.abs(lhs - (ing.nabla_sq + ing.lap_F)), np.abs(lhs) + ing.nabla_sq + ing.sigma_sq)
+    with np.errstate(all="ignore"):
+        return _relative(np.abs(lhs - (ing.nabla_sq + ing.lap_F)), np.abs(lhs) + ing.nabla_sq + ing.sigma_sq)
 
 
 def q_riemannian(ing: Ingredients, q: float) -> bool:
@@ -367,15 +373,13 @@ def verify(
     if 0 < phys < need:
         raise ValueError(f"{count} points need about {need / 2**30:.3g} GiB, more than the {phys / 2**30:.3g} GiB of physical memory")
     samples = M.sample_points(count, seed)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+    with np.errstate(all="ignore"):  # _finite refuses what overflows; _relative reads 0/0 as 0
         ing = _sampled(field, samples)
         t, scale = _assemble(_weights(mp.p, mp.q), _parts(ingredients(field, samples, fd=True) if fd else ing))
-        res = M.norm(t)
-    # a non-finite ingredient makes the tension t non-finite too
-    finite = np.isfinite(t).all(axis=-1) & np.isfinite(res) & np.isfinite(scale)
-    if not finite.all():
-        raise ValueError(f"non-finite tension residual or ingredient at sample {np.argmin(finite)}")
-    rel = _relative(res, scale)
+        sq = M.norm_sq(t)
+        _finite(sq, scale)
+        res = np.sqrt(np.maximum(sq, 0.0))  # M.norm(t)
+        rel = _relative(res, scale)
     zeta = field.spinnaker(samples, ing.sigma_sq)
     sp_err = spinnaker_error(ing, zeta)
     judged = None if sp_err is None else sp_err[_kept(ing)]
@@ -407,32 +411,44 @@ def metric_grid_scan(field: AffineField, ps, qs, samples) -> np.ndarray:
 
     The parts are built once for all samples and the weights once for the grid, so each sample costs one
     matrix product and the working set stays at a few grids of vectors.  Each cell is the max_rel_residual
-    verify reports at its (p, q) on the same samples.
+    verify reports at its (p, q) on the same samples.  _finite judges the parts at the largest |p| and |q|, whose
+    scale bounds every cell's, before the loop, and the grid after it.
     """
     P, Q = np.asarray(ps, dtype=float), np.asarray(qs, dtype=float)
     if P.ndim != 1 or Q.ndim != 1 or not (np.isfinite(P).all() and np.isfinite(Q).all()):
         raise ValueError("ps and qs must be 1-D arrays of finite numbers")
-    M, w = field.space, _weights(P[:, None], Q[None, :])
-    parts = _parts(_sampled(field, _nonempty(samples)))
-    out = np.zeros((P.size, Q.size))
-    for i in range(len(samples)):
-        t, scale = _assemble(w, parts[:, i])
-        out = np.maximum(out, _relative(M.norm(t), scale))
+    M = field.space
+    x = _points(M, samples)
+    with np.errstate(all="ignore"):  # _finite refuses what overflows; _relative reads 0/0 as 0
+        w, parts = _weights(P[:, None], Q[None, :]), _parts(_sampled(field, x))
+        t, scale = _assemble(_weights(np.abs(P).max(initial=0.0), np.abs(Q).max(initial=0.0)), parts)
+        _finite(M.norm_sq(t), scale)
+        out = np.zeros((P.size, Q.size))
+        for i in range(len(x)):
+            t, scale = _assemble(w, parts[:, i])
+            out = np.maximum(out, _relative(M.norm(t), scale))
+        _finite(out.max(initial=0.0))
     return out
 
 
-def isometry_equivariance_check(field: AffineField, g, mp: MetricParams, samples) -> float:
-    """max over samples of |g tau(sigma)(x) - tau(g.sigma)(g x)| / scale.
+def _equivariance(field: AffineField, x, image: AffineField, points, mp: MetricParams, act) -> float:
+    """max over samples x of |act(tau(field)(x)) - tau(image)(points)| / scale, with the field's own scale and both
+    tensions from one evaluation of the two fields, stacked."""
+    M = field.space
+    with np.errstate(all="ignore"):  # _finite refuses what overflows; _relative reads 0/0 as 0
+        t, scale = _assemble(_weights(mp.p, mp.q), _parts(_sampled(field, x, (image, points))))
+        sq = M.norm_sq(act(t[0]) - t[1])
+        _finite(sq, scale[0])
+        return float(_relative(np.sqrt(np.maximum(sq, 0.0)), scale[0]).max())
 
-    Both tensions come from one evaluation of the field and its image, stacked; the scale is the field's own.
-    """
-    _nonempty(samples)
+
+def isometry_equivariance_check(field: AffineField, g, mp: MetricParams, samples) -> float:
+    """max over samples of |g tau(sigma)(x) - tau(g.sigma)(g x)| / scale."""
     M, g = field.space, np.asarray(g, dtype=float)
+    x = _points(M, samples)
     if not M.is_isometry(g):
         raise ValueError("g does not preserve the signature form (and sheet)")
-    ing = _sampled(field, samples, (field.transform(g), M.normalize_point(samples @ g.T)))
-    t, scale = _assemble(_weights(mp.p, mp.q), _parts(ing))
-    return float(_relative(M.norm(t[0] @ g.T - t[1]), scale[0]).max())
+    return _equivariance(field, x, field.transform(g), M.normalize_point(x @ g.T), mp, lambda v: v @ g.T)
 
 
 def circle_equivariance_check(field: AffineField, t: float, mp: MetricParams, samples) -> float:
@@ -440,12 +456,9 @@ def circle_equivariance_check(field: AffineField, t: float, mp: MetricParams, sa
 
     The two sides are independent derivations: on the left the tension is
     turned pointwise by SpaceForm.complex_rotation, on the right the field is
-    turned first by AffineField.circle_action, the linear map on (L, c).  Both
-    tensions come from one evaluation of the two fields, stacked; the scale is
-    the field's own.
+    turned first by AffineField.circle_action, the linear map on (L, c).
     """
-    _nonempty(samples)
     M = field.space
-    v, scale = _assemble(_weights(mp.p, mp.q), _parts(_sampled(field, samples, (field.circle_action(t), samples))))
-    lhs = np.cos(t) * v[0] + np.sin(t) * M.complex_rotation(samples, v[0])
-    return float(_relative(M.norm(lhs - v[1]), scale[0]).max())
+    x = _points(M, samples)
+    turned = field.circle_action(t)
+    return _equivariance(field, x, turned, x, mp, lambda v: np.cos(t) * v + np.sin(t) * M.complex_rotation(x, v))

@@ -81,9 +81,7 @@ def test_skew_identity_on_random_pairs():
 def _balanced_with_translation(n, r, omega, tau):
     """R with r blocks of twist omega plus a translation of speed tau at the vertex."""
     M = hyperbolic(n)
-    A = GeneralizedHopfField(r, omega, M).A + hyperbolic_translation(
-        tau, M, direction=np.eye(n + 1)[2 * r]
-    ).A
+    A = GeneralizedHopfField(r, omega, M).A + elementary_killing(tau * np.eye(n + 1)[2 * r], M.base_point(), M).A
     return A, M
 
 

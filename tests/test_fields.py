@@ -332,7 +332,7 @@ def test_hyperbolic_killing_trichotomy():
     assert tr.preharmonic_lambda == pytest.approx(0.81, rel=1e-12)
     par = KillingField(
         GeneralizedHopfField(1, 0.7, M).A
-        + hyperbolic_translation(0.7, M, direction=np.eye(4)[2]).A,
+        + elementary_killing(0.7 * np.eye(4)[2], M.base_point(), M).A,
         M,
     )
     assert par.kind == "parabolic"
@@ -348,7 +348,7 @@ def test_scaled_killing_keeps_its_normal_form(M):
 
 def test_scaled_hyperbolic_killing_keeps_its_kind():
     M = hyperbolic(3)
-    par = GeneralizedHopfField(1, 0.7, M).A + hyperbolic_translation(0.7, M, direction=np.eye(4)[2]).A
+    par = GeneralizedHopfField(1, 0.7, M).A + elementary_killing(0.7 * np.eye(4)[2], M.base_point(), M).A
     for k in (1e-6, 1e6):
         assert KillingField(k * GeneralizedHopfField(1, 1.1, M).A, M).kind == "rotation", k
         assert KillingField(k * hyperbolic_translation(0.9, M).A, M).kind == "translation", k
@@ -816,13 +816,17 @@ def test_quadratic_power_inner_products():
     f = QuadraticGradientField(np.diag([2.0, 1.0, -0.5, 0.3]), sphere(3))
     M = f.space
 
+    def xi(x, m):  # xi_m(x) = <Q^m x, x>; xi_1 = f.xi
+        return (x @ np.linalg.matrix_power(f.L, m)) @ x
+
     def sigma_m(x, m):  # Q^m x - xi_m(x) x; sigma_1 = sigma
-        return x @ np.linalg.matrix_power(f.L, m) - f.xi(x, m) * x
+        return x @ np.linalg.matrix_power(f.L, m) - xi(x, m) * x
 
     for x in M.sample_points(10, 17):
+        assert f.xi(x) == pytest.approx(xi(x, 1), abs=1e-15)
         for k, m in ((1, 1), (1, 2)):
             lhs = M.inner(sigma_m(x, k), sigma_m(x, m))
-            rhs = f.xi(x, k + m) - f.xi(x, k) * f.xi(x, m)
+            rhs = xi(x, k + m) - xi(x, k) * xi(x, m)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -1010,8 +1014,7 @@ def test_closed_forms_batch_equals_rows(size):
         else:
             assert_batch_equals_rows(f.spinnaker, pts)
         if isinstance(f, QuadraticGradientField):
-            for k in (1, 2):
-                assert_batch_equals_rows(lambda y: f.xi(y, k), pts)
+            assert_batch_equals_rows(f.xi, pts)
 
 
 @pytest.mark.parametrize("M", [sphere(2), sphere(5), hyperbolic(2), hyperbolic(6)], ids=str)

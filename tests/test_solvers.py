@@ -228,3 +228,25 @@ def test_catalogue_closure_and_scale_sensitivity():
 def test_build_classified_field_rejects_no_solution():
     with pytest.raises(ValueError):
         build_classified_field(quadratic_classification(6))
+
+
+def test_a_classification_keeps_one_record():
+    # the floats, the pairs and metrically_unique are read from the exact values, so they cannot drift from them
+    records = [killing_classification(4, 2, 1), killing_classification(3, 2, 1), quadratic_classification(7),
+               conformal_gradient_classification(4, -1, -1), loxodromic_classification()]
+    for cl in records:
+        for key in ("mu", "omega0_sq", "lambda0_sq"):
+            assert getattr(cl, key) == (float(cl.exact[key]) if key in cl.exact else None), (cl.family, key)
+        for key in ("mu", "omega0_sq", "lambda0_sq", "metric_params", "metrically_unique"):
+            with pytest.raises(AttributeError):
+                setattr(cl, key, None)
+    hopf = killing_classification(3, 2, 1)
+    assert hopf.exact == {"omega0_sq": QuadExt(1), "p": QuadExt(2), "q": QuadExt(0)}
+    assert (hopf.omega0_sq, hopf.q_free, hopf.metrically_unique) == (1.0, True, False)
+    assert [(mp.p, mp.q) for mp in hopf.metric_params] == [(2.0, 0.0)]
+    two = records[3]
+    want = [(float(two.exact[p]), float(two.exact[q])) for p, q in (("p_a", "q_a"), ("p_b", "q_b"))]
+    assert [(mp.p, mp.q) for mp in two.metric_params] == want and not two.metrically_unique
+    assert all(cl.metrically_unique for cl in records[:1] + records[2:3] + records[4:])
+    none = killing_classification(4, 1, 1)
+    assert not none.exists and none.metric_params == [] and none.mu is None and not none.metrically_unique

@@ -211,7 +211,9 @@ def test_random_isometry_preserves_the_form():
     for n in range(2, 10):
         for M in (sphere(n), hyperbolic(n)):
             for _ in range(5):
-                assert M.is_isometry(M.random_isometry(rng), tol=1e-12)
+                g = M.random_isometry(rng)
+                assert M.is_isometry(g)
+                assert np.abs(g.T @ M.eta @ g - M.eta).max() <= 1e-12 * (1.0 + np.abs(g).max() ** 2)
 
 
 # each predicate accepts only err <= bound < inf: a NaN error is never within its bound, and an infinite or
@@ -239,6 +241,24 @@ def test_is_point_refuses_what_it_cannot_judge(value):
         assert not M.is_point([value] * 5) and not M.is_point(x)
         with pytest.raises(ValueError, match="not a point"):
             KillingField(np.zeros((5, 5)), M, base=[value] * 5)
+
+
+@pytest.mark.parametrize("M", [sphere(4), hyperbolic(4)], ids=str)
+def test_is_point_takes_a_batch(M):
+    # a batch is a point set when every row is a point, as the checks of hvf.tension need of their samples
+    pts = M.sample_points(20, 5)
+    assert M.is_point(pts) and all(M.is_point(x) for x in pts)
+    far = np.array([math.sinh(30.0), 0.0, 0.0, 0.0, math.cosh(30.0)]) if M.eps == -1 else np.eye(5)[0]
+    assert M.is_point(np.vstack([pts, far])) and M.is_point(far)  # the tolerance is relative to |x|^2
+    bad_rows = [2.0 * pts[0], 1.01 * pts[0]] + [np.full(5, value) for value in UNJUDGED]
+    if M.eps == -1:
+        bad_rows.append(-pts[0])  # <x, x> = -1 on the lower sheet
+    for row in bad_rows:
+        assert not M.is_point(np.vstack([pts, row])) and not M.is_point(row)
+    for shape in (pts[:, :-1], pts[None], pts[0, 0], np.ones((3, 6))):
+        assert not M.is_point(shape)
+    with pytest.raises(ValueError, match="not a point"):  # one point, where a field keeps a base point
+        M.check_point(pts)
 
 
 @pytest.mark.parametrize("value", UNJUDGED)

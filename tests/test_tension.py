@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from hvf.tension import (
     Ingredients,
     MetricParams,
     _assemble,
+    _finite,
     _parts,
     _relative,
     _sampled,
@@ -454,6 +456,14 @@ def test_isometry_check_blames_a_non_finite_g(entry):
         isometry_equivariance_check(f, g, MetricParams(3.0, -0.5), f.space.sample_points(5, 1))
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (5, 4), (1, 5, 5)], ids=str)
+def test_isometry_check_blames_a_g_of_the_wrong_shape(shape):
+    # g is refused by name, not with numpy's matmul or broadcast message
+    f = build_classified_field(killing_classification(4, 2, 1))
+    with pytest.raises(ValueError, match="g does not preserve"):
+        isometry_equivariance_check(f, np.ones(shape), MetricParams(3.0, -0.5), f.space.sample_points(5, 1))
+
+
 @pytest.mark.parametrize(
     "check",
     [
@@ -653,3 +663,102 @@ def test_checks_refuse_a_field_whose_terms_all_underflow(check):
     f = scale_field(associate_family_member(0.7), 1e-200)
     with pytest.raises(ValueError, match="too small to analyse"):
         check(f, f.space.sample_points(20, 3))
+
+
+# each tension consumer: (its field at scale k, the call on samples); verify draws its own len(samples) points
+def _killing_s4(k):
+    return scale_field(killing_from_twists([1.0, 2.0], sphere(4)), k)
+
+
+_CONSUMERS = {
+    "verify": (_killing_s4, lambda f, pts: verify(f, MetricParams(5.0, -1.0), count=len(pts), seed=1)),
+    "metric_grid_scan": (_killing_s4, lambda f, pts: metric_grid_scan(f, [5.0], [-1.0, 0.0], pts)),
+    "isometry_equivariance_check": (
+        _killing_s4,
+        lambda f, pts: isometry_equivariance_check(f, np.eye(5), MetricParams(5.0, -1.0), pts),
+    ),
+    "circle_equivariance_check": (
+        lambda k: scale_field(associate_family_member(0.7), k),
+        lambda f, pts: circle_equivariance_check(f, 0.5, MetricParams(3.0, -0.5), pts),
+    ),
+}
+# (scale of the field, what is done to the samples, the refusal); verify takes no samples, so only its fields
+_REFUSED = [
+    (1e40, None, "non-finite tension residual or scale at sample"),
+    (1e70, None, "non-finite tension residual or scale at sample"),
+    (1e-200, None, "too small to analyse"),
+    (1.0, lambda pts: 2.0 * pts, "array of points of the space form"),
+    (1.0, lambda pts: pts[:, :-1], "array of points of the space form"),
+]
+
+
+@pytest.mark.parametrize(
+    "consumer, k, move, match",
+    [
+        pytest.param(name, k, move, match, id=f"{name}-{label}")
+        for name in _CONSUMERS
+        for (k, move, match), label in zip(_REFUSED, ["x1e40", "x1e70", "x1e-200", "off-quadric", "wrong-width"])
+        if name != "verify" or move is None
+    ],
+)
+def test_every_consumer_refuses_what_it_cannot_judge(consumer, k, move, match):
+    # one gate: an overflowing residual or scale, a field whose terms all underflow and samples that are no points
+    # of the space form raise, with no RuntimeWarning on the way, where they gave inf, NaN or a wrong verdict
+    field_at, call = _CONSUMERS[consumer]
+    f = field_at(k)
+    pts = f.space.sample_points(10, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            call(f, pts if move is None else move(pts))
+        if consumer != "verify":  # the unscaled field on its own samples is judged, and finite
+            assert np.isfinite(call(field_at(1.0), pts)).all()
+
+
+def test_an_overflowing_weight_is_refused_without_a_warning():
+    # p q = 1e600 overflows the weights themselves, which the grid built outside any errstate
+    f = build_classified_field(killing_classification(4, 2, 1))
+    pts, big = f.space.sample_points(5, 1), MetricParams(1e300, 1e300)
+    calls = [
+        lambda: metric_grid_scan(f, [1.0, 1e300], [1e300], pts),
+        lambda: verify(f, big, count=5),
+        lambda: isometry_equivariance_check(f, np.eye(5), big, pts),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="non-finite tension residual or scale at sample 0"):
+                call()
+
+
+def test_samples_off_the_upper_sheet_are_refused():
+    # -x satisfies <x, x> = -1 too, on the lower sheet of H^2
+    f, mp = _loop_345(), MetricParams(3.0, -0.5)
+    pts = f.space.sample_points(10, 1)
+    for bad in (-pts, np.concatenate([pts, -pts[:1]])):
+        with pytest.raises(ValueError, match="array of points of the space form"):
+            circle_equivariance_check(f, 0.5, mp, bad)
+        with pytest.raises(ValueError, match="array of points of the space form"):
+            metric_grid_scan(f, [3.0], [-0.5], bad)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_circle_check_blames_a_non_finite_t(t):
+    # circle_action refuses t by name, not the omega it would build or math.cos
+    f = _loop_345()
+    with pytest.raises(ValueError, match="t must be finite"):
+        f.circle_action(t)
+    with pytest.raises(ValueError, match="t must be finite"):
+        circle_equivariance_check(f, t, MetricParams(3.0, -0.5), f.space.sample_points(5, 1))
+
+
+def test_an_infinite_scale_is_refused_beside_a_finite_residual():
+    # a finite |t| over an infinite scale would read as 0, that is as harmonic; a timelike -inf |t|^2 would clip to 0
+    with pytest.raises(ValueError, match="at sample 1"):
+        _finite(np.array([1.0, 2.0]), np.array([1.0, math.inf]))
+    with pytest.raises(ValueError, match="at sample 0"):
+        _finite(np.array([-math.inf, 1.0]), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        _finite(np.float64(math.nan))
+    with np.errstate(over="ignore"):  # as in every consumer: a product that overflows is no refusal
+        _finite(np.array([1e200, 1e200]), np.array([1e200, 1e200]))
